@@ -51,30 +51,47 @@ fn bench_rsa(c: &mut Criterion) {
 }
 
 /// The modexp ablation behind the scan hot path: LSB-first schoolbook
-/// square-and-multiply vs 4-bit windowed Montgomery (CIOS). Every RSA
+/// square-and-multiply vs the Montgomery (CIOS) kernel. Every RSA
 /// sign/verify in the study funnels through `modpow`.
 fn bench_modexp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("modexp");
-    for bits in [384usize, 512, 768] {
-        let mut rng = StdRng::seed_from_u64(0xE0D * bits as u64);
-        let bytes = bits / 8;
-        let rand_int = |rng: &mut StdRng, len: usize| {
-            let mut buf = vec![0u8; len];
-            rng.fill(&mut buf[..]);
-            BigUint::from_be_bytes(&buf)
-        };
-        let base = rand_int(&mut rng, bytes);
-        let exp = rand_int(&mut rng, bytes);
+    let rand_int = |rng: &mut StdRng, bytes: usize| {
+        let mut buf = vec![0u8; bytes];
+        rng.fill(&mut buf[..]);
+        BigUint::from_be_bytes(&buf)
+    };
+    let odd_modulus = |rng: &mut StdRng, bytes: usize| {
         let mut m_bytes = vec![0u8; bytes];
         rng.fill(&mut m_bytes[..]);
         m_bytes[0] |= 0x80; // full width
         m_bytes[bytes - 1] |= 0x01; // odd: the Montgomery-eligible case
-        let m = BigUint::from_be_bytes(&m_bytes);
-        group.bench_function(format!("schoolbook-{bits}"), |b| {
-            b.iter(|| std::hint::black_box(&base).modpow_schoolbook(std::hint::black_box(&exp), &m))
+        BigUint::from_be_bytes(&m_bytes)
+    };
+    let mut shapes = Vec::new();
+    for bits in [384usize, 512, 768] {
+        let mut rng = StdRng::seed_from_u64(0xE0D * bits as u64);
+        let bytes = bits / 8;
+        let base = rand_int(&mut rng, bytes);
+        let exp = rand_int(&mut rng, bytes);
+        shapes.push((bits.to_string(), base, exp, odd_modulus(&mut rng, bytes)));
+    }
+    // The two shapes the study runs: one CRT half of a 384-bit signature
+    // (a 384-bit encoded message, a 192-bit exponent, a 192-bit prime-
+    // sized modulus) and a 384-bit verify (e = 65537).
+    let mut rng = StdRng::seed_from_u64(0xC27);
+    let em = rand_int(&mut rng, 48);
+    let exp = rand_int(&mut rng, 24);
+    shapes.push(("crt-half-192".into(), em, exp, odd_modulus(&mut rng, 24)));
+    let sig = rand_int(&mut rng, 47);
+    let e = BigUint::from_u64(65537);
+    shapes.push(("e65537-384".into(), sig, e, odd_modulus(&mut rng, 48)));
+
+    let mut group = c.benchmark_group("modexp");
+    for (name, base, exp, m) in &shapes {
+        group.bench_function(format!("schoolbook-{name}"), |b| {
+            b.iter(|| std::hint::black_box(base).modpow_schoolbook(std::hint::black_box(exp), m))
         });
-        group.bench_function(format!("montgomery-{bits}"), |b| {
-            b.iter(|| std::hint::black_box(&base).modpow(std::hint::black_box(&exp), &m))
+        group.bench_function(format!("montgomery-{name}"), |b| {
+            b.iter(|| std::hint::black_box(base).modpow(std::hint::black_box(exp), m))
         });
     }
     group.finish();

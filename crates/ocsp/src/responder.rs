@@ -321,10 +321,10 @@ impl Responder {
         // any, plus superfluous chain copies.
         let mut certs = Vec::new();
         let signing_key = match &self.signer {
-            SignerRole::Direct => ca.keypair().clone(),
+            SignerRole::Direct => ca.keypair(),
             SignerRole::Delegated { cert, key } => {
                 certs.push((**cert).clone());
-                (**key).clone()
+                &**key
             }
         };
         if self.profile.superfluous_certs > 0 {
@@ -338,7 +338,7 @@ impl Responder {
             certs.push(issuer_cert.clone());
         }
 
-        let mut response = OcspResponse::successful(&signing_key, produced_at, singles, certs);
+        let mut response = OcspResponse::successful(signing_key, produced_at, singles, certs);
 
         if self.profile.corrupt_signature {
             reg.incr(catalog::OCSP_RESPONDER_FAULT, "corrupt_signature");

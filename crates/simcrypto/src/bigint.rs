@@ -358,33 +358,26 @@ impl BigUint {
 
     /// `self ^ exp mod m`.
     ///
-    /// Odd moduli — every RSA modulus and CRT prime in the study — take
-    /// a 4-bit-windowed exponentiation over Montgomery (CIOS)
-    /// multiplication, which replaces the full division after every
-    /// product with a single word-by-word reduction pass. Even moduli
-    /// fall back to [`BigUint::modpow_schoolbook`].
+    /// Odd moduli of up to 1024 bits — every RSA modulus and CRT prime
+    /// in the study — take the Montgomery kernel (see [`MontgomeryCtx`]),
+    /// which replaces the full division after every product with one
+    /// word-by-word reduction pass. Even and wider moduli fall back to
+    /// [`BigUint::modpow_schoolbook`].
     ///
     /// # Panics
     ///
     /// Panics if `m` is zero.
     pub fn modpow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
-        assert!(!m.is_zero(), "modpow modulus is zero");
-        if m.limbs == [1] {
-            return BigUint::zero();
-        }
-        if exp.is_zero() {
-            return BigUint::one();
-        }
-        if m.is_odd() {
-            modpow_montgomery(self, exp, m)
-        } else {
-            self.modpow_schoolbook(exp, m)
+        match MontgomeryCtx::new(m) {
+            Some(ctx) => ctx.pow(self, exp),
+            None => self.modpow_schoolbook(exp, m),
         }
     }
 
     /// `self ^ exp mod m` by LSB-first square-and-multiply, one full
-    /// division per product. The Montgomery path's correctness oracle
-    /// and benchmark baseline, and the fallback for even moduli.
+    /// division per product. The Montgomery kernel's correctness oracle
+    /// and benchmark baseline, and the fallback for even moduli and
+    /// moduli wider than the kernel.
     ///
     /// # Panics
     ///
@@ -439,149 +432,241 @@ impl BigUint {
     }
 }
 
-/// Fixed-width Montgomery context for an odd modulus of `k` limbs.
+/// Widest modulus the Montgomery kernel takes, in 64-bit limbs: 1024
+/// bits, the CRT primes of a 2048-bit key.
+pub(crate) const MAX_LIMBS: usize = 16;
+
+/// The Montgomery constants of one odd modulus `m > 1` of at most
+/// [`MAX_LIMBS`] 64-bit limbs: everything `modpow` derives from the
+/// modulus alone, so a key that exponentiates under one modulus many
+/// times computes them once.
 ///
-/// All values below live as `k`-limb little-endian words (trailing
-/// zeros allowed), strictly less than `m`; CIOS keeps products under
-/// `2m`, so one conditional subtraction restores the invariant.
-struct Montgomery {
-    m: Vec<u32>,
-    /// `-m^{-1} mod 2^32`.
-    n0: u32,
-    /// `R^2 mod m` where `R = 2^(32k)` — converts into Montgomery form.
-    r2: Vec<u32>,
-    /// `R mod m` — the value one in Montgomery form.
-    one: Vec<u32>,
+/// The kernel is CIOS Montgomery multiplication over 64-bit limbs with
+/// `u128` products, monomorphized per width: [`MontgomeryCtx::pow`]
+/// picks the width once, and every buffer after that is a fixed-size
+/// array on the stack. `BigUint` keeps its `u32` limbs; operands are
+/// packed into `u64` limbs on entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct MontgomeryCtx {
+    /// `m`, least-significant limb first; zero from `limbs` up.
+    m: [u64; MAX_LIMBS],
+    /// `R² mod m` with `R = 2^(64·limbs)`, which converts into
+    /// Montgomery form; zero from `limbs` up.
+    r2: [u64; MAX_LIMBS],
+    /// `-m⁻¹ mod 2^64`.
+    n0: u64,
+    /// Width of `m` in 64-bit limbs, `1..=MAX_LIMBS`.
+    limbs: usize,
 }
 
-impl Montgomery {
-    fn new(m: &BigUint) -> Montgomery {
-        let k = m.limbs.len();
-        let m0 = m.limbs[0];
+impl MontgomeryCtx {
+    /// The constants for `m`, or `None` unless `m` is odd, greater than
+    /// one and at most `64 · MAX_LIMBS` bits wide.
+    pub(crate) fn new(m: &BigUint) -> Option<MontgomeryCtx> {
+        let limbs = m.limbs.len().div_ceil(2);
+        if !m.is_odd() || m.limbs == [1] || limbs > MAX_LIMBS {
+            return None;
+        }
+        let mut packed = [0; MAX_LIMBS];
+        pack(&m.limbs, &mut packed);
         // Hensel lifting: x ← x·(2 − m0·x) doubles the correct low bits
-        // per step; odd m0 starts with 3 correct bits, 4 rounds cover 32.
-        let mut inv: u32 = m0;
-        for _ in 0..4 {
-            inv = inv.wrapping_mul(2u32.wrapping_sub(m0.wrapping_mul(inv)));
+        // per step; odd m0 starts with 3 correct bits, 5 rounds cover 64.
+        let m0 = packed[0];
+        let mut inv = m0;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
         }
-        Montgomery {
-            m: m.limbs.clone(),
+        let mut r2 = [0; MAX_LIMBS];
+        pack(&BigUint::one().shl(128 * limbs).rem(m).limbs, &mut r2);
+        Some(MontgomeryCtx {
+            m: packed,
+            r2,
             n0: inv.wrapping_neg(),
-            r2: pad_limbs(&BigUint::one().shl(64 * k).rem(m), k),
-            one: pad_limbs(&BigUint::one().shl(32 * k).rem(m), k),
+            limbs,
+        })
+    }
+
+    /// `base ^ exp mod m`, the same function as [`BigUint::modpow`].
+    pub(crate) fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        if exp.is_zero() {
+            return BigUint::one();
+        }
+        match self.limbs {
+            1 => self.pow_n::<1>(base, exp),
+            2 => self.pow_n::<2>(base, exp),
+            3 => self.pow_n::<3>(base, exp),
+            4 => self.pow_n::<4>(base, exp),
+            5 => self.pow_n::<5>(base, exp),
+            6 => self.pow_n::<6>(base, exp),
+            7 => self.pow_n::<7>(base, exp),
+            8 => self.pow_n::<8>(base, exp),
+            9 => self.pow_n::<9>(base, exp),
+            10 => self.pow_n::<10>(base, exp),
+            11 => self.pow_n::<11>(base, exp),
+            12 => self.pow_n::<12>(base, exp),
+            13 => self.pow_n::<13>(base, exp),
+            14 => self.pow_n::<14>(base, exp),
+            15 => self.pow_n::<15>(base, exp),
+            16 => self.pow_n::<16>(base, exp),
+            _ => unreachable!("MontgomeryCtx::new caps the width at MAX_LIMBS"),
         }
     }
 
-    /// `out ← a·b·R^{-1} mod m` (CIOS: interleave each multiplication
-    /// word with one reduction word). `a` and `b` may alias each other
-    /// but not `out`; `t` is `k + 2` words of scratch.
-    fn mul_into(&self, a: &[u32], b: &[u32], t: &mut [u64], out: &mut [u32]) {
-        let k = self.m.len();
-        t[..k + 2].fill(0);
-        for &a_limb in &a[..k] {
-            let ai = u64::from(a_limb);
-            let mut carry = 0u64;
-            for j in 0..k {
-                let sum = t[j] + ai * u64::from(b[j]) + carry;
-                t[j] = sum & 0xFFFF_FFFF;
-                carry = sum >> 32;
-            }
-            let sum = t[k] + carry;
-            t[k] = sum & 0xFFFF_FFFF;
-            t[k + 1] += sum >> 32;
-
-            let u = u64::from((t[0] as u32).wrapping_mul(self.n0));
-            let mut carry = (t[0] + u * u64::from(self.m[0])) >> 32;
-            for j in 1..k {
-                let sum = t[j] + u * u64::from(self.m[j]) + carry;
-                t[j - 1] = sum & 0xFFFF_FFFF;
-                carry = sum >> 32;
-            }
-            let sum = t[k] + carry;
-            t[k - 1] = sum & 0xFFFF_FFFF;
-            t[k] = t[k + 1] + (sum >> 32);
-            t[k + 1] = 0;
-        }
-        let ge_m = t[k] != 0 || {
-            let mut ge = true;
-            for j in (0..k).rev() {
-                let tj = t[j] as u32;
-                if tj != self.m[j] {
-                    ge = tj > self.m[j];
-                    break;
-                }
-            }
-            ge
+    fn pow_n<const N: usize>(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let mut kernel = Kernel {
+            m: [0; N],
+            r2: [0; N],
+            n0: self.n0,
         };
-        if ge_m {
-            let mut borrow: i64 = 0;
-            for j in 0..k {
-                let d = t[j] as i64 - i64::from(self.m[j]) - borrow;
-                if d < 0 {
-                    out[j] = (d + (1 << 32)) as u32;
-                    borrow = 1;
-                } else {
-                    out[j] = d as u32;
-                    borrow = 0;
-                }
+        kernel.m.copy_from_slice(&self.m[..N]);
+        kernel.r2.copy_from_slice(&self.r2[..N]);
+        let acc = kernel.pow(kernel.to_mont(&base.limbs), exp);
+        // Leave Montgomery form: multiply by plain 1.
+        let mut one = [0; N];
+        one[0] = 1;
+        unpack(&kernel.mul(&acc, &one))
+    }
+}
+
+/// The CIOS kernel at a width of `N` 64-bit limbs. Values are `N`
+/// limbs, least-significant first, and below `m` unless noted.
+struct Kernel<const N: usize> {
+    m: [u64; N],
+    /// `R² mod m`.
+    r2: [u64; N],
+    /// `-m⁻¹ mod 2^64`.
+    n0: u64,
+}
+
+impl<const N: usize> Kernel<N> {
+    /// `a·b·R⁻¹ mod m`, for any `a` and `b < m`. Each word of `a` is
+    /// multiplied in and one word reduced away, so the running sum
+    /// stays within `N + 2` words (`t`, `top`, `over`) and ends below
+    /// `2m`.
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let mut t = [0; N];
+        let mut top = 0u64;
+        for &ai in a {
+            let mut carry = 0;
+            for (tj, &bj) in t.iter_mut().zip(b) {
+                let s = u128::from(*tj) + u128::from(ai) * u128::from(bj) + u128::from(carry);
+                *tj = s as u64;
+                carry = (s >> 64) as u64;
             }
-        } else {
-            for j in 0..k {
-                out[j] = t[j] as u32;
+            let (sum, over) = top.overflowing_add(carry);
+            // Add u·m, with u chosen so the low word cancels, and shift
+            // that word out.
+            let u = t[0].wrapping_mul(self.n0);
+            let mut carry =
+                ((u128::from(t[0]) + u128::from(u) * u128::from(self.m[0])) >> 64) as u64;
+            for j in 1..N {
+                let s =
+                    u128::from(t[j]) + u128::from(u) * u128::from(self.m[j]) + u128::from(carry);
+                t[j - 1] = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            let (word, over_again) = sum.overflowing_add(carry);
+            t[N - 1] = word;
+            top = u64::from(over) + u64::from(over_again);
+        }
+        self.reduce_once(t, top != 0)
+    }
+
+    /// `a + b mod m`.
+    fn add(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let mut s = [0; N];
+        let mut carry = false;
+        for ((sj, &aj), &bj) in s.iter_mut().zip(a).zip(b) {
+            let (x, c1) = aj.overflowing_add(bj);
+            let (x, c2) = x.overflowing_add(u64::from(carry));
+            *sj = x;
+            carry = c1 | c2;
+        }
+        self.reduce_once(s, carry)
+    }
+
+    /// `t mod m` for `t < 2m`, where `carry` is `t`'s bit `64·N`.
+    fn reduce_once(&self, mut t: [u64; N], carry: bool) -> [u64; N] {
+        if carry || !t.iter().rev().lt(self.m.iter().rev()) {
+            let mut borrow = false;
+            for (tj, &mj) in t.iter_mut().zip(&self.m) {
+                let (d, b1) = tj.overflowing_sub(mj);
+                let (d, b2) = d.overflowing_sub(u64::from(borrow));
+                *tj = d;
+                borrow = b1 | b2;
             }
         }
-    }
-}
-
-fn pad_limbs(v: &BigUint, k: usize) -> Vec<u32> {
-    let mut limbs = v.limbs.clone();
-    limbs.resize(k, 0);
-    limbs
-}
-
-/// The 4-bit window of `exp` starting at bit `bit`.
-fn window_at(exp: &BigUint, bit: usize) -> usize {
-    (0..4).fold(0, |acc, i| acc | usize::from(exp.bit(bit + i)) << i)
-}
-
-/// Left-to-right 4-bit-windowed exponentiation over Montgomery
-/// multiplication. Requires odd nonzero `m != 1` and nonzero `exp`.
-fn modpow_montgomery(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
-    let k = m.limbs.len();
-    let mont = Montgomery::new(m);
-    let mut t = vec![0u64; k + 2];
-
-    // table[w] = base^w in Montgomery form, for window values 0..16.
-    let base_red = pad_limbs(&base.rem(m), k);
-    let mut table = vec![vec![0u32; k]; 16];
-    table[0].copy_from_slice(&mont.one);
-    mont.mul_into(&base_red, &mont.r2, &mut t, &mut table[1]);
-    for w in 2..16 {
-        let (lo, hi) = table.split_at_mut(w);
-        mont.mul_into(&lo[w - 1], &lo[1], &mut t, &mut hi[0]);
+        t
     }
 
-    let windows = exp.bit_len().div_ceil(4);
-    let mut acc = vec![0u32; k];
-    let mut tmp = vec![0u32; k];
-    acc.copy_from_slice(&table[window_at(exp, (windows - 1) * 4)]);
-    for wi in (0..windows - 1).rev() {
-        for _ in 0..4 {
-            mont.mul_into(&acc, &acc, &mut t, &mut tmp);
-            core::mem::swap(&mut acc, &mut tmp);
+    /// `base·R mod m` for a base of any width, given its `u32` limbs:
+    /// Horner's rule over its `N`-limb digits, most significant first,
+    /// in Montgomery form (`acc ← acc·R + digit`), so no division.
+    fn to_mont(&self, base: &[u32]) -> [u64; N] {
+        let mut acc = [0; N];
+        for (i, chunk) in base.chunks(2 * N).rev().enumerate() {
+            let mut digit = [0; N];
+            pack(chunk, &mut digit);
+            let digit = self.mul(&digit, &self.r2);
+            acc = if i == 0 {
+                digit
+            } else {
+                self.add(&self.mul(&acc, &self.r2), &digit)
+            };
         }
-        let w = window_at(exp, wi * 4);
-        if w != 0 {
-            mont.mul_into(&acc, &table[w], &mut t, &mut tmp);
-            core::mem::swap(&mut acc, &mut tmp);
-        }
+        acc
     }
 
-    // Leave Montgomery form: multiply by plain 1.
-    let mut one_limb = vec![0u32; k];
-    one_limb[0] = 1;
-    mont.mul_into(&acc, &one_limb, &mut t, &mut tmp);
-    let mut n = BigUint { limbs: tmp };
+    /// `x^exp` in Montgomery form for nonzero `exp`, left to right in
+    /// windows of `width` bits. Exponents of 32 bits or fewer — a public
+    /// exponent such as 65537 — use plain square-and-multiply (width 1),
+    /// where a 16-entry table would cost more products than it saves;
+    /// longer ones use 4-bit windows.
+    fn pow(&self, x: [u64; N], exp: &BigUint) -> [u64; N] {
+        let bits = exp.bit_len();
+        let width = if bits <= 32 { 1 } else { 4 };
+        // table[w] = x^w for every nonzero window value w.
+        let mut table = [[0; N]; 16];
+        table[1] = x;
+        for w in 2..1 << width {
+            table[w] = self.mul(&table[w - 1], &x);
+        }
+        let window =
+            |i: usize| (0..width).fold(0, |w, b| w | usize::from(exp.bit(i * width + b)) << b);
+        let windows = bits.div_ceil(width);
+        // The top window holds exp's top bit, so it is never zero.
+        let mut acc = table[window(windows - 1)];
+        for i in (0..windows - 1).rev() {
+            for _ in 0..width {
+                acc = self.mul(&acc, &acc);
+            }
+            let w = window(i);
+            if w != 0 {
+                acc = self.mul(&acc, &table[w]);
+            }
+        }
+        acc
+    }
+}
+
+/// Pack little-endian `u32` limbs into the `u64` limbs of `dst`, which
+/// must have room for them.
+fn pack(src: &[u32], dst: &mut [u64]) {
+    for (d, pair) in dst.iter_mut().zip(src.chunks(2)) {
+        *d = pair
+            .iter()
+            .rev()
+            .fold(0, |acc, &limb| acc << 32 | u64::from(limb));
+    }
+}
+
+/// The `BigUint` with little-endian `u64` limbs `src`.
+fn unpack(src: &[u64]) -> BigUint {
+    let mut limbs = Vec::with_capacity(2 * src.len());
+    for &w in src {
+        limbs.extend([w as u32, (w >> 32) as u32]);
+    }
+    let mut n = BigUint { limbs };
     n.normalize();
     n
 }

@@ -10,10 +10,11 @@
 //! encodings look realistic, small enough that a measurement campaign can
 //! sign millions of responses in seconds.
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, MontgomeryCtx, MAX_LIMBS};
 use crate::prime::generate_prime;
 use crate::sha256;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Default modulus size in bits for simulation keys — the smallest size
 /// that fits PKCS#1-style SHA-256 padding. Signing cost scales roughly
@@ -49,16 +50,28 @@ impl core::fmt::Display for SignatureError {
 impl std::error::Error for SignatureError {}
 
 /// An RSA public key (n, e).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Equality, hashing and `Debug` see `n` and `e` only.
+#[derive(Clone)]
 pub struct PublicKey {
     n: BigUint,
     e: BigUint,
+    /// `n`'s Montgomery constants (`None` where the kernel does not take
+    /// `n`), made by the first [`PublicKey::verify`] rather than here:
+    /// keys decoded from every probe's attached certificates may never
+    /// verify anything, while a long-lived issuer key verifies many
+    /// signatures.
+    mont: OnceLock<Option<MontgomeryCtx>>,
 }
 
 impl PublicKey {
     /// Construct from raw components.
     pub fn new(n: BigUint, e: BigUint) -> PublicKey {
-        PublicKey { n, e }
+        PublicKey {
+            n,
+            e,
+            mont: OnceLock::new(),
+        }
     }
 
     /// The modulus.
@@ -86,7 +99,11 @@ impl PublicKey {
         if s.cmp_to(&self.n) != core::cmp::Ordering::Less {
             return Err(SignatureError::Malformed);
         }
-        let em = s.modpow(&self.e, &self.n).to_be_bytes_padded(k);
+        let em = match self.mont.get_or_init(|| MontgomeryCtx::new(&self.n)) {
+            Some(ctx) => ctx.pow(&s, &self.e),
+            None => s.modpow(&self.e, &self.n),
+        };
+        let em = em.to_be_bytes_padded(k);
         let expected = encode_em(message, k).ok_or(SignatureError::Malformed)?;
         if em == expected {
             Ok(())
@@ -104,6 +121,29 @@ impl PublicKey {
     }
 }
 
+impl PartialEq for PublicKey {
+    fn eq(&self, other: &PublicKey) -> bool {
+        (&self.n, &self.e) == (&other.n, &other.e)
+    }
+}
+
+impl Eq for PublicKey {}
+
+impl core::hash::Hash for PublicKey {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        (&self.n, &self.e).hash(state);
+    }
+}
+
+impl core::fmt::Debug for PublicKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("PublicKey")
+            .field("n", &self.n)
+            .field("e", &self.e)
+            .finish()
+    }
+}
+
 /// An RSA key pair, with CRT parameters for fast signing.
 #[derive(Debug, Clone)]
 pub struct KeyPair {
@@ -118,6 +158,10 @@ pub struct KeyPair {
     dp: BigUint,
     dq: BigUint,
     qinv: BigUint,
+    /// The Montgomery constants of `p` and `q`, made once here rather
+    /// than on every signature.
+    p_mont: MontgomeryCtx,
+    q_mont: MontgomeryCtx,
 }
 
 impl KeyPair {
@@ -127,9 +171,11 @@ impl KeyPair {
     ///
     /// Panics if `bits < 384`: the encoded message needs 32 (digest) + 3
     /// (header) + 8 (minimum pad) = 43 bytes, i.e. 344 bits, and we round
-    /// up to the next common size.
+    /// up to the next common size. Panics if `bits > 2048`, where the
+    /// CRT primes outgrow the Montgomery kernel.
     pub fn generate(rng: &mut impl Rng, bits: usize) -> KeyPair {
         assert!(bits >= 384, "modulus too small for SHA-256 padding");
+        assert!(bits <= 128 * MAX_LIMBS, "modulus too large for CRT signing");
         let e = public_exponent();
         loop {
             let p = generate_prime(rng, bits / 2);
@@ -147,14 +193,21 @@ impl KeyPair {
             let Some(qinv) = q.modinv(&p) else { continue };
             let dp = d.rem(&p.sub(&one));
             let dq = d.rem(&q.sub(&one));
+            // Odd primes within the asserted width always have contexts.
+            let (Some(p_mont), Some(q_mont)) = (MontgomeryCtx::new(&p), MontgomeryCtx::new(&q))
+            else {
+                continue;
+            };
             return KeyPair {
-                public: PublicKey { n, e },
+                public: PublicKey::new(n, e),
                 d,
                 p,
                 q,
                 dp,
                 dq,
                 qinv,
+                p_mont,
+                q_mont,
             };
         }
     }
@@ -176,8 +229,8 @@ impl KeyPair {
         let k = self.public.modulus_len();
         let em = encode_em(message, k).expect("modulus checked at generation");
         let m = BigUint::from_be_bytes(&em);
-        let s1 = m.modpow(&self.dp, &self.p);
-        let s2 = m.modpow(&self.dq, &self.q);
+        let s1 = self.p_mont.pow(&m, &self.dp);
+        let s2 = self.q_mont.pow(&m, &self.dq);
         // (s1 - s2) mod p, lifting s2 into Z_p first to avoid underflow.
         let s2_mod_p = s2.rem(&self.p);
         let diff = if s1.cmp_to(&s2_mod_p) != core::cmp::Ordering::Less {
@@ -304,6 +357,24 @@ mod tests {
         for msg in [&b"a"[..], b"bb", b"a longer message for crt equivalence"] {
             assert_eq!(kp.sign(msg), kp.sign_without_crt(msg));
         }
+    }
+
+    /// Pins keygen (Miller–Rabin runs through `modpow`) and the
+    /// signature bytes, so a drift in either fails here first.
+    #[test]
+    fn golden_vector() {
+        let kp = keypair();
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(
+            hex(&kp.public().modulus().to_be_bytes()),
+            "94446d3bf9694473c83ca98876de4f834cfdab2e4d4cb64a\
+             77d0e73345c3a2d2c9df6403164964b05e917ae3ee20e8bd"
+        );
+        assert_eq!(
+            hex(&kp.sign(b"golden vector")),
+            "5023cf52707938886f3f6a20816b61551719684f0c63b52e\
+             bb3d99dd9f64e09f5f217ea29d6b005272b9d35fab6e2850"
+        );
     }
 
     #[test]

@@ -1,11 +1,70 @@
 //! Property tests for the big-integer arithmetic, with special attention
-//! to Knuth Algorithm D division (the fiddliest code in the crate).
+//! to Knuth Algorithm D division and the Montgomery kernel behind
+//! `modpow` (the fiddliest code in the crate), both checked against
+//! plain reference arithmetic.
 
-use mustaple_simcrypto::BigUint;
+use mustaple_simcrypto::{BigUint, KeyPair};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
 
 fn big(bytes: &[u8]) -> BigUint {
     BigUint::from_be_bytes(bytes)
+}
+
+/// The value of little-endian `u32` limbs.
+fn from_words(words: &[u32]) -> BigUint {
+    let bytes: Vec<u8> = words.iter().rev().flat_map(|w| w.to_be_bytes()).collect();
+    big(&bytes)
+}
+
+/// `base ^ exp mod m` through `modpow` equals the schoolbook oracle.
+fn check_modpow(base: &BigUint, exp: &BigUint, m: &BigUint) {
+    assert_eq!(
+        base.modpow(exp, m),
+        base.modpow_schoolbook(exp, m),
+        "base={base:?} exp={exp:?} m={m:?}"
+    );
+}
+
+/// Bases for `m`: zero, one below `m`, `m` itself, one above, and
+/// `m·k + r`, up to twice `m`'s width, which the kernel folds in digit
+/// by digit.
+fn edge_bases(m: &BigUint, k: &BigUint, r: &BigUint) -> [BigUint; 5] {
+    [
+        BigUint::zero(),
+        m.sub(&BigUint::one()),
+        m.clone(),
+        m.add(&BigUint::one()),
+        m.mul(k).add(r),
+    ]
+}
+
+/// The edge moduli at every kernel width `k` (in `u64` limbs):
+/// 2^(64k) − 1, all ones, and 2^(64k−1) + 1, the smallest odd value of
+/// full width. Then one modulus wider than the kernel, 2^1024 + 1, which
+/// takes the schoolbook fallback.
+#[test]
+fn montgomery_edge_moduli_and_fallback() {
+    let one = BigUint::one();
+    let k = BigUint::from_u64(0x9E37_79B9_7F4A_7C15);
+    let r = BigUint::from_u64(12_345);
+    for limbs in 1..=16 {
+        let all_ones = one.shl(64 * limbs).sub(&one);
+        let low = one.shl(64 * limbs - 1).add(&one);
+        for m in [all_ones, low] {
+            let full_exp = m.sub(&BigUint::from_u64(2));
+            for exp in [one.clone(), BigUint::from_u64(65_537), full_exp] {
+                for base in edge_bases(&m, &k, &r) {
+                    check_modpow(&base, &exp, &m);
+                }
+            }
+        }
+    }
+    let wide = one.shl(1024).add(&one);
+    let exp = wide.sub(&BigUint::from_u64(2));
+    for base in edge_bases(&wide, &k, &r) {
+        check_modpow(&base, &exp, &wide);
+    }
 }
 
 proptest! {
@@ -73,6 +132,44 @@ proptest! {
         if let Some(inv) = a.modinv(&m) {
             prop_assert_eq!(a.mulmod(&inv, &m), BigUint::one());
             prop_assert!(inv.cmp_to(&m) == core::cmp::Ordering::Less);
+        }
+    }
+
+    /// The kernel at every width it is monomorphized for, 1 to 16 `u64`
+    /// limbs — every `u32` limb count from 1 to 32, so the odd counts
+    /// that leave the top `u64` limb half empty too — with exponents of
+    /// 1 to 40 bits and of the modulus' full width, and the edge bases.
+    #[test]
+    fn montgomery_matches_schoolbook_at_every_width(
+        words in proptest::collection::vec(any::<u32>(), 96..97),
+        exp_bits in 1usize..=40,
+    ) {
+        let short = u64::from(words[32]) | u64::from(words[33]) << 32;
+        let short_exp = BigUint::from_u64(short & ((1 << exp_bits) - 1) | 1 << (exp_bits - 1));
+        for limbs in 1..=32 {
+            let mut m_words = words[..limbs].to_vec();
+            m_words[limbs - 1] = m_words[limbs - 1].max(1);
+            m_words[0] |= 1;
+            let m = from_words(&m_words);
+            let full_exp = from_words(&words[32..32 + limbs]);
+            let base = from_words(&words[64..64 + limbs]);
+            check_modpow(&base, &full_exp, &m);
+            for base in edge_bases(&m, &from_words(&words[..limbs]), &base) {
+                check_modpow(&base, &short_exp, &m);
+            }
+        }
+    }
+
+    /// CRT signing equals the straight `m^d mod n` oracle and verifies,
+    /// at every key size the benches use.
+    #[test]
+    fn crt_sign_matches_plain_and_verifies(seed in any::<u64>(),
+                                           msg in proptest::collection::vec(any::<u8>(), 0..200)) {
+        for bits in [384usize, 512, 768, 1024] {
+            let kp = KeyPair::generate(&mut StdRng::seed_from_u64(seed), bits);
+            let sig = kp.sign(&msg);
+            prop_assert_eq!(&sig, &kp.sign_without_crt(&msg), "bits={}", bits);
+            prop_assert!(kp.public().verify(&msg, &sig).is_ok(), "bits={}", bits);
         }
     }
 
