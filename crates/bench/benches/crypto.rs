@@ -1,13 +1,14 @@
 //! Microbenchmarks of the cryptographic substrate, including the
 //! CRT-vs-plain signing ablation that justified the KeyPair layout, the
 //! schoolbook-vs-Montgomery modexp comparison behind the scan hot path,
-//! and the responder's signed-response cache (cold sign vs cached hit).
+//! the one-shot vs keyed HMAC behind the latency PRF, and the
+//! responder's signed-response cache (cold sign vs cached hit).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ocsp::{CertId, OcspRequest, Responder, ResponderProfile};
 use pki::{CertificateAuthority, IssueParams};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use simcrypto::{sha256, BigUint, KeyPair};
+use simcrypto::{hmac_sha256, sha256, BigUint, HmacSha256, KeyPair};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -17,6 +18,22 @@ fn bench_sha256(c: &mut Criterion) {
             b.iter(|| sha256(std::hint::black_box(&data)))
         });
     }
+    group.finish();
+}
+
+/// The latency PRF's shape: an 8-byte seed key and a ~30-byte
+/// (host, region, time) message. One-shot HMAC absorbs the key's two pad
+/// blocks on every call (four compressions); the keyed form absorbed
+/// them once and clones the midstates (two).
+fn bench_hmac(c: &mut Criterion) {
+    let key = 7u64.to_be_bytes();
+    let msg = b"ocsp.responder-042.test\x03\x00\x00\x00\x00\x5a\xe7\xa0\x00";
+    let keyed = HmacSha256::new(&key);
+    let mut group = c.benchmark_group("hmac");
+    group.bench_function("oneshot", |b| {
+        b.iter(|| hmac_sha256(&key, std::hint::black_box(msg)))
+    });
+    group.bench_function("keyed", |b| b.iter(|| keyed.mac(std::hint::black_box(msg))));
     group.finish();
 }
 
@@ -132,6 +149,6 @@ fn bench_responder_cache(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sha256, bench_rsa, bench_modexp, bench_responder_cache
+    targets = bench_sha256, bench_hmac, bench_rsa, bench_modexp, bench_responder_cache
 }
 criterion_main!(benches);

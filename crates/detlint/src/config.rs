@@ -106,6 +106,11 @@ impl Config {
                 "crates/scanner/src/executor.rs".into(),
                 "crates/netsim/src/world.rs".into(),
                 "crates/netsim/src/cdn.rs".into(),
+                "crates/netsim/src/latency.rs".into(),
+                "crates/simcrypto/src/sha256.rs".into(),
+                "crates/simcrypto/src/hmac.rs".into(),
+                "crates/simcrypto/src/rsa.rs".into(),
+                "crates/simcrypto/src/bigint.rs".into(),
                 "crates/ecosystem/src/stream.rs".into(),
                 "crates/analysis/src/stream.rs".into(),
                 "crates/memprof/src/lib.rs".into(),

@@ -10,35 +10,48 @@
 
 use crate::region::Region;
 use asn1::Time;
-use simcrypto::hmac_sha256;
+use simcrypto::HmacSha256;
 
 /// Deterministic jitter in `[0, spread_ms)` for a `(host, region, time)`
-/// triple.
-fn jitter_ms(seed: u64, host: &str, region: Region, time: Time, spread_ms: f64) -> f64 {
+/// triple, drawn from `prf` (HMAC keyed with the topology seed).
+fn jitter_ms(prf: &HmacSha256, host: &str, region: Region, time: Time, spread_ms: f64) -> f64 {
     let mut msg = Vec::with_capacity(host.len() + 24);
     msg.extend_from_slice(host.as_bytes());
     msg.push(region as u8);
     msg.extend_from_slice(&time.unix().to_be_bytes());
-    let mac = hmac_sha256(&seed.to_be_bytes(), &msg);
-    let x = u64::from_be_bytes(mac[..8].try_into().unwrap());
+    let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = prf.mac(&msg);
+    let x = u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
     (x as f64 / u64::MAX as f64) * spread_ms
 }
 
+/// One HTTP exchange's latency, with and without a DNS lookup. Both
+/// share one jitter draw, so they differ by exactly the lookup.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExchangeLatency {
+    /// With a DNS lookup first (the client's first contact with the
+    /// host).
+    pub cold_ms: f64,
+    /// With the host's address already in the client's DNS cache.
+    pub warm_ms: f64,
+}
+
 /// Latency of one HTTP exchange from `client` to a server in
-/// `server_region`, including DNS when `cold_dns` is set.
+/// `server_region`, cold and warm DNS.
 pub fn http_latency_ms(
-    seed: u64,
+    prf: &HmacSha256,
     host: &str,
     client: Region,
     server_region: Region,
     time: Time,
-    cold_dns: bool,
     server_time_ms: f64,
-) -> f64 {
+) -> ExchangeLatency {
     let rtt = client.rtt_ms(server_region);
-    let dns = if cold_dns { rtt * 0.5 } else { 0.0 };
-    let base = dns + rtt /* TCP */ + rtt /* HTTP */ + server_time_ms;
-    base + jitter_ms(seed, host, client, time, rtt * 0.25)
+    let jitter = jitter_ms(prf, host, client, time, rtt * 0.25);
+    let total = |dns: f64| dns + rtt /* TCP */ + rtt /* HTTP */ + server_time_ms + jitter;
+    ExchangeLatency {
+        cold_ms: total(rtt * 0.5),
+        warm_ms: total(0.0),
+    }
 }
 
 #[cfg(test)]
@@ -49,24 +62,26 @@ mod tests {
         Time::from_civil(2018, 5, 1, 0, 0, 0)
     }
 
+    fn prf() -> HmacSha256 {
+        HmacSha256::new(&1u64.to_be_bytes())
+    }
+
     #[test]
     fn deterministic() {
         let a = http_latency_ms(
-            1,
+            &prf(),
             "ocsp.ca.test",
             Region::Paris,
             Region::Virginia,
             t(),
-            true,
             5.0,
         );
         let b = http_latency_ms(
-            1,
+            &prf(),
             "ocsp.ca.test",
             Region::Paris,
             Region::Virginia,
             t(),
-            true,
             5.0,
         );
         assert_eq!(a, b);
@@ -74,41 +89,29 @@ mod tests {
 
     #[test]
     fn varies_with_inputs() {
-        let a = http_latency_ms(1, "a.test", Region::Paris, Region::Virginia, t(), true, 5.0);
-        let b = http_latency_ms(1, "b.test", Region::Paris, Region::Virginia, t(), true, 5.0);
-        let c = http_latency_ms(
-            1,
-            "a.test",
-            Region::Paris,
-            Region::Virginia,
-            t() + 3600,
-            true,
-            5.0,
-        );
+        let latency = |host: &str, time: Time| {
+            http_latency_ms(&prf(), host, Region::Paris, Region::Virginia, time, 5.0).cold_ms
+        };
+        let a = latency("a.test", t());
+        let b = latency("b.test", t());
+        let c = latency("a.test", t() + 3600);
         assert_ne!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
     fn warm_dns_is_faster() {
-        let cold = http_latency_ms(1, "x.test", Region::Seoul, Region::Paris, t(), true, 5.0);
-        let warm = http_latency_ms(1, "x.test", Region::Seoul, Region::Paris, t(), false, 5.0);
-        assert!(warm < cold);
+        let latency = http_latency_ms(&prf(), "x.test", Region::Seoul, Region::Paris, t(), 5.0);
+        assert!(latency.warm_ms < latency.cold_ms);
     }
 
     #[test]
     fn nearby_beats_faraway() {
         // Same-region (CDN-edge-like) exchange ~ a few ms; antipodal ~ 600+.
-        let near = http_latency_ms(1, "x.test", Region::Sydney, Region::Sydney, t(), false, 1.0);
-        let far = http_latency_ms(
-            1,
-            "x.test",
-            Region::Sydney,
-            Region::SaoPaulo,
-            t(),
-            false,
-            1.0,
-        );
+        let near =
+            http_latency_ms(&prf(), "x.test", Region::Sydney, Region::Sydney, t(), 1.0).warm_ms;
+        let far =
+            http_latency_ms(&prf(), "x.test", Region::Sydney, Region::SaoPaulo, t(), 1.0).warm_ms;
         assert!(near < 10.0, "near = {near}");
         assert!(far > 500.0, "far = {far}");
     }

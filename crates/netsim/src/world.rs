@@ -24,6 +24,7 @@ use crate::latency::http_latency_ms;
 use crate::outage::{first_active, FailureKind, Outage};
 use crate::region::Region;
 use asn1::Time;
+use simcrypto::HmacSha256;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use telemetry::{catalog, Registry};
@@ -117,7 +118,8 @@ struct HostSpec {
 /// The immutable network wiring: hosts, groups, outage schedules, and
 /// handler factories. Build once, share behind an `Arc` across worlds.
 pub struct Topology {
-    seed: u64,
+    /// The latency-jitter PRF, keyed with the topology seed.
+    jitter: HmacSha256,
     hosts: HashMap<String, HostSpec>,
     group_outages: HashMap<String, Vec<Outage>>,
 }
@@ -126,7 +128,7 @@ impl Topology {
     /// A fresh topology with a latency seed.
     pub fn new(seed: u64) -> Topology {
         Topology {
-            seed,
+            jitter: HmacSha256::new(&seed.to_be_bytes()),
             hosts: HashMap::new(),
             group_outages: HashMap::new(),
         }
@@ -394,15 +396,19 @@ impl World {
         };
 
         let cold_dns = self.dns_cache.insert((client, hostname.to_string()));
-        let latency_ms = http_latency_ms(
-            self.topo.seed,
+        let latency = http_latency_ms(
+            &self.topo.jitter,
             hostname,
             client,
             host.region,
             now,
-            cold_dns,
             host.server_time_ms,
         );
+        let latency_ms = if cold_dns {
+            latency.cold_ms
+        } else {
+            latency.warm_ms
+        };
 
         // Failure injection: host outages first, then group outages.
         let host_hit = first_active(&host.outages, now, client);
@@ -474,17 +480,11 @@ impl World {
         // (one world per shard chunk), so including it would make the
         // histogram depend on the chunk plan and break the exported
         // telemetry's chunking invariance.
-        let warm_ms = http_latency_ms(
-            self.topo.seed,
-            hostname,
-            client,
-            host.region,
-            now,
-            false,
-            host.server_time_ms,
+        self.telemetry.observe(
+            catalog::NET_LATENCY_MS,
+            client.label(),
+            latency.warm_ms as u64,
         );
-        self.telemetry
-            .observe(catalog::NET_LATENCY_MS, client.label(), warm_ms as u64);
         HttpResult {
             outcome,
             latency_ms,
@@ -544,6 +544,27 @@ mod tests {
         let r = w.http_post(Region::Paris, "http://ocsp.ca.test/sub", b"req", t(0));
         assert_eq!(r.outcome, HttpOutcome::Ok(b"/sub|req".to_vec()));
         assert!(r.latency_ms > 100.0); // trans-Atlantic
+    }
+
+    #[test]
+    fn latency_bits_are_pinned() {
+        // Latencies and the `net.latency_ms` histogram are artifacts:
+        // a change to the draw must show up here first.
+        let mut w = world_with_host();
+        let cold = w.http_post(Region::Paris, "http://ocsp.ca.test/", b"", t(3));
+        let warm = w.http_post(Region::Paris, "http://ocsp.ca.test/", b"", t(3));
+        let observed = w
+            .telemetry()
+            .histogram(catalog::NET_LATENCY_MS, Region::Paris.label())
+            .map(|h| (h.count(), h.sum()));
+        assert_eq!(
+            (
+                cold.latency_ms.to_bits(),
+                warm.latency_ms.to_bits(),
+                observed
+            ),
+            (0x406a_3e55_b7d9_ee1a, 0x4065_3e55_b7d9_ee1a, Some((2, 338)))
+        );
     }
 
     #[test]

@@ -22,16 +22,23 @@ pub struct CertId {
 impl CertId {
     /// Build the CertID for `cert`, issued by `issuer`.
     pub fn for_certificate(cert: &Certificate, issuer: &Certificate) -> CertId {
+        CertId::for_serial(cert.serial().clone(), issuer)
+    }
+
+    /// The CertID naming `serial` under `issuer`.
+    pub fn for_serial(serial: Serial, issuer: &Certificate) -> CertId {
         CertId {
-            issuer_name_hash: issuer.subject().hash(),
+            issuer_name_hash: issuer.subject_name_hash(),
             issuer_key_hash: issuer.public_key().key_id(),
-            serial: cert.serial().clone(),
+            serial,
         }
     }
 
-    /// Whether this CertID's issuer hashes match `issuer`.
+    /// Whether this CertID's issuer hashes match `issuer`. Both hashes
+    /// are memoized on `issuer`, so a long-lived issuer pays for them
+    /// once.
     pub fn matches_issuer(&self, issuer: &Certificate) -> bool {
-        self.issuer_name_hash == issuer.subject().hash()
+        self.issuer_name_hash == issuer.subject_name_hash()
             && self.issuer_key_hash == issuer.public_key().key_id()
     }
 

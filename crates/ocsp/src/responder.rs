@@ -306,11 +306,7 @@ impl Responder {
         for i in 0..self.profile.extra_serials {
             let filler = Serial::from_u64(0xF00D_0000 + i as u64);
             singles.push(SingleResponse {
-                cert_id: CertId {
-                    issuer_name_hash: issuer_cert.subject().hash(),
-                    issuer_key_hash: issuer_cert.public_key().key_id(),
-                    serial: filler,
-                },
+                cert_id: CertId::for_serial(filler, issuer_cert),
                 status: CertStatus::Good,
                 this_update,
                 next_update,

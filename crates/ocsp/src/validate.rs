@@ -20,24 +20,32 @@ use crate::certid::CertId;
 use crate::response::{BasicResponse, CertStatus, OcspResponse, ResponseStatus};
 use asn1::Time;
 use pki::Certificate;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use telemetry::catalog;
 
 /// Memo for the signature-verification stage.
 ///
 /// The stage's outcome is a pure function of (issuer key, signed bytes,
-/// attached certificates) — all captured by the key (issuer key id,
-/// SHA-256 of the raw response body) — so each distinct signed response
-/// pays big-integer modexp once per cache, not once per
-/// vantage-point × hour. Time-window checks are *not* memoized; they
+/// attached certificates) — all captured by the key (issuer key id, the
+/// exact raw response body) — so each distinct signed response pays
+/// big-integer modexp once per cache, not once per vantage-point × hour.
+/// Keying on the bytes themselves rather than a digest of them costs a
+/// copy per miss instead of a SHA-256 pass per lookup, and no two bodies
+/// can share an entry. Time-window checks are *not* memoized; they
 /// depend on the receive time and always rerun.
 ///
 /// Scan pipelines hold one cache per shard (or per work chunk), keeping
 /// the memo deterministic and thread-local.
 #[derive(Debug, Default)]
 pub struct SigVerifyCache {
-    entries: HashMap<([u8; 32], [u8; 32]), Result<(), ResponseError>>,
+    /// Issuer key id → that issuer's outcomes.
+    entries: BTreeMap<[u8; 32], BodyOutcomes>,
 }
+
+/// One issuer's signature outcomes, keyed by the exact response body.
+/// The bodies are responder-controlled bytes, so the map keeps std's
+/// keyed hasher.
+type BodyOutcomes = HashMap<Vec<u8>, Result<(), ResponseError>>;
 
 impl SigVerifyCache {
     /// An empty cache.
@@ -47,7 +55,7 @@ impl SigVerifyCache {
 
     /// Number of distinct (issuer, body) signature outcomes memoized.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(HashMap::len).sum()
     }
 
     /// Whether nothing has been memoized yet.
@@ -216,13 +224,16 @@ pub fn validate_with_sig_cache(
         .find(|sr| sr.cert_id.serial == cert_id.serial)
         .ok_or(ResponseError::SerialMismatch)?;
 
-    // Signature stage, optionally memoized on (issuer key id, body
-    // digest): the outcome depends only on the signed bytes and the
-    // issuer, never on the receive time.
+    // Signature stage, optionally memoized on (issuer key id, body): the
+    // outcome depends only on the signed bytes and the issuer, never on
+    // the receive time.
     match cache {
         Some((cache, reg)) => {
-            let key = (issuer.public_key().key_id(), simcrypto::sha256(body));
-            match cache.entries.get(&key) {
+            let bodies = cache
+                .entries
+                .entry(issuer.public_key().key_id())
+                .or_default();
+            match bodies.get(body) {
                 Some(outcome) => {
                     reg.incr(catalog::OCSP_VALIDATE_SIGCACHE, "hit");
                     outcome.clone()?;
@@ -230,7 +241,7 @@ pub fn validate_with_sig_cache(
                 None => {
                     reg.incr(catalog::OCSP_VALIDATE_SIGCACHE, "miss");
                     let outcome = verify_signature_stage(basic, issuer);
-                    cache.entries.insert(key, outcome.clone());
+                    bodies.insert(body.to_vec(), outcome.clone());
                     outcome?;
                 }
             }
@@ -759,6 +770,51 @@ mod tests {
         .unwrap_err();
         assert_eq!(cache.len(), 2);
         assert_eq!(reg.counter_total("ocsp.validate.sigcache"), 5);
+    }
+
+    #[test]
+    fn sigcache_keys_on_exact_bytes_and_issuer() {
+        let f = fixture(23);
+        let other = fixture(24);
+        let mut reg = telemetry::Registry::new();
+        let mut cache = SigVerifyCache::new();
+        let mut validate = |body: &[u8], issuer: &Certificate| {
+            validate_response_cached(
+                &mut reg,
+                "m",
+                &mut cache,
+                body,
+                &f.id,
+                issuer,
+                now(),
+                ValidationConfig::default(),
+            )
+        };
+        let good = |outcome: Result<ValidatedResponse, ResponseError>| {
+            outcome.map(|validated| validated.status) == Ok(CertStatus::Good)
+        };
+        let body = fetch(&f, ResponderProfile::healthy(), now());
+        assert!(good(validate(&body, f.ca.certificate())));
+
+        // The signature ends the body (no certificates ride along): one
+        // flipped bit in it is a different key, so a miss and a failure.
+        let mut flipped = body.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x01;
+        assert_eq!(
+            validate(&flipped, f.ca.certificate()),
+            Err(ResponseError::SignatureInvalid)
+        );
+        // The same bytes under another issuer are another key too.
+        assert_eq!(
+            validate(&body, other.ca.certificate()),
+            Err(ResponseError::SignatureInvalid)
+        );
+        assert!(good(validate(&body, f.ca.certificate())));
+
+        assert_eq!(reg.counter("ocsp.validate.sigcache", "miss"), 3);
+        assert_eq!(reg.counter("ocsp.validate.sigcache", "hit"), 1);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::name::Name;
 use crate::serial::Serial;
 use asn1::{Decoder, Encoder, Error, Oid, Result, Time};
 use simcrypto::{BigUint, PublicKey};
+use std::sync::OnceLock;
 
 /// A certificate validity window (inclusive on both ends, as RFC 5280).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,11 +120,18 @@ impl TbsCertificate {
 /// Holds the exact DER bytes of its TBS portion so signature verification
 /// operates on what was actually signed, whether the certificate was
 /// parsed off the wire or issued locally.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality and `Debug` see the TBS, its DER and the signature only.
+#[derive(Clone)]
 pub struct Certificate {
     tbs: TbsCertificate,
     tbs_der: Vec<u8>,
     signature: Vec<u8>,
+    /// [`Certificate::subject_name_hash`], made by its first call rather
+    /// than at decode: certificates attached to responses are parsed on
+    /// every probe and never asked, while an issuer is asked on every
+    /// request it answers.
+    subject_name_hash: OnceLock<[u8; 32]>,
 }
 
 impl Certificate {
@@ -131,10 +139,15 @@ impl Certificate {
     /// CA engine; `signature` must cover `tbs.to_der()`.
     pub fn assemble(tbs: TbsCertificate, signature: Vec<u8>) -> Certificate {
         let tbs_der = tbs.to_der();
+        Certificate::from_parts(tbs, tbs_der, signature)
+    }
+
+    fn from_parts(tbs: TbsCertificate, tbs_der: Vec<u8>, signature: Vec<u8>) -> Certificate {
         Certificate {
             tbs,
             tbs_der,
             signature,
+            subject_name_hash: OnceLock::new(),
         }
     }
 
@@ -177,11 +190,7 @@ impl Certificate {
         let signature = seq.bit_string()?.to_vec();
         seq.finish()?;
         dec.finish()?;
-        Ok(Certificate {
-            tbs,
-            tbs_der,
-            signature,
-        })
+        Ok(Certificate::from_parts(tbs, tbs_der, signature))
     }
 
     /// Verify this certificate's signature against an issuer public key.
@@ -204,6 +213,14 @@ impl Certificate {
     /// Subject name.
     pub fn subject(&self) -> &Name {
         &self.tbs.subject
+    }
+
+    /// [`Name::hash`] of the subject: the `issuerNameHash` of OCSP
+    /// CertIDs for the certificates this one issues.
+    pub fn subject_name_hash(&self) -> [u8; 32] {
+        *self
+            .subject_name_hash
+            .get_or_init(|| self.tbs.subject.hash())
     }
 
     /// Issuer name.
@@ -298,6 +315,25 @@ impl Certificate {
     /// issuer match and the signature verifies under its own key.
     pub fn is_self_signed(&self) -> bool {
         self.tbs.subject == self.tbs.issuer && self.verify_signature(&self.tbs.public_key)
+    }
+}
+
+impl PartialEq for Certificate {
+    fn eq(&self, other: &Certificate) -> bool {
+        (&self.tbs, &self.tbs_der, &self.signature)
+            == (&other.tbs, &other.tbs_der, &other.signature)
+    }
+}
+
+impl Eq for Certificate {}
+
+impl core::fmt::Debug for Certificate {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Certificate")
+            .field("tbs", &self.tbs)
+            .field("tbs_der", &self.tbs_der)
+            .field("signature", &self.signature)
+            .finish()
     }
 }
 
@@ -407,6 +443,42 @@ mod tests {
             vec!["http://ocsp.example-ca.com".to_string()]
         );
         assert!(!back.is_ca());
+    }
+
+    #[test]
+    fn memoized_hashes_are_invisible() {
+        let kp = test_keypair(4);
+        let der = signed(sample_tbs(&kp, vec![]), &kp).to_der();
+        let used = Certificate::from_der(&der).unwrap();
+        let fresh = Certificate::from_der(&der).unwrap();
+        assert_eq!(
+            used.public_key().key_id(),
+            simcrypto::sha256(&spki_bytes(&kp))
+        );
+        assert_eq!(used.subject_name_hash(), used.subject().hash());
+
+        let hash_of = |key: &PublicKey| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            std::hash::Hash::hash(key, &mut h);
+            std::hash::Hasher::finish(&h)
+        };
+        assert_eq!(used.public_key(), fresh.public_key());
+        assert_eq!(hash_of(used.public_key()), hash_of(fresh.public_key()));
+        assert_eq!(
+            format!("{:?}", used.public_key()),
+            format!("{:?}", fresh.public_key())
+        );
+        assert_eq!(used, fresh);
+        assert_eq!(format!("{used:?}"), format!("{fresh:?}"));
+        // A clone carries the memo along and still compares equal.
+        assert_eq!(used.clone(), fresh);
+    }
+
+    /// `n || e`, the bytes a key id hashes.
+    fn spki_bytes(kp: &KeyPair) -> Vec<u8> {
+        let mut bytes = kp.public().modulus().to_be_bytes();
+        bytes.extend_from_slice(&kp.public().exponent().to_be_bytes());
+        bytes
     }
 
     #[test]

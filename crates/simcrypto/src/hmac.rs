@@ -1,86 +1,56 @@
 //! HMAC-SHA256 (RFC 2104).
 //!
 //! Besides message authentication, the study uses HMAC as a deterministic
-//! PRF: per-entity key material and per-event randomness are derived as
-//! `HMAC(seed, label)`, which keeps every simulation run reproducible.
+//! PRF: per-sample randomness is derived as `HMAC(seed, label)`, which
+//! keeps every simulation run reproducible.
 
 use crate::sha256::Sha256;
 
 const BLOCK: usize = 64;
 
-/// Compute HMAC-SHA256 of `data` under `key`.
+/// HMAC-SHA256 under one fixed key.
+///
+/// The key's two pad blocks are absorbed once, here; every MAC starts
+/// from clones of the two midstates. A MAC of a short message then costs
+/// two SHA-256 compressions instead of four, which matters for a PRF
+/// keyed once and evaluated on every simulated request.
+#[derive(Clone)]
+pub struct HmacSha256 {
+    /// SHA-256 after absorbing `key ^ ipad`.
+    inner: Sha256,
+    /// SHA-256 after absorbing `key ^ opad`.
+    outer: Sha256,
+}
+
+impl HmacSha256 {
+    /// Key a MAC. Keys longer than the 64-byte block are hashed first.
+    pub fn new(key: &[u8]) -> HmacSha256 {
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            k[..32].copy_from_slice(&crate::sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&k.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&k.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
+    }
+
+    /// The MAC of `data`.
+    pub fn mac(&self, data: &[u8]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        inner.update(data);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+/// HMAC-SHA256 of `data` under `key`, for a key used once.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        let mut h = Sha256::new();
-        h.update(key);
-        k[..32].copy_from_slice(&h.finalize());
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(data);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
-}
-
-/// A deterministic byte stream derived from a seed via HMAC in counter
-/// mode: block *i* is `HMAC(seed, label || i_be)`. Used wherever the
-/// simulation needs "randomness" attributable to a stable identity.
-pub struct Prf {
-    seed: Vec<u8>,
-    label: Vec<u8>,
-    counter: u64,
-    buffer: [u8; 32],
-    used: usize,
-}
-
-impl Prf {
-    /// Create a PRF stream for (`seed`, `label`).
-    pub fn new(seed: &[u8], label: &[u8]) -> Prf {
-        Prf {
-            seed: seed.to_vec(),
-            label: label.to_vec(),
-            counter: 0,
-            buffer: [0; 32],
-            used: 32,
-        }
-    }
-
-    /// Fill `out` with the next bytes of the stream.
-    pub fn fill(&mut self, out: &mut [u8]) {
-        for byte in out {
-            if self.used == 32 {
-                let mut msg = self.label.clone();
-                msg.extend_from_slice(&self.counter.to_be_bytes());
-                self.buffer = hmac_sha256(&self.seed, &msg);
-                self.counter += 1;
-                self.used = 0;
-            }
-            *byte = self.buffer[self.used];
-            self.used += 1;
-        }
-    }
-
-    /// Next 8 bytes of the stream as a `u64`.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.fill(&mut b);
-        u64::from_be_bytes(b)
-    }
+    HmacSha256::new(key).mac(data)
 }
 
 #[cfg(test)]
@@ -135,29 +105,62 @@ mod tests {
         );
     }
 
-    #[test]
-    fn prf_is_deterministic_and_label_separated() {
-        let mut a = Prf::new(b"seed", b"label-1");
-        let mut b = Prf::new(b"seed", b"label-1");
-        let mut c = Prf::new(b"seed", b"label-2");
-        let (mut x, mut y, mut z) = ([0u8; 100], [0u8; 100], [0u8; 100]);
-        a.fill(&mut x);
-        b.fill(&mut y);
-        c.fill(&mut z);
-        assert_eq!(x, y);
-        assert_ne!(x, z);
+    /// RFC 4231 cases 1, 2, 3 and 6: `(key, data, mac)`.
+    fn rfc4231() -> [(Vec<u8>, Vec<u8>, &'static str); 4] {
+        [
+            (
+                vec![0x0b; 20],
+                b"Hi There".to_vec(),
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe".to_vec(),
+                b"what do ya want for nothing?".to_vec(),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                vec![0xaa; 20],
+                vec![0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                vec![0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ]
     }
 
     #[test]
-    fn prf_chunking_is_stream_stable() {
-        let mut a = Prf::new(b"s", b"l");
-        let mut one = [0u8; 96];
-        a.fill(&mut one);
-        let mut b = Prf::new(b"s", b"l");
-        let mut parts = [0u8; 96];
-        for chunk in parts.chunks_mut(7) {
-            b.fill(chunk);
+    fn keyed_mac_is_reusable() {
+        // Each MAC must start from the stored midstates, not consume
+        // them: one keyed value gives each case's MAC after MACing a
+        // two-block message, and again right after.
+        for (key, data, expected) in rfc4231() {
+            let keyed = HmacSha256::new(&key);
+            keyed.mac(&[0x5a; 100]);
+            assert_eq!(hex(&keyed.mac(&data)), expected);
+            assert_eq!(hex(&keyed.mac(&data)), expected);
         }
-        assert_eq!(one, parts);
+    }
+
+    #[test]
+    fn block_size_key_is_used_as_is() {
+        // NIST's HMAC-SHA256 keylen=blocklen example: key 0x00..=0x3f,
+        // the largest key used without hashing it first.
+        let key: Vec<u8> = (0..64).collect();
+        let keyed = HmacSha256::new(&key);
+        for _ in 0..2 {
+            assert_eq!(
+                hex(&keyed.mac(b"Sample message for keylen=blocklen")),
+                "8bb9a1db9806f20df7f77b82138c7914d174d59e13dc4d0169c9057b133e1d62"
+            );
+        }
+        // One byte more and the key is hashed down to 32 bytes.
+        let longer: Vec<u8> = (0..65).collect();
+        assert_eq!(
+            hmac_sha256(&longer, b"msg"),
+            hmac_sha256(&crate::sha256(&longer), b"msg")
+        );
     }
 }

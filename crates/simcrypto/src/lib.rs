@@ -12,8 +12,9 @@
 //!
 //! * [`mod@sha256`] — a complete FIPS 180-4 SHA-256, tested against NIST
 //!   vectors. Used for CertID hashes, signature digests, and key IDs.
-//! * [`hmac`] — HMAC-SHA256 (RFC 2104), used for deterministic
-//!   per-entity randomness derivation.
+//! * [`hmac`] — HMAC-SHA256 (RFC 2104). [`HmacSha256`] absorbs its
+//!   key once and MACs many messages; netsim keys one with the topology
+//!   seed and draws every request's latency jitter from it.
 //! * [`bigint`] — arbitrary-precision unsigned arithmetic (add, sub, mul,
 //!   div/rem, modpow, modular inverse).
 //! * [`prime`] — Miller–Rabin probabilistic primality and random prime
@@ -36,6 +37,7 @@ pub mod rsa;
 pub mod sha256;
 
 pub use bigint::BigUint;
+pub use hmac::HmacSha256;
 pub use rsa::{KeyPair, PublicKey, SignatureError};
 pub use sha256::Sha256;
 
@@ -46,7 +48,8 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// Convenience: HMAC-SHA256 of `data` under `key`.
+/// Convenience: HMAC-SHA256 of `data` under `key` (one-shot; see
+/// [`HmacSha256`] for a key used many times).
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
     hmac::hmac_sha256(key, data)
 }

@@ -62,6 +62,9 @@ pub struct PublicKey {
     /// verify anything, while a long-lived issuer key verifies many
     /// signatures.
     mont: OnceLock<Option<MontgomeryCtx>>,
+    /// [`PublicKey::key_id`], made by its first call for the same
+    /// reason: an issuer key is asked for its id on every request.
+    key_id: OnceLock<[u8; 32]>,
 }
 
 impl PublicKey {
@@ -71,6 +74,7 @@ impl PublicKey {
             n,
             e,
             mont: OnceLock::new(),
+            key_id: OnceLock::new(),
         }
     }
 
@@ -115,9 +119,11 @@ impl PublicKey {
     /// A stable identifier for this key: SHA-256 of `n || e` bytes.
     /// Used as the `issuerKeyHash` in OCSP CertIDs.
     pub fn key_id(&self) -> [u8; 32] {
-        let mut data = self.n.to_be_bytes();
-        data.extend_from_slice(&self.e.to_be_bytes());
-        sha256(&data)
+        *self.key_id.get_or_init(|| {
+            let mut data = self.n.to_be_bytes();
+            data.extend_from_slice(&self.e.to_be_bytes());
+            sha256(&data)
+        })
     }
 }
 

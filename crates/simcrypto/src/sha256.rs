@@ -2,6 +2,23 @@
 //!
 //! A from-scratch, streaming implementation. Tested against the NIST CAVS
 //! short-message vectors and the classic FIPS examples.
+//!
+//! Every compression is counted per thread ([`blocks_compressed`]), so
+//! the hashing a piece of code does is a deterministic work count that
+//! tests can pin exactly.
+
+use std::cell::Cell;
+
+thread_local! {
+    static BLOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// SHA-256 compressions (64-byte blocks) run on the calling thread so
+/// far. Thread-local rather than global, so work on other threads never
+/// shows up in a reading.
+pub fn blocks_compressed() -> u64 {
+    BLOCKS.with(Cell::get)
+}
 
 /// Streaming SHA-256 hasher.
 #[derive(Clone)]
@@ -97,6 +114,7 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
+        BLOCKS.with(|n| n.set(n.get() + 1));
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes([
@@ -220,6 +238,17 @@ mod tests {
             n = (n * 7 + 3) % 97 + 1;
         }
         assert_eq!(hex(&h.finalize()), oneshot);
+    }
+
+    #[test]
+    fn counts_one_compression_per_block() {
+        // 55 bytes pad into one block, 56 into two; 119 into two, 120
+        // into three.
+        for (len, blocks) in [(0usize, 1u64), (55, 1), (56, 2), (119, 2), (120, 3)] {
+            let before = blocks_compressed();
+            digest_of(&vec![0u8; len]);
+            assert_eq!(blocks_compressed() - before, blocks, "len={len}");
+        }
     }
 
     #[test]
