@@ -138,7 +138,9 @@ impl Oid {
         if bytes.is_empty() {
             return Err(Error::InvalidOid);
         }
-        let mut arcs = Vec::new();
+        // Each content byte ends at most one arc and the first yields
+        // two, so one allocation always suffices.
+        let mut arcs = Vec::with_capacity(bytes.len() + 1);
         let mut iter = bytes.iter().copied().peekable();
         let mut first = true;
         while iter.peek().is_some() {
@@ -272,6 +274,21 @@ mod tests {
             Oid::SHA256.to_der_content(),
             vec![0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02, 0x01]
         );
+    }
+
+    #[test]
+    fn decoding_allocates_the_arcs_once() {
+        // OCSP_BASIC's arcs are one byte each, so they fill the reserved
+        // capacity exactly; SHA256's 840 takes two bytes and leaves
+        // slack. Either way the vector never regrows.
+        for (oid, arcs) in [(Oid::OCSP_BASIC, 10), (Oid::SHA256, 9)] {
+            let der = oid.to_der_content();
+            let decoded = Oid::from_der_content(&der).unwrap();
+            let Arcs::Owned(owned) = &decoded.arcs else {
+                panic!("decoded OIDs own their arcs");
+            };
+            assert_eq!((owned.len(), owned.capacity()), (arcs, der.len() + 1));
+        }
     }
 
     #[test]

@@ -290,6 +290,10 @@ impl Config {
                     "telemetry",
                     "rand",
                     "proptest",
+                    // `tests/alloc_work.rs` counts `ocspd` queries with
+                    // the counting allocator.
+                    "ocspd",
+                    "memprof",
                 ],
             ),
         ]

@@ -48,16 +48,17 @@ pub struct WorkspaceManifests {
     pub workspace_deps: BTreeMap<String, (Option<String>, Option<String>)>,
 }
 
-/// Read the root manifest and every `crates/*/Cargo.toml` under `root`.
-/// Returns the manifests, malformed-suppression findings, and the
-/// suppression pool entries (file → suppressions) for the engine.
-pub fn load(
-    root: &Path,
-) -> std::io::Result<(
+/// What [`load`] returns: the manifests, malformed-suppression
+/// findings, and the suppression pool entries (file → suppressions) for
+/// the engine.
+pub type Loaded = (
     WorkspaceManifests,
     Vec<Finding>,
     Vec<(String, Vec<Suppression>)>,
-)> {
+);
+
+/// Read the root manifest and every `crates/*/Cargo.toml` under `root`.
+pub fn load(root: &Path) -> std::io::Result<Loaded> {
     let mut ws = WorkspaceManifests::default();
     let mut findings = Vec::new();
     let mut sups = Vec::new();
@@ -125,8 +126,7 @@ pub fn resolve_target(dep: &Dep, ws: &WorkspaceManifests) -> Option<String> {
     };
     path.replace('\\', "/")
         .split('/')
-        .filter(|s| !s.is_empty() && *s != "." && *s != "..")
-        .next_back()
+        .rfind(|s| !s.is_empty() && *s != "." && *s != "..")
         .map(|s| s.to_string())
 }
 

@@ -85,7 +85,7 @@ fn is_float_literal(text: &str) -> bool {
 
 fn mentions(t: &[Token], names: &[String]) -> bool {
     t.iter()
-        .any(|tok| tok.kind == TokenKind::Ident && names.iter().any(|n| *n == tok.text))
+        .any(|tok| tok.kind == TokenKind::Ident && names.contains(&tok.text))
 }
 
 fn mentions_strs(t: &[Token], names: &[&str]) -> bool {
@@ -172,10 +172,10 @@ pub fn float_determinism(ctx: &FileContext<'_>, model: &FileModel) -> Vec<Findin
         // Body: matched braces.
         let mut depth = 0i32;
         let mut close = open;
-        for j in open..t.len() {
-            if t[j].is_punct("{") {
+        for (j, tok) in t.iter().enumerate().skip(open) {
+            if tok.is_punct("{") {
                 depth += 1;
-            } else if t[j].is_punct("}") {
+            } else if tok.is_punct("}") {
                 depth -= 1;
                 if depth == 0 {
                     close = j;

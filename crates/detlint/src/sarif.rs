@@ -296,9 +296,12 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Extract `(ruleId, level, message, uri, startLine)` tuples from a
-/// parsed SARIF document — the round-trip test's comparison side.
-pub fn results_of(doc: &Json) -> Result<Vec<(String, String, String, String, i64)>, String> {
+/// One SARIF result as `(ruleId, level, message, uri, startLine)`.
+pub type ResultTuple = (String, String, String, String, i64);
+
+/// Extract [`ResultTuple`]s from a parsed SARIF document — the
+/// round-trip test's comparison side.
+pub fn results_of(doc: &Json) -> Result<Vec<ResultTuple>, String> {
     let runs = doc
         .get("runs")
         .and_then(Json::as_arr)
@@ -352,7 +355,7 @@ pub fn results_of(doc: &Json) -> Result<Vec<(String, String, String, String, i64
 
 /// The expected tuple view of a report's findings, for comparison
 /// against [`results_of`].
-pub fn expected_results(report: &Report) -> Vec<(String, String, String, String, i64)> {
+pub fn expected_results(report: &Report) -> Vec<ResultTuple> {
     report
         .findings
         .iter()

@@ -306,20 +306,27 @@ impl LiveEcosystem {
     /// outage calendar. Any number of [`World`]s — one per scan shard —
     /// can be built over the result; each instantiates its own handler
     /// (and thus its own responder caches) on first contact with a host.
+    /// Handlers only read their operator's CA, so every world shares one
+    /// copy of it.
     pub fn build_topology(&self) -> Arc<Topology> {
         let mut topo = Topology::new(self.config.seed ^ 0x0417);
         let t0 = self.config.campaign_start;
+        let cas: Vec<Arc<CertificateAuthority>> = self
+            .operators
+            .iter()
+            .map(|op| Arc::new(op.ca.clone()))
+            .collect();
 
         for host in &self.responders {
             let op = &self.operators[host.operator];
-            let ca = op.ca.clone();
+            let ca = Arc::clone(&cas[host.operator]);
             let url = host.url.clone();
             // The sheca/postsignum "0"-body episodes are HTTP-200
             // garbage, not outages — handled inside the HTTP handler.
             let zero_windows = zero_body_windows(op.outage, t0);
             let healthy_profile = host.profile.clone();
             let factory: HandlerFactory = Box::new(move || {
-                let ca = ca.clone();
+                let ca = Arc::clone(&ca);
                 let mut responder = Responder::new(&url, healthy_profile.clone());
                 let healthy_profile = healthy_profile.clone();
                 let zero_windows = zero_windows.clone();
@@ -359,10 +366,9 @@ impl LiveEcosystem {
         }
 
         // CRL endpoints: one per operator, serving a freshly signed CRL.
-        for op in &self.operators {
-            let ca = op.ca.clone();
+        for (op, ca) in self.operators.iter().zip(cas) {
             let factory: HandlerFactory = Box::new(move || {
-                let ca = ca.clone();
+                let ca = Arc::clone(&ca);
                 Box::new(
                     move |_path: &str,
                           _body: &[u8],

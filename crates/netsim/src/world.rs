@@ -25,7 +25,7 @@ use crate::outage::{first_active, FailureKind, Outage};
 use crate::region::Region;
 use asn1::Time;
 use simcrypto::HmacSha256;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use telemetry::{catalog, Registry};
 
@@ -215,14 +215,23 @@ impl Topology {
 /// instances and a private DNS cache.
 pub struct World {
     topo: Arc<Topology>,
-    /// Handlers this world has instantiated (or had registered
-    /// directly), keyed by hostname.
-    handlers: HashMap<String, Handler>,
-    /// (client region, host) pairs that have resolved DNS before
-    /// (warm-cache latency).
-    dns_cache: HashSet<(Region, String)>,
+    /// This world's state for each host it has contacted (or had a
+    /// handler registered for), keyed by hostname and looked up by
+    /// `&str`, so only first contact allocates.
+    hosts: HashMap<String, HostState>,
     /// Deterministic event counters for this world (one per shard).
     telemetry: Registry,
+}
+
+/// One world's private state for one host.
+#[derive(Default)]
+struct HostState {
+    /// Bit `r` is set once client region `r` has resolved the host
+    /// (warm-cache latency from then on).
+    resolved: u8,
+    /// The handler: registered directly, or built from the topology's
+    /// factory on first dispatch.
+    handler: Option<Handler>,
 }
 
 impl World {
@@ -237,8 +246,7 @@ impl World {
     pub fn from_topology(topo: Arc<Topology>) -> World {
         World {
             topo,
-            handlers: HashMap::new(),
-            dns_cache: HashSet::new(),
+            hosts: HashMap::new(),
             telemetry: Registry::new(),
         }
     }
@@ -280,7 +288,7 @@ impl World {
         handler: Handler,
     ) {
         self.topo_mut().insert(hostname, region, group, None);
-        self.handlers.insert(hostname.to_string(), handler);
+        self.hosts.entry(hostname.to_string()).or_default().handler = Some(handler);
     }
 
     /// Whether a hostname is registered.
@@ -395,7 +403,13 @@ impl World {
             };
         };
 
-        let cold_dns = self.dns_cache.insert((client, hostname.to_string()));
+        let state = match self.hosts.get_mut(hostname) {
+            Some(state) => state,
+            None => self.hosts.entry(hostname.to_string()).or_default(),
+        };
+        let region_bit = 1u8 << client as u8;
+        let cold_dns = state.resolved & region_bit == 0;
+        state.resolved |= region_bit;
         let latency = http_latency_ms(
             &self.topo.jitter,
             hostname,
@@ -457,15 +471,13 @@ impl World {
 
         // This world's private handler instance, built from the shared
         // factory on first contact.
-        let handler = match self.handlers.entry(hostname.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let factory = host.factory.as_ref().unwrap_or_else(|| {
-                    panic!("host {hostname} has neither a handler nor a factory")
-                });
-                e.insert(factory())
-            }
-        };
+        let handler = state.handler.get_or_insert_with(|| {
+            let factory = host
+                .factory
+                .as_ref()
+                .unwrap_or_else(|| panic!("host {hostname} has neither a handler nor a factory"));
+            factory()
+        });
         let (status, reply) = handler(path, body, now, client, &mut self.telemetry);
         let outcome = if status == 200 {
             HttpOutcome::Ok(reply)

@@ -17,35 +17,54 @@
 //! as a caching hazard.
 
 use crate::certid::CertId;
-use crate::response::{BasicResponse, CertStatus, OcspResponse, ResponseStatus};
+use crate::response::{BasicResponse, CertStatus, OcspResponse, ResponseStatus, SingleResponse};
 use asn1::Time;
 use pki::Certificate;
 use std::collections::{BTreeMap, HashMap};
 use telemetry::catalog;
 
-/// Memo for the signature-verification stage.
+/// Memo for the stages of validation that do not depend on the call:
+/// parsing the body, and checking its signature under the issuer.
 ///
-/// The stage's outcome is a pure function of (issuer key, signed bytes,
-/// attached certificates) — all captured by the key (issuer key id, the
-/// exact raw response body) — so each distinct signed response pays
-/// big-integer modexp once per cache, not once per vantage-point × hour.
+/// Both are pure functions of (issuer key, exact body bytes), so each
+/// distinct signed response is parsed once per cache and pays
+/// big-integer modexp at most once, not once per vantage point × hour.
+/// An entry holds the structural error (`MalformedStructure`,
+/// `ErrorStatus`, `MissingPayload`), or the parsed basic response —
+/// singles, `producedAt`, attached certificates — plus the signature
+/// outcome. The signature stage runs lazily, on the first call whose
+/// serial the body answers, so `ocsp.validate.sigcache.{hit,miss}` fall
+/// exactly where an unmemoized signature check would run. A hit reruns
+/// only the serial match and the time-window checks, which depend on
+/// the call.
+///
 /// Keying on the bytes themselves rather than a digest of them costs a
-/// copy per miss instead of a SHA-256 pass per lookup, and no two bodies
-/// can share an entry. Time-window checks are *not* memoized; they
-/// depend on the receive time and always rerun.
+/// copy per distinct body instead of a SHA-256 pass per lookup, and no
+/// two bodies can share an entry. Attached certificates are parsed
+/// eagerly, as the uncached path does, so a malformed one stays
+/// `MalformedStructure`.
 ///
 /// Scan pipelines hold one cache per shard (or per work chunk), keeping
 /// the memo deterministic and thread-local.
 #[derive(Debug, Default)]
 pub struct SigVerifyCache {
-    /// Issuer key id → that issuer's outcomes.
-    entries: BTreeMap<[u8; 32], BodyOutcomes>,
+    /// Issuer key id → that issuer's bodies.
+    entries: BTreeMap<[u8; 32], BodyMemos>,
 }
 
-/// One issuer's signature outcomes, keyed by the exact response body.
-/// The bodies are responder-controlled bytes, so the map keeps std's
-/// keyed hasher.
-type BodyOutcomes = HashMap<Vec<u8>, Result<(), ResponseError>>;
+/// One issuer's memo entries, keyed by the exact response body. The
+/// bodies are responder-controlled bytes, so the map keeps std's keyed
+/// hasher.
+type BodyMemos = HashMap<Vec<u8>, Result<ParsedBody, ResponseError>>;
+
+/// A body that passed the structural stage.
+#[derive(Debug)]
+struct ParsedBody {
+    basic: BasicResponse,
+    /// The signature stage's outcome, once a call whose serial the body
+    /// answers has needed it.
+    signature: Option<Result<(), ResponseError>>,
+}
 
 impl SigVerifyCache {
     /// An empty cache.
@@ -55,12 +74,16 @@ impl SigVerifyCache {
 
     /// Number of distinct (issuer, body) signature outcomes memoized.
     pub fn len(&self) -> usize {
-        self.entries.values().map(HashMap::len).sum()
+        self.entries
+            .values()
+            .flat_map(HashMap::values)
+            .filter(|memo| matches!(memo, Ok(parsed) if parsed.signature.is_some()))
+            .count()
     }
 
-    /// Whether nothing has been memoized yet.
+    /// Whether no signature outcome has been memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 
@@ -193,63 +216,91 @@ pub fn validate_response(
     received_at: Time,
     config: ValidationConfig,
 ) -> Result<ValidatedResponse, ResponseError> {
-    validate_with_sig_cache(body, cert_id, issuer, received_at, config, None)
+    let basic = parse_body(body)?;
+    let single = answer_for(&basic, cert_id)?;
+    verify_signature_stage(&basic, issuer)?;
+    check_window(&basic, single, received_at, config)
 }
 
-/// [`validate_response`] with an optional signature-verification memo.
-/// A hit skips the modexp-heavy signature stage entirely; hits and
-/// misses are counted under `ocsp.validate.sigcache` in the registry
-/// paired with the cache.
-pub fn validate_with_sig_cache(
+/// [`validate_response`] through the memo: a body's parse and signature
+/// outcome come from `cache` when it has them, and each signature
+/// outcome served or computed counts as a `hit` or `miss` under
+/// `ocsp.validate.sigcache` in `reg`.
+fn validate_memoized(
+    cache: &mut SigVerifyCache,
+    reg: &mut telemetry::Registry,
     body: &[u8],
     cert_id: &CertId,
     issuer: &Certificate,
     received_at: Time,
     config: ValidationConfig,
-    cache: Option<(&mut SigVerifyCache, &mut telemetry::Registry)>,
 ) -> Result<ValidatedResponse, ResponseError> {
+    let bodies = cache
+        .entries
+        .entry(issuer.public_key().key_id())
+        .or_default();
+    let check = |memo: &mut Result<ParsedBody, ResponseError>, reg: &mut telemetry::Registry| {
+        let parsed = memo.as_mut().map_err(|err| err.clone())?;
+        let single = answer_for(&parsed.basic, cert_id)?;
+        match &parsed.signature {
+            Some(outcome) => {
+                reg.incr(catalog::OCSP_VALIDATE_SIGCACHE, "hit");
+                outcome.clone()?;
+            }
+            None => {
+                reg.incr(catalog::OCSP_VALIDATE_SIGCACHE, "miss");
+                let outcome = verify_signature_stage(&parsed.basic, issuer);
+                parsed.signature = Some(outcome.clone());
+                outcome?;
+            }
+        }
+        check_window(&parsed.basic, single, received_at, config)
+    };
+    match bodies.get_mut(body) {
+        Some(memo) => check(memo, reg),
+        None => {
+            let mut memo = parse_body(body).map(|basic| ParsedBody {
+                basic,
+                signature: None,
+            });
+            let result = check(&mut memo, reg);
+            bodies.insert(body.to_vec(), memo);
+            result
+        }
+    }
+}
+
+/// The structural stage: `body` must be a `successful` OCSP response
+/// carrying a basic response.
+fn parse_body(body: &[u8]) -> Result<BasicResponse, ResponseError> {
     let response = OcspResponse::from_der(body).map_err(|_| ResponseError::MalformedStructure)?;
     if response.status != ResponseStatus::Successful {
         return Err(ResponseError::ErrorStatus(response.status));
     }
-    let basic = response
-        .basic
-        .as_ref()
-        .ok_or(ResponseError::MissingPayload)?;
+    response.basic.ok_or(ResponseError::MissingPayload)
+}
 
-    // Find the single response answering our serial.
-    let single = basic
+/// The single response answering `cert_id`'s serial.
+fn answer_for<'a>(
+    basic: &'a BasicResponse,
+    cert_id: &CertId,
+) -> Result<&'a SingleResponse, ResponseError> {
+    basic
         .responses
         .iter()
         .find(|sr| sr.cert_id.serial == cert_id.serial)
-        .ok_or(ResponseError::SerialMismatch)?;
+        .ok_or(ResponseError::SerialMismatch)
+}
 
-    // Signature stage, optionally memoized on (issuer key id, body): the
-    // outcome depends only on the signed bytes and the issuer, never on
-    // the receive time.
-    match cache {
-        Some((cache, reg)) => {
-            let bodies = cache
-                .entries
-                .entry(issuer.public_key().key_id())
-                .or_default();
-            match bodies.get(body) {
-                Some(outcome) => {
-                    reg.incr(catalog::OCSP_VALIDATE_SIGCACHE, "hit");
-                    outcome.clone()?;
-                }
-                None => {
-                    reg.incr(catalog::OCSP_VALIDATE_SIGCACHE, "miss");
-                    let outcome = verify_signature_stage(basic, issuer);
-                    bodies.insert(body.to_vec(), outcome.clone());
-                    outcome?;
-                }
-            }
-        }
-        None => verify_signature_stage(basic, issuer)?,
-    }
-
-    // Time window, as seen through the client's (possibly skewed) clock.
+/// The time window, as seen through the client's (possibly skewed)
+/// clock, and the distilled result. The only stage that depends on the
+/// receive time, so the memo reruns it on every call.
+fn check_window(
+    basic: &BasicResponse,
+    single: &SingleResponse,
+    received_at: Time,
+    config: ValidationConfig,
+) -> Result<ValidatedResponse, ResponseError> {
     let client_now = received_at + config.clock_skew;
     if single.this_update > client_now {
         return Err(ResponseError::NotYetValid {
@@ -344,10 +395,10 @@ pub fn validate_response_with(
     result
 }
 
-/// [`validate_response_with`] plus a signature-verification memo: the
-/// outcome counter is identical to the uncached path (so per-pipeline
+/// [`validate_response_with`] through a [`SigVerifyCache`]: the outcome
+/// counter is identical to the uncached path (so per-pipeline
 /// cross-checks are unaffected), and `ocsp.validate.sigcache.{hit,miss}`
-/// records the memo's effectiveness separately.
+/// records the signature memo's effectiveness separately.
 #[allow(clippy::too_many_arguments)]
 pub fn validate_response_cached(
     reg: &mut telemetry::Registry,
@@ -359,14 +410,7 @@ pub fn validate_response_cached(
     received_at: Time,
     config: ValidationConfig,
 ) -> Result<ValidatedResponse, ResponseError> {
-    let result = validate_with_sig_cache(
-        body,
-        cert_id,
-        issuer,
-        received_at,
-        config,
-        Some((cache, reg)),
-    );
+    let result = validate_memoized(cache, reg, body, cert_id, issuer, received_at, config);
     let label = match &result {
         Ok(_) => "ok",
         Err(err) => err.metric_label(),
@@ -751,7 +795,8 @@ mod tests {
         assert_eq!(reg.counter(metric, "ok"), 3);
         assert_eq!(reg.counter(metric, "err.signature_invalid"), 2);
 
-        // Unparseable bodies never reach the signature stage or cache.
+        // Unparseable bodies never reach the signature stage, so they
+        // add no signature outcome and no sigcache count.
         let malformed = fetch(
             &f,
             ResponderProfile::healthy().malformed(MalformMode::Empty),

@@ -1,21 +1,159 @@
 //! Property tests for the OCSP wire formats and the responder/validator
-//! pair: round-trips over randomized contents, and the invariant that a
+//! pair: round-trips over randomized contents, the invariant that a
 //! healthy responder's answer always validates while a mutated answer
-//! never validates as authentic.
+//! never validates as authentic, and the equivalence of the memoized
+//! validator with the uncached one.
 
 use asn1::Time;
 use mustaple_ocsp::{
-    validate_response, CertId, CertStatus, OcspRequest, OcspResponse, Responder, ResponderProfile,
-    SingleResponse, ValidationConfig,
+    validate_response, validate_response_cached, CertId, CertStatus, MalformMode, OcspRequest,
+    OcspResponse, Responder, ResponderProfile, ResponseStatus, SigVerifyCache, SingleResponse,
+    ValidationConfig,
 };
-use pki::{CertificateAuthority, IssueParams, RevocationReason, Serial};
+use pki::{Certificate, CertificateAuthority, IssueParams, RevocationReason, Serial};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use simcrypto::KeyPair;
 use std::cell::OnceCell;
+use std::collections::BTreeSet;
+use telemetry::{catalog, Registry};
 
 thread_local! {
     static ENV: OnceCell<(CertificateAuthority, CertId, KeyPair)> = const { OnceCell::new() };
+    static MEMO_ENV: OnceCell<MemoEnv> = const { OnceCell::new() };
+}
+
+/// What the memo property draws from: two issuers, the bodies a scan can
+/// receive, two CertIds to ask about, and instants on both sides of the
+/// healthy validity window.
+struct MemoEnv {
+    issuers: [Certificate; 2],
+    /// `ids[0]` is the certificate every body answers about; `ids[1]` is
+    /// its neighbour serial, which only the wrong-serial body answers.
+    ids: [CertId; 2],
+    bodies: Vec<Vec<u8>>,
+    times: [Time; 3],
+}
+
+fn with_memo_env<R>(f: impl FnOnce(&MemoEnv) -> R) -> R {
+    MEMO_ENV.with(|cell| f(cell.get_or_init(memo_env)))
+}
+
+fn memo_env() -> MemoEnv {
+    let now = Time::from_civil(2018, 5, 1, 0, 0, 0);
+    let mut rng = StdRng::seed_from_u64(0x3E30);
+    let mut ca = CertificateAuthority::new_root(&mut rng, "Memo", "Memo Root", "memo.test", now);
+    let other = CertificateAuthority::new_root(&mut rng, "Other", "Other Root", "other.test", now);
+    let leaf = ca.issue(&mut rng, &IssueParams::new("memo.example", now));
+    let id = CertId::for_certificate(&leaf, ca.certificate());
+    let mut neighbour = id.clone();
+    let mut serial = id.serial.bytes().to_vec();
+    if let Some(last) = serial.last_mut() {
+        *last ^= 0x01;
+    }
+    neighbour.serial = Serial::from_bytes(&serial);
+
+    let request = OcspRequest::single(id.clone());
+    let answer =
+        |responder: &mut Responder, ca: &CertificateAuthority| responder.handle(ca, &request, now);
+    let profiles = [
+        ResponderProfile::healthy(),
+        ResponderProfile::healthy().extra_serials(3),
+        ResponderProfile::healthy().corrupt_signature(),
+        ResponderProfile::healthy().wrong_serial(),
+        ResponderProfile::healthy().malformed(MalformMode::TruncatedDer),
+    ];
+    let mut bodies: Vec<Vec<u8>> = profiles
+        .into_iter()
+        .map(|profile| answer(&mut Responder::new("u", profile), &ca))
+        .collect();
+    let (signer, key) = ca.issue_ocsp_signer(&mut rng, now);
+    bodies.push(answer(
+        &mut Responder::with_delegated_signer("u", ResponderProfile::healthy(), signer, key),
+        &ca,
+    ));
+    // Asked of the other CA's responder: an `unauthorized` error status.
+    bodies.push(answer(
+        &mut Responder::new("u", ResponderProfile::healthy()),
+        &other,
+    ));
+    // `successful` with no payload.
+    bodies.push(
+        OcspResponse {
+            status: ResponseStatus::Successful,
+            basic: None,
+        }
+        .to_der(),
+    );
+    bodies.push(b"0".to_vec());
+    bodies.push(Vec::new());
+    MemoEnv {
+        issuers: [ca.certificate().clone(), other.certificate().clone()],
+        ids: [id, neighbour],
+        bodies,
+        // Healthy bodies are valid from `now - 3600` for seven days.
+        times: [now - 7_200, now, now + 8 * 86_400],
+    }
+}
+
+/// Whether validating `body` for `id` reaches the signature stage: the
+/// body parses, is `successful` with a payload, and answers `id`'s
+/// serial.
+fn reaches_signature_stage(body: &[u8], id: &CertId) -> bool {
+    OcspResponse::from_der(body)
+        .ok()
+        .filter(|response| response.status == ResponseStatus::Successful)
+        .and_then(|response| response.basic)
+        .is_some_and(|basic| {
+            basic
+                .responses
+                .iter()
+                .any(|s| s.cert_id.serial == id.serial)
+        })
+}
+
+/// Validate a sequence of `(body, id, issuer, time)` draws through one
+/// memo, checking each result against the uncached validator and the
+/// memo's counters against the calls that reach the signature stage.
+fn check_memo_sequence(
+    env: &MemoEnv,
+    bodies: &[Vec<u8>],
+    calls: &[(usize, usize, usize, usize)],
+) -> Result<(), TestCaseError> {
+    let mut reg = Registry::new();
+    let mut cache = SigVerifyCache::new();
+    let (mut reaching, mut distinct) = (0u64, BTreeSet::new());
+    for &(body, id, issuer, time) in calls {
+        let (body, id, issuer, at) = (
+            &bodies[body],
+            &env.ids[id],
+            &env.issuers[issuer],
+            env.times[time],
+        );
+        let cached = validate_response_cached(
+            &mut reg,
+            "memo",
+            &mut cache,
+            body,
+            id,
+            issuer,
+            at,
+            ValidationConfig::default(),
+        );
+        let plain = validate_response(body, id, issuer, at, ValidationConfig::default());
+        prop_assert_eq!(&cached, &plain);
+        if reaches_signature_stage(body, id) {
+            reaching += 1;
+            distinct.insert((issuer.public_key().key_id(), body.clone()));
+        }
+    }
+    let hits = reg.counter(catalog::OCSP_VALIDATE_SIGCACHE, "hit");
+    let misses = reg.counter(catalog::OCSP_VALIDATE_SIGCACHE, "miss");
+    prop_assert_eq!(hits + misses, reaching);
+    prop_assert_eq!(misses, distinct.len() as u64);
+    prop_assert_eq!(cache.len(), distinct.len());
+    prop_assert_eq!(reg.counter_total("memo"), calls.len() as u64);
+    Ok(())
 }
 
 fn with_env<R>(f: impl FnOnce(&CertificateAuthority, &CertId, &KeyPair) -> R) -> R {
@@ -177,6 +315,27 @@ proptest! {
         })?;
     }
 
+    /// The memoized validator is the uncached one: every result is
+    /// equal, signature hits and misses fall exactly on the calls that
+    /// reach the signature stage, and each distinct (issuer, body) pair
+    /// that reaches it misses once. The body pool gains one mutated copy
+    /// of the healthy body per case.
+    #[test]
+    fn memoized_validation_equals_uncached(
+        calls in proptest::collection::vec((0usize..11, 0usize..2, 0usize..2, 0usize..3), 1..48),
+        idx_frac in 0.0f64..1.0,
+        xor in 1u8..=255,
+    ) {
+        with_memo_env(|env| {
+            let mut bodies = env.bodies.clone();
+            let mut mutated = bodies[0].clone();
+            let idx = ((mutated.len() - 1) as f64 * idx_frac) as usize;
+            mutated[idx] ^= xor;
+            bodies.push(mutated);
+            check_memo_sequence(env, &bodies, &calls)
+        })?;
+    }
+
     /// The validator's time window is exact: acceptance flips at the
     /// boundaries.
     #[test]
@@ -196,4 +355,25 @@ proptest! {
             Ok(())
         })?;
     }
+}
+
+/// A body first seen under a serial it does not answer, then under one
+/// it does: the first call never reaches the signature stage, so the
+/// second is the miss, and every later call a hit.
+#[test]
+fn memo_counts_a_body_first_seen_under_a_mismatching_serial() {
+    with_memo_env(|env| {
+        let (healthy, wrong_serial) = (0, 3);
+        let calls = [
+            (healthy, 1, 0, 1),
+            (healthy, 0, 0, 1),
+            (healthy, 0, 0, 2),
+            (wrong_serial, 0, 0, 1),
+            (wrong_serial, 1, 0, 1),
+            (wrong_serial, 1, 1, 0),
+            (wrong_serial, 1, 0, 1),
+        ];
+        let outcome = check_memo_sequence(env, &env.bodies, &calls);
+        assert!(outcome.is_ok(), "{outcome:?}");
+    });
 }

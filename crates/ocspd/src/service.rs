@@ -152,16 +152,23 @@ impl OcspService {
         }
     }
 
-    /// `POST /ocsp`: classify, count, feed the health log, sign.
+    /// `POST /ocsp`: classify, count, feed the health log, sign. The
+    /// body is parsed once; the responder answers the parsed request,
+    /// and refuses a malformed body on its own raw-bytes path.
     fn handle_ocsp(&mut self, body: &[u8]) -> HttpResponse {
         let at = self.clock.tick();
-        let parsed = OcspRequest::from_der(body).is_ok();
-        let label = if parsed { "ok" } else { "malformed" };
+        let request = OcspRequest::from_der(body).ok();
+        let label = if request.is_some() { "ok" } else { "malformed" };
         self.registry.incr(catalog::OCSPD_REQUESTS, label);
-        self.health.record(BACKEND, at, parsed);
-        let der = self
-            .responder
-            .handle_bytes_with(&self.ca, body, at, &mut self.registry);
+        self.health.record(BACKEND, at, request.is_some());
+        let der = match &request {
+            Some(request) => self
+                .responder
+                .handle_with(&self.ca, request, at, &mut self.registry),
+            None => self
+                .responder
+                .handle_bytes_with(&self.ca, body, at, &mut self.registry),
+        };
         HttpResponse::ok("application/ocsp-response", der)
     }
 

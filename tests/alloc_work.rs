@@ -1,0 +1,83 @@
+//! Heap allocations per campaign probe and per `ocspd` query, pinned
+//! exactly.
+//!
+//! This binary installs `memprof::CountingAlloc` as its global
+//! allocator, and it holds a single test, so while that test measures
+//! nothing else in the process allocates: the harness's main thread only
+//! waits for it. `Executor::serial()` runs every campaign work unit
+//! inline, so each count below is the same on every run and every host.
+//! A change that adds or removes allocations on these paths moves a
+//! count; update the pin along with the change that moved it.
+
+use ecosystem::{EcosystemConfig, LiveEcosystem};
+use netsim::Region;
+use ocsp::{CertId, OcspRequest};
+use ocspd::{HttpRequest, OcspService};
+use pki::Serial;
+use rand::{rngs::StdRng, RngCore, SeedableRng};
+use scanner::{Executor, HourlyCampaign};
+
+#[global_allocator]
+static ALLOC: memprof::CountingAlloc = memprof::CountingAlloc;
+
+/// Run `f` and return its result with the allocations it made.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = memprof::stats().alloc_count;
+    let result = f();
+    (result, memprof::stats().alloc_count - before)
+}
+
+#[test]
+fn campaign_and_serve_allocations_are_pinned() {
+    // The campaign: the second day of the paper's campaign at tiny
+    // scale, as in `tests/sha256_work.rs`.
+    let mut config = EcosystemConfig::tiny().with_parallelism(1);
+    config.campaign_start = EcosystemConfig::figures().campaign_start + 86_400;
+    config.campaign_end = config.campaign_start + 86_400;
+    let eco = LiveEcosystem::generate(config);
+    let probes =
+        (eco.config.scan_rounds() * Region::VANTAGE_POINTS.len() * eco.scan_targets.len()) as u64;
+    let campaign = HourlyCampaign::new(&eco);
+    let (dataset, campaign_allocs) = allocations(|| campaign.run_with(&Executor::serial()));
+    assert_eq!(dataset.requests, probes);
+
+    // The serve paths behind `ocspd`'s `POST /ocsp`: the canonical
+    // request again and again (the signed-response cache answers), and
+    // a fresh serial under the same issuer each time (every query is
+    // signed).
+    const QUERIES: u64 = 1_000;
+    let mut hot = OcspService::new(7);
+    let canonical = HttpRequest::new("POST", "/ocsp", &hot.canonical_request());
+    let ((), hot_allocs) = allocations(|| {
+        for _ in 0..QUERIES {
+            hot.handle(&canonical);
+        }
+    });
+
+    let mut wide = OcspService::new(7);
+    let leaf = OcspRequest::from_der(&wide.canonical_request())
+        .expect("the canonical request parses")
+        .cert_ids[0]
+        .clone();
+    let mut serials = StdRng::seed_from_u64(0x5e41_a15e);
+    let fresh: Vec<HttpRequest> = (0..QUERIES)
+        .map(|_| {
+            let cert_id = CertId {
+                serial: Serial::from_u64(serials.next_u64()),
+                ..leaf.clone()
+            };
+            HttpRequest::new("POST", "/ocsp", &OcspRequest::single(cert_id).to_der())
+        })
+        .collect();
+    let ((), wide_allocs) = allocations(|| {
+        for request in &fresh {
+            wide.handle(request);
+        }
+    });
+
+    // Per probe and per query: campaign 21.6, hot 7.8, wide 54.9.
+    assert_eq!(
+        (probes, campaign_allocs, hot_allocs, wide_allocs),
+        (1_344, 29_010, 7_829, 54_851)
+    );
+}
