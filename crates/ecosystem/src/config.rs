@@ -129,8 +129,7 @@ pub struct EcosystemConfig {
 
 impl EcosystemConfig {
     /// The default "figures" scale: ~1:5 responders, ~1:1000 volume,
-    /// 12-hourly scan rounds. A full campaign runs in about a minute in
-    /// release mode.
+    /// scan rounds every 2 hours.
     pub fn figures() -> EcosystemConfig {
         EcosystemConfig {
             seed: 2018,

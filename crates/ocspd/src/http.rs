@@ -6,7 +6,7 @@
 //! connection is `Connection: close`, so there is no keep-alive or
 //! chunked-transfer machinery to get wrong.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,12 +40,10 @@ impl HttpRequest {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Read one request from a buffered stream.
+    /// Read one request from a buffered stream. A line longer than
+    /// 8 KiB, or more than 100 headers, is refused.
     pub fn read_from(stream: &mut impl BufRead) -> Result<HttpRequest, String> {
-        let mut line = String::new();
-        stream
-            .read_line(&mut line)
-            .map_err(|e| format!("request line: {e}"))?;
+        let line = read_line(stream, "request line")?;
         let mut parts = line.split_whitespace();
         let method = parts.next().ok_or("empty request line")?.to_owned();
         let path = parts.next().ok_or("request line without path")?.to_owned();
@@ -57,13 +55,13 @@ impl HttpRequest {
         let mut headers = Vec::new();
         let mut content_length = 0usize;
         loop {
-            let mut header = String::new();
-            stream
-                .read_line(&mut header)
-                .map_err(|e| format!("header line: {e}"))?;
+            let header = read_line(stream, "header line")?;
             let header = header.trim_end_matches(['\r', '\n']);
             if header.is_empty() {
                 break;
+            }
+            if headers.len() == MAX_HEADERS {
+                return Err(format!("more than {MAX_HEADERS} headers"));
             }
             let (name, value) = header.split_once(':').ok_or("header without colon")?;
             let name = name.trim().to_ascii_lowercase();
@@ -94,6 +92,29 @@ impl HttpRequest {
 
 /// Refuse absurd bodies before allocating for them.
 const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// The longest request, status or header line read, line ending
+/// included. A peer that never ends a line would otherwise grow the
+/// line buffer without bound.
+const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// The most header lines read from one message.
+const MAX_HEADERS: usize = 100;
+
+/// Read one line of at most [`MAX_LINE_BYTES`]; a line that fills the
+/// cap without ending is refused. `what` names the line in errors.
+fn read_line(stream: &mut impl BufRead, what: &str) -> Result<String, String> {
+    let mut line = String::new();
+    let read = stream
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_line(&mut line)
+        .map_err(|e| format!("{what}: {e}"))?;
+    if read == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(format!("{what} longer than {MAX_LINE_BYTES} bytes"));
+    }
+    Ok(line)
+}
 
 /// One HTTP response, always written `Connection: close`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,12 +171,10 @@ impl HttpResponse {
         stream.flush()
     }
 
-    /// Parse a response off a buffered stream (the probe client's half).
+    /// Parse a response off a buffered stream (the probe client's half),
+    /// under the same line and header caps as [`HttpRequest::read_from`].
     pub fn read_from(stream: &mut impl BufRead) -> Result<HttpResponse, String> {
-        let mut line = String::new();
-        stream
-            .read_line(&mut line)
-            .map_err(|e| format!("status line: {e}"))?;
+        let line = read_line(stream, "status line")?;
         let mut parts = line.split_whitespace();
         let version = parts.next().ok_or("empty status line")?;
         if !version.starts_with("HTTP/1.") {
@@ -167,15 +186,17 @@ impl HttpResponse {
             .ok_or("status line without code")?;
 
         let mut content_length = None;
+        let mut headers = 0;
         loop {
-            let mut header = String::new();
-            stream
-                .read_line(&mut header)
-                .map_err(|e| format!("header line: {e}"))?;
+            let header = read_line(stream, "header line")?;
             let header = header.trim_end_matches(['\r', '\n']);
             if header.is_empty() {
                 break;
             }
+            if headers == MAX_HEADERS {
+                return Err(format!("more than {MAX_HEADERS} headers"));
+            }
+            headers += 1;
             let Some((name, value)) = header.split_once(':') else {
                 continue;
             };
@@ -239,6 +260,64 @@ mod tests {
     fn oversized_bodies_are_refused() {
         let wire = b"POST /ocsp HTTP/1.1\r\nContent-Length: 9999999999\r\n\r\n";
         assert!(HttpRequest::read_from(&mut BufReader::new(&wire[..])).is_err());
+    }
+
+    /// A request with a request line and headers of the given lengths,
+    /// each counting its `\r\n`.
+    fn request_of(line_len: usize, header_lens: &[usize]) -> Vec<u8> {
+        let mut wire = b"GET /".to_vec();
+        wire.resize(line_len - " HTTP/1.1\r\n".len(), b'a');
+        wire.extend_from_slice(b" HTTP/1.1\r\n");
+        for &len in header_lens {
+            let start = wire.len();
+            wire.extend_from_slice(b"x-pad: ");
+            wire.resize(start + len - 2, b'b');
+            wire.extend_from_slice(b"\r\n");
+        }
+        wire.extend_from_slice(b"\r\n");
+        wire
+    }
+
+    fn read(wire: &[u8]) -> Result<HttpRequest, String> {
+        HttpRequest::read_from(&mut BufReader::new(wire))
+    }
+
+    #[test]
+    fn requests_at_the_line_and_header_caps_parse() {
+        let mut headers = vec![64; MAX_HEADERS];
+        headers[0] = MAX_LINE_BYTES;
+        let req = read(&request_of(MAX_LINE_BYTES, &headers)).unwrap();
+        assert_eq!(req.method, "GET");
+        assert_eq!(req.path.len(), MAX_LINE_BYTES - "GET  HTTP/1.1\r\n".len());
+        assert_eq!(req.headers.len(), MAX_HEADERS);
+        assert_eq!(req.headers[0].1.len(), MAX_LINE_BYTES - "x-pad: \r\n".len());
+    }
+
+    #[test]
+    fn over_long_lines_are_refused() {
+        let err = read(&request_of(MAX_LINE_BYTES + 1, &[])).unwrap_err();
+        assert!(err.starts_with("request line longer than"), "{err}");
+        let err = read(&request_of(64, &[64, MAX_LINE_BYTES + 1])).unwrap_err();
+        assert!(err.starts_with("header line longer than"), "{err}");
+        // A line that never ends stops at the cap, not at the end of
+        // the stream.
+        let endless = vec![b'a'; 4 * MAX_LINE_BYTES];
+        assert!(read(&endless).is_err());
+        let mut wire = b"HTTP/1.1 200 OK\r\n".to_vec();
+        wire.extend_from_slice(&endless);
+        let err = HttpResponse::read_from(&mut BufReader::new(&wire[..])).unwrap_err();
+        assert!(err.starts_with("header line longer than"), "{err}");
+    }
+
+    #[test]
+    fn more_than_max_headers_are_refused() {
+        let err = read(&request_of(64, &[64; MAX_HEADERS + 1])).unwrap_err();
+        assert_eq!(err, format!("more than {MAX_HEADERS} headers"));
+        let mut wire = b"HTTP/1.1 200 OK\r\n".to_vec();
+        wire.extend(b"x-pad: b\r\n".repeat(MAX_HEADERS + 1));
+        wire.extend_from_slice(b"\r\n");
+        let err = HttpResponse::read_from(&mut BufReader::new(&wire[..])).unwrap_err();
+        assert_eq!(err, format!("more than {MAX_HEADERS} headers"));
     }
 
     #[test]

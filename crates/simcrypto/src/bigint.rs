@@ -4,9 +4,29 @@
 //! study uses (≤ 1024 bits). Limbs are `u32` so multiplication can use
 //! `u64` intermediates without overflow gymnastics. Nothing here is
 //! constant-time — these keys protect nothing.
+//!
+//! Every modular exponentiation is counted per thread
+//! ([`modpow_calls`]), like SHA-256 compressions, so the signing and
+//! verifying a piece of code does is a work count tests can pin.
 
 use core::cmp::Ordering;
 use core::fmt;
+use std::cell::Cell;
+
+thread_local! {
+    static MODPOWS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Modular exponentiations run on the calling thread so far: every
+/// Montgomery-kernel and schoolbook exponentiation, whichever entry
+/// point ([`BigUint::modpow`], RSA signing or verification) led there.
+pub fn modpow_calls() -> u64 {
+    MODPOWS.with(Cell::get)
+}
+
+fn count_modpow() {
+    MODPOWS.with(|n| n.set(n.get() + 1));
+}
 
 /// An arbitrary-precision unsigned integer.
 ///
@@ -384,6 +404,7 @@ impl BigUint {
     /// Panics if `m` is zero.
     pub fn modpow_schoolbook(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         assert!(!m.is_zero(), "modpow modulus is zero");
+        count_modpow();
         if m.limbs == [1] {
             return BigUint::zero();
         }
@@ -488,6 +509,7 @@ impl MontgomeryCtx {
 
     /// `base ^ exp mod m`, the same function as [`BigUint::modpow`].
     pub(crate) fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        count_modpow();
         if exp.is_zero() {
             return BigUint::one();
         }
@@ -543,6 +565,11 @@ impl<const N: usize> Kernel<N> {
     /// multiplied in and one word reduced away, so the running sum
     /// stays within `N + 2` words (`t`, `top`, `over`) and ends below
     /// `2m`.
+    ///
+    /// Always inlined: an exponentiation is a loop of these products,
+    /// and an out-of-line call would pass every result back through
+    /// memory.
+    #[inline(always)]
     fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
         let mut t = [0; N];
         let mut top = 0u64;

@@ -66,103 +66,42 @@ impl Sha256 {
             self.buffered += take;
             data = &data[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let (blocks, rest) = data.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffered = rest.len();
         }
     }
 
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.length.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding(&[0x80]);
-        while self.buffered != 56 {
-            self.update_padding(&[0]);
+        // Padding: 0x80, zeros up to 56 bytes into a block, then the
+        // 64-bit big-endian bit length. No room for the length after
+        // the 0x80 costs one more block.
+        let tail = self.buffered;
+        self.buffer[tail] = 0x80;
+        if tail >= 56 {
+            self.buffer[tail + 1..].fill(0);
+            compress(&mut self.state, &self.buffer);
+            self.buffer[..56].fill(0);
+        } else {
+            self.buffer[tail + 1..56].fill(0);
         }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffered, 0);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-
-    /// Like `update` but does not advance the message length (padding only).
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffered] = b;
-            self.buffered += 1;
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        BLOCKS.with(|n| n.set(n.get() + 1));
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -172,9 +111,142 @@ impl Default for Sha256 {
     }
 }
 
+/// Compress one block into `state`, on the CPU's SHA extensions where
+/// it has them and by [`compress_portable`] everywhere else. Both paths
+/// count in [`blocks_compressed`].
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    BLOCKS.with(|n| n.set(n.get() + 1));
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("sse2")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `sha_ni::compress` has no requirement beyond the CPU
+        // features its `#[target_feature]` enables, and the
+        // `is_x86_feature_detected!` checks just above found every one
+        // of them on this CPU.
+        #[allow(unsafe_code)]
+        unsafe {
+            sha_ni::compress(state, block)
+        };
+        return;
+    }
+    compress_portable(state, block);
+}
+
+/// The FIPS 180-4 compression function in plain Rust: the path on CPUs
+/// without the SHA extensions, and the reference the tests hold the
+/// dispatched path to.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    w[..16].copy_from_slice(&words(block));
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+
+    for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(v);
+    }
+}
+
+/// The block's sixteen big-endian message words.
+fn words(block: &[u8; 64]) -> [u32; 16] {
+    let mut w = [0; 16];
+    for (wi, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *wi = u32::from_be_bytes(*bytes);
+    }
+    w
+}
+
+/// The compression function on the x86-64 SHA extensions (SHA-NI).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::{words, K};
+    use std::arch::x86_64::{
+        _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_sha256msg1_epu32,
+        _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Compress one block into `state`. `sha256rnds2` works on the state
+    /// split into two vectors, `ABEF` and `CDGH` (highest lane first),
+    /// and runs two rounds per call; `sha256msg1`/`sha256msg2` extend
+    /// the message schedule four words at a time.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let v = |x: u32| x as i32;
+        let w = words(block);
+        // m0..m3 hold the schedule words of the next four groups of four
+        // rounds, the lowest word of each group in lane 0.
+        let group = |j: usize| {
+            _mm_set_epi32(
+                v(w[4 * j + 3]),
+                v(w[4 * j + 2]),
+                v(w[4 * j + 1]),
+                v(w[4 * j]),
+            )
+        };
+        let (mut m0, mut m1, mut m2, mut m3) = (group(0), group(1), group(2), group(3));
+        let [a, b, c, d, e, f, g, h] = *state;
+        let mut abef = _mm_set_epi32(v(a), v(b), v(e), v(f));
+        let mut cdgh = _mm_set_epi32(v(c), v(d), v(g), v(h));
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        for k in K.as_chunks::<4>().0 {
+            let wk = _mm_add_epi32(m0, _mm_set_epi32(v(k[3]), v(k[2]), v(k[1]), v(k[0])));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+            // W[t] from W[t-16], W[t-15], W[t-7] and W[t-2]; the last
+            // four groups compute words no round uses.
+            let t = _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), _mm_alignr_epi8::<4>(m3, m2));
+            (m0, m1, m2, m3) = (m1, m2, m3, _mm_sha256msg2_epu32(t, m3));
+        }
+        let abef = _mm_add_epi32(abef, abef_in);
+        let cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        let lane = |x: i32| x as u32;
+        *state = [
+            lane(_mm_extract_epi32::<3>(abef)),
+            lane(_mm_extract_epi32::<2>(abef)),
+            lane(_mm_extract_epi32::<3>(cdgh)),
+            lane(_mm_extract_epi32::<2>(cdgh)),
+            lane(_mm_extract_epi32::<1>(abef)),
+            lane(_mm_extract_epi32::<0>(abef)),
+            lane(_mm_extract_epi32::<1>(cdgh)),
+            lane(_mm_extract_epi32::<0>(cdgh)),
+        ];
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(digest: &[u8]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -248,6 +320,28 @@ mod tests {
             let before = blocks_compressed();
             digest_of(&vec![0u8; len]);
             assert_eq!(blocks_compressed() - before, blocks, "len={len}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// The dispatched compression (SHA-NI on a CPU that has it)
+        /// equals the portable reference on any state and block.
+        #[test]
+        fn dispatched_compression_matches_portable(
+            input in proptest::collection::vec(any::<u32>(), 24..25),
+        ) {
+            let mut state = [0u32; 8];
+            state.copy_from_slice(&input[..8]);
+            let mut block = [0u8; 64];
+            for (bytes, word) in block.chunks_exact_mut(4).zip(&input[8..]) {
+                bytes.copy_from_slice(&word.to_le_bytes());
+            }
+            let mut reference = state;
+            compress_portable(&mut reference, &block);
+            compress(&mut state, &block);
+            prop_assert_eq!(state, reference);
         }
     }
 

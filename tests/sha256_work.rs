@@ -1,14 +1,17 @@
-//! SHA-256 work per campaign probe, pinned exactly.
+//! SHA-256 and RSA work per campaign probe, pinned exactly.
 //!
-//! `simcrypto::sha256::blocks_compressed` counts compressions on the
+//! `simcrypto::sha256::blocks_compressed` counts compressions and
+//! `simcrypto::bigint::modpow_calls` modular exponentiations on the
 //! calling thread, and `Executor::serial()` runs every work unit inline,
-//! so a one-day tiny campaign does the same hashing on every run and
-//! every host. A change that adds or removes hashing on the probe path
-//! moves this count; update the pin along with the change that moved it.
+//! so a one-day tiny campaign does the same hashing and signing on every
+//! run and every host. A change that adds or removes hashing, signing or
+//! verification on the probe path moves these counts; update the pins
+//! along with the change that moved them.
 
 use ecosystem::{EcosystemConfig, LiveEcosystem};
 use netsim::Region;
 use scanner::{Executor, HourlyCampaign};
+use simcrypto::bigint::modpow_calls;
 use simcrypto::sha256::blocks_compressed;
 
 #[test]
@@ -21,11 +24,15 @@ fn campaign_sha256_compressions_are_pinned() {
     let probes =
         (eco.config.scan_rounds() * Region::VANTAGE_POINTS.len() * eco.scan_targets.len()) as u64;
 
-    let before = blocks_compressed();
+    let (blocks_before, modpows_before) = (blocks_compressed(), modpow_calls());
     let dataset = HourlyCampaign::new(&eco).run_with(&Executor::serial());
-    let blocks = blocks_compressed() - before;
+    let blocks = blocks_compressed() - blocks_before;
+    let modpows = modpow_calls() - modpows_before;
 
     assert_eq!(dataset.requests, probes);
     // 3.79 compressions per probe.
     assert_eq!((probes, blocks), (1_344, 5_100));
+    // 140 CRT signatures (two half-exponentiations each) and 140
+    // verifications.
+    assert_eq!(modpows, 420);
 }
