@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! figures [--scale tiny|figures] [--scale-mult K] [--streaming]
-//!         [--mem-budget BYTES] [--out DIR] [--serial | --workers N]
-//!         [--engine threads|reactor] [--chunking per-responder|time-sliced]
+//!         [--mem-budget BYTES] [--out DIR] [--workers N]
+//!         [--chunking per-responder|time-sliced]
 //!         [--seeds N | --seed-list a,b,c] [ARTIFACT...]
 //! ```
 //!
@@ -14,12 +14,10 @@
 //! written as CSV under the output directory (default `results/`).
 //!
 //! The scan campaigns are sharded across worker threads by default
-//! (`available_parallelism`); `--serial` forces one worker and
-//! `--workers N` pins the count. `--engine reactor` drives the probes
-//! through the simulated-time reactor instead of blocking calls, and
-//! `--chunking` picks the hourly work-unit split. Every combination
-//! produces byte-identical CSVs — all three are purely wall-clock
-//! knobs (DESIGN.md §12).
+//! (`available_parallelism`); `--workers N` pins the count (`1` runs
+//! serially), and `--chunking` picks the hourly work-unit split. Every
+//! combination produces byte-identical CSVs — both are purely
+//! wall-clock knobs (DESIGN.md §8).
 //!
 //! `--seeds N` reruns the whole study under N independently-derived
 //! seeds (`--seed-list` pins them explicitly) and writes, next to each
@@ -53,7 +51,7 @@
 
 #![forbid(unsafe_code)]
 
-use ecosystem::{Chunking, EcosystemConfig, Engine};
+use ecosystem::{Chunking, EcosystemConfig};
 use mustaple::{Study, StudyResults};
 use mustaple_bench::ensemble::{parse_seed_list, seeds_for, Ensemble};
 use mustaple_bench::{ablations, bench_scan, build, Artifact, ALL_ARTIFACTS};
@@ -87,7 +85,6 @@ fn main() {
     let mut telemetry = false;
     let mut seed_count: Option<usize> = None;
     let mut seed_list: Option<Vec<u64>> = None;
-    let mut engine: Option<Engine> = None;
     let mut chunking: Option<Chunking> = None;
     let mut scale_mult: usize = 1;
     let mut streaming = false;
@@ -104,7 +101,6 @@ fn main() {
             "--out" => {
                 out_dir = PathBuf::from(args.next().unwrap_or_else(|| usage("--out needs a value")))
             }
-            "--serial" => workers = Some(1),
             "--telemetry" => telemetry = true,
             "--workers" => {
                 let n = args
@@ -134,14 +130,6 @@ fn main() {
                     parse_seed_list(&list)
                         .unwrap_or_else(|err| usage(&format!("--seed-list: {err}"))),
                 );
-            }
-            "--engine" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| usage("--engine needs a value"));
-                engine = Some(Engine::parse(&v).unwrap_or_else(|| {
-                    usage(&format!("unknown engine `{v}` (use threads|reactor)"))
-                }));
             }
             "--chunking" => {
                 let v = args
@@ -174,6 +162,7 @@ fn main() {
                 }));
             }
             "--help" | "-h" => usage(""),
+            flag if flag.starts_with('-') => usage(&format!("unknown flag `{flag}`")),
             name => wanted.push(name.to_string()),
         }
     }
@@ -191,9 +180,6 @@ fn main() {
             usage("--workers needs a positive integer, got `0`");
         }
         config = config.with_parallelism(n);
-    }
-    if let Some(engine) = engine {
-        config = config.with_engine(engine);
     }
     if let Some(chunking) = chunking {
         config = config.with_chunking(chunking);
@@ -366,8 +352,8 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: figures [--scale tiny|figures] [--scale-mult K] [--streaming] \
-         [--mem-budget BYTES] [--out DIR] [--serial | --workers N] \
-         [--engine threads|reactor] [--chunking per-responder|time-sliced] \
+         [--mem-budget BYTES] [--out DIR] [--workers N] \
+         [--chunking per-responder|time-sliced] \
          [--seeds N | --seed-list a,b,c] [--telemetry] [ARTIFACT...]\n\
          artifacts: {} freshness recommendations telemetry ablations readiness bench-scan\n\
          --seeds/--seed-list run a multi-seed ensemble: every artifact gains an \

@@ -19,7 +19,7 @@
 //!   plain single-seed run.
 //! * Replicas are scheduled as top-level work units on
 //!   [`Executor::run_chunked`] (one single-chunk shard per replica) and
-//!   collected in replica order, so `--serial` and `--workers N`
+//!   collected in replica order, so `--workers 1` and `--workers N`
 //!   produce byte-identical companions, manifests, and expositions.
 //! * Folding happens in canonical seed order (replica order), making
 //!   every ensemble output a pure function of `(config, seeds)`.

@@ -13,9 +13,7 @@ pub mod ensemble;
 
 use analysis::table::{pct, secs};
 use analysis::{AlexaAdoption, Cdf, Table};
-use ecosystem::{
-    monthly_snapshots, AlexaStream, CorpusStream, EcosystemConfig, Engine, LiveEcosystem,
-};
+use ecosystem::{monthly_snapshots, AlexaStream, CorpusStream, EcosystemConfig, LiveEcosystem};
 use scanner::executor::Executor;
 use scanner::hourly::HourlyCampaign;
 use scanner::ErrorClass;
@@ -686,19 +684,13 @@ pub fn telemetry_report(results: &StudyResults) -> String {
 }
 
 /// The `bench-scan` artifact: serial vs parallel wall-clock for the
-/// hourly campaign, on both probe engines, over the same ecosystem,
-/// plus the streaming pass and a live `ocspd` serve leg over loopback.
-/// Every leg replays the identical request count, so the rows are
-/// directly comparable — and the artifact doubles as a determinism
-/// probe at full scale (all five campaign runs must agree on requests
-/// and responder reports).
+/// hourly campaign over the same ecosystem, plus the streaming pass and
+/// a live `ocspd` serve leg over loopback. Every leg replays the
+/// identical request count, so the rows are directly comparable — and
+/// the artifact doubles as a determinism probe at full scale (all three
+/// campaign runs must agree on requests and responder reports).
 pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
     let eco = LiveEcosystem::generate(config.clone());
-    let time = |executor: &Executor, engine: Engine| {
-        let started = std::time::Instant::now();
-        let dataset = HourlyCampaign::new(&eco).run_with_engine(executor, config.chunking, engine);
-        (started.elapsed(), dataset)
-    };
 
     let serial_exec = Executor::serial();
     // The parallel legs honor `config.parallelism` when set (and >1);
@@ -714,33 +706,22 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
             Executor::new(std::num::NonZeroUsize::new(avail.max(4)))
         }
     };
-    // (mode label, executor, engine) — serial threads first: it is the
-    // speedup baseline every other row is measured against.
-    let legs: [(&str, &Executor, Engine); 4] = [
-        ("serial", &serial_exec, Engine::Threads),
-        ("parallel", &parallel_exec, Engine::Threads),
-        ("serial", &serial_exec, Engine::Reactor),
-        ("parallel", &parallel_exec, Engine::Reactor),
-    ];
+    // (mode label, executor) — serial first: it is the speedup baseline
+    // every other row is measured against.
+    let legs: [(&str, &Executor); 2] = [("serial", &serial_exec), ("parallel", &parallel_exec)];
     let mut runs: Vec<_> = legs
         .iter()
-        .map(|&(mode, executor, engine)| {
+        .map(|&(mode, executor)| {
             let mem_before = mem_leg_start();
-            let (wall, dataset) = time(executor, engine);
+            let started = std::time::Instant::now();
+            let dataset = HourlyCampaign::new(&eco).run_with(executor);
+            let wall = started.elapsed();
             let (peak, allocs) = mem_leg_end(mem_before);
-            (
-                mode,
-                executor.workers(),
-                engine,
-                wall,
-                dataset,
-                peak,
-                allocs,
-            )
+            (mode, executor.workers(), wall, dataset, peak, allocs)
         })
         .collect();
 
-    // The streaming leg: the same serial threads campaign plus the
+    // The streaming leg: the same serial campaign plus the
     // streaming statistical pass (corpus + Alexa folds off the feeds at
     // the scaled sizes) — what a bounded-memory `figures --streaming`
     // run pays, at equal hourly request counts.
@@ -756,14 +737,10 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
             adoption.record(site.rank, site.https, site.ocsp, site.staples);
         }
         assert!(!adoption.is_empty(), "streaming Alexa fold ran");
-        let dataset = HourlyCampaign::new(&eco).run_with_engine(
-            &serial_exec,
-            config.chunking,
-            Engine::Threads,
-        );
+        let dataset = HourlyCampaign::new(&eco).run_with(&serial_exec);
         let wall = started.elapsed();
         let (peak, allocs) = mem_leg_end(mem_before);
-        runs.push(("streaming", 1, Engine::Threads, wall, dataset, peak, allocs));
+        runs.push(("streaming", 1, wall, dataset, peak, allocs));
     }
 
     let baseline = &runs[0];
@@ -775,7 +752,7 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
     // hands its service back so the cache-hit column reads the same
     // counters the other legs do.
     let (serve_wall, serve_hit_rate, serve_peak, serve_allocs) = {
-        let total = baseline.4.requests;
+        let total = baseline.3.requests;
         let seed = config.seed;
         let mem_before = mem_leg_start();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -808,18 +785,11 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
         (wall, rate, peak, allocs)
     };
 
-    for (mode, _, engine, _, dataset, _, _) in &runs[1..] {
+    for (mode, _, _, dataset, _, _) in &runs[1..] {
+        assert_eq!(baseline.3.requests, dataset.requests, "{mode} run diverged");
         assert_eq!(
-            baseline.4.requests,
-            dataset.requests,
-            "{mode}/{} run diverged",
-            engine.label()
-        );
-        assert_eq!(
-            baseline.4.responders,
-            dataset.responders,
-            "{mode}/{} run diverged from serial threads",
-            engine.label()
+            baseline.3.responders, dataset.responders,
+            "{mode} run diverged from serial"
         );
     }
 
@@ -839,7 +809,6 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
         |requests: u64, wall: std::time::Duration| requests as f64 / wall.as_secs_f64().max(1e-9);
     let mut table = Table::new(&[
         "mode",
-        "engine",
         "workers",
         "wall_ms",
         "requests",
@@ -849,12 +818,11 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
         "peak_alloc_bytes",
         "alloc_count",
     ]);
-    let serial_wall = baseline.3;
-    for (mode, workers, engine, wall, dataset, peak, allocs) in &runs {
+    let serial_wall = baseline.2;
+    for (mode, workers, wall, dataset, peak, allocs) in &runs {
         let speedup = serial_wall.as_secs_f64() / wall.as_secs_f64().max(1e-9);
         table.row(&[
             (*mode).into(),
-            engine.label().into(),
             if *mode == "parallel" {
                 workers.to_string()
             } else {
@@ -877,40 +845,37 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
         let speedup = serial_wall.as_secs_f64() / serve_wall.as_secs_f64().max(1e-9);
         table.row(&[
             "serve".into(),
-            "http".into(),
             "1".into(),
             format!("{:.1}", serve_wall.as_secs_f64() * 1e3),
-            baseline.4.requests.to_string(),
-            format!("{:.0}", req_per_sec(baseline.4.requests, serve_wall)),
+            baseline.3.requests.to_string(),
+            format!("{:.0}", req_per_sec(baseline.3.requests, serve_wall)),
             format!("{serve_hit_rate:.4}"),
             format!("{speedup:.2}"),
             serve_peak,
             serve_allocs,
         ]);
     }
-    let parallel_threads = &runs[1];
-    let speedup = serial_wall.as_secs_f64() / parallel_threads.3.as_secs_f64().max(1e-9);
+    let parallel = &runs[1];
+    let speedup = serial_wall.as_secs_f64() / parallel.2.as_secs_f64().max(1e-9);
     Artifact {
         name: "bench-scan",
         summary: format!(
-            "Hourly-scan wall clock, serial vs sharded on both engines: {:.1?} serial \
-             threads vs {:.1?} on {} workers ({speedup:.2}x), reactor {:.1?} serial / \
-             {:.1?} parallel, streaming {:.1?} (campaign + corpus/Alexa folds), live \
-             `ocspd` serve {:.1?} ({:.0} req/s over loopback HTTP at the same request \
-             count), for {} probes at {:.0} req/s serial, responder-cache hit rate \
-             {:.1}% — all five campaign outputs verified identical. Peak-allocation \
-             columns are real only under `--features mem-profile` (else n/a).",
+            "Hourly-scan wall clock, serial vs sharded: {:.1?} serial vs {:.1?} on {} \
+             workers ({speedup:.2}x), streaming {:.1?} (campaign + corpus/Alexa folds), \
+             live `ocspd` serve {:.1?} ({:.0} req/s over loopback HTTP at the same \
+             request count), for {} probes at {:.0} req/s serial, responder-cache hit \
+             rate {:.1}% — all three campaign outputs verified identical. \
+             Peak-allocation columns are real only under `--features mem-profile` \
+             (else n/a).",
             serial_wall,
-            parallel_threads.3,
-            parallel_threads.1,
-            runs[2].3,
-            runs[3].3,
-            runs[4].3,
+            parallel.2,
+            parallel.1,
+            runs[2].2,
             serve_wall,
-            req_per_sec(baseline.4.requests, serve_wall),
-            baseline.4.requests,
-            req_per_sec(baseline.4.requests, serial_wall),
-            cache_hit_rate(&baseline.4) * 100.0,
+            req_per_sec(baseline.3.requests, serve_wall),
+            baseline.3.requests,
+            req_per_sec(baseline.3.requests, serial_wall),
+            cache_hit_rate(&baseline.3) * 100.0,
         ),
         table,
     }

@@ -62,7 +62,7 @@ pub struct StudyResults {
     /// transitions, outage open/close pairs, window rollovers, and
     /// revocation events from the hourly and consistency pipelines,
     /// merged into one canonically-sorted stream. Byte-identical for
-    /// every worker count, engine, and chunking, like `trace.jsonl`.
+    /// every worker count and chunking, like `trace.jsonl`.
     pub events: opsmon::EventLog,
 }
 

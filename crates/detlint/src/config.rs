@@ -99,7 +99,6 @@ impl Config {
                 "crates/ocsp/src/responder.rs".into(),
                 "crates/ocsp/src/validate.rs".into(),
                 "crates/scanner/src/hourly.rs".into(),
-                "crates/scanner/src/reactor.rs".into(),
                 "crates/scanner/src/consistency.rs".into(),
                 "crates/scanner/src/alexa1m.rs".into(),
                 "crates/scanner/src/cdnlog.rs".into(),

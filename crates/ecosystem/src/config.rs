@@ -4,44 +4,9 @@ use crate::stream::ChurnConfig;
 use asn1::Time;
 use std::num::NonZeroUsize;
 
-/// Which probe engine the network-bound scan campaigns run on. Both
-/// engines produce byte-identical artifacts — the choice is purely a
-/// throughput/architecture knob (DESIGN.md §12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The original work-queue engine: each work unit issues one
-    /// blocking `World::http_post` at a time.
-    #[default]
-    Threads,
-    /// The simulated-time reactor: each work unit submits all its
-    /// probes up front and drains completions from an event wheel,
-    /// keeping thousands of requests in flight per core.
-    Reactor,
-}
-
-impl Engine {
-    /// Parse a CLI value (`threads` | `reactor`).
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "threads" => Some(Engine::Threads),
-            "reactor" => Some(Engine::Reactor),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Threads => "threads",
-            Engine::Reactor => "reactor",
-        }
-    }
-}
-
 /// How the hourly campaign splits its probe matrix into executor work
 /// units. Lives here (not in `scanner`) so it can ride on
-/// [`EcosystemConfig`] next to [`Engine`]; `scanner::hourly` re-exports
-/// it.
+/// [`EcosystemConfig`]; `scanner::hourly` re-exports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Chunking {
     /// One work unit per responder — the original sharding. A slow
@@ -104,9 +69,6 @@ pub struct EcosystemConfig {
     /// for every setting — shards carry their own derived RNG streams —
     /// so this is purely a wall-clock knob.
     pub parallelism: Option<NonZeroUsize>,
-    /// Probe engine for the network-bound campaigns. Byte-identical
-    /// output either way; another pure wall-clock knob.
-    pub engine: Engine,
     /// Hourly-campaign work-unit chunking. Byte-identical output either
     /// way (DESIGN.md §8).
     pub chunking: Chunking,
@@ -142,7 +104,6 @@ impl EcosystemConfig {
             campaign_end: Time::from_civil(2018, 9, 4, 0, 0, 0),
             scan_interval: 2 * 3_600,
             parallelism: None,
-            engine: Engine::Threads,
             chunking: Chunking::TimeSliced,
             scale_mult: 1,
             streaming: false,
@@ -164,7 +125,6 @@ impl EcosystemConfig {
             campaign_end: Time::from_civil(2018, 5, 5, 0, 0, 0),
             scan_interval: 3 * 3_600,
             parallelism: None,
-            engine: Engine::Threads,
             chunking: Chunking::TimeSliced,
             scale_mult: 1,
             streaming: false,
@@ -181,12 +141,6 @@ impl EcosystemConfig {
     /// Override the worker-thread count (`1` forces a serial run).
     pub fn with_parallelism(mut self, workers: usize) -> EcosystemConfig {
         self.parallelism = NonZeroUsize::new(workers);
-        self
-    }
-
-    /// Override the probe engine.
-    pub fn with_engine(mut self, engine: Engine) -> EcosystemConfig {
-        self.engine = engine;
         self
     }
 

@@ -43,7 +43,7 @@ pub mod stream;
 
 pub use alexa::{AlexaList, AlexaSite};
 pub use authorities::{ConsistencyFault, OperatorSpec};
-pub use config::{Chunking, EcosystemConfig, Engine};
+pub use config::{Chunking, EcosystemConfig};
 pub use corpus::{Corpus, CorpusStats};
 pub use history::monthly_snapshots;
 pub use live::{LiveEcosystem, ScanTarget};

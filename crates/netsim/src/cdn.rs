@@ -114,15 +114,7 @@ impl CdnNode {
         world
             .telemetry_mut()
             .incr(catalog::CDN_ORIGIN_FETCH, self.region.label());
-        // Origin fetch through the non-blocking request API: submit,
-        // then poll at the completion instant. Identical to a blocking
-        // `http_post` (which is itself submit + poll), but keeps the
-        // edge's origin path on the same surface a reactor would drive.
-        let mut pending = world.start_request(self.region, url, body, now);
-        let origin_latency_ms = pending.latency_ms();
-        let result = world
-            .poll_response(&mut pending, origin_latency_ms)
-            .expect("origin fetch polled after its full latency");
+        let result = world.http_post(self.region, url, body, now);
         if let HttpOutcome::Ok(reply) = &result.outcome {
             self.stats.origin_successes += 1;
             world

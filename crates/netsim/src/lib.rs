@@ -39,6 +39,4 @@ pub use asn1::Time;
 pub use cdn::CdnNode;
 pub use outage::{FailureKind, Outage};
 pub use region::Region;
-pub use world::{
-    Handler, HandlerFactory, HttpOutcome, HttpResult, PendingRequest, Topology, World,
-};
+pub use world::{Handler, HandlerFactory, HttpOutcome, HttpResult, Topology, World};

@@ -73,39 +73,6 @@ pub struct HttpResult {
     pub latency_ms: f64,
 }
 
-/// An HTTP transaction in flight, created by [`World::start_request`].
-///
-/// The result is fully computed at submission time (see
-/// `start_request`); the handle only withholds it until the caller's
-/// simulated clock has advanced past the transaction's latency. Event
-/// loops order completions by `latency_ms` (plus their own submission
-/// timestamp) and hand the handle back to [`World::poll_response`].
-#[derive(Debug)]
-pub struct PendingRequest {
-    submitted_at: Time,
-    latency_ms: f64,
-    result: Option<HttpResult>,
-}
-
-impl PendingRequest {
-    /// When the request was submitted.
-    pub fn submitted_at(&self) -> Time {
-        self.submitted_at
-    }
-
-    /// End-to-end latency of the transaction, in milliseconds. Known at
-    /// submission time; the request completes this long after
-    /// [`PendingRequest::submitted_at`].
-    pub fn latency_ms(&self) -> f64 {
-        self.latency_ms
-    }
-
-    /// Whether the result has already been taken by a successful poll.
-    pub fn is_taken(&self) -> bool {
-        self.result.is_none()
-    }
-}
-
 struct HostSpec {
     region: Region,
     group: Option<String>,
@@ -321,65 +288,11 @@ impl World {
         self.topo.group_members(group)
     }
 
-    /// Perform an HTTP POST of `body` to `url` from `client` at `now`.
-    ///
-    /// Equivalent to [`World::start_request`] followed by an immediate
-    /// [`World::poll_response`] after the full latency — the blocking
-    /// and reactor engines share one code path by construction.
+    /// Perform an HTTP POST of `body` to `url` from `client` at `now`:
+    /// DNS, outage checks, latency draw, handler dispatch and telemetry
+    /// all run synchronously, and the finished result comes back with
+    /// its simulated latency.
     pub fn http_post(&mut self, client: Region, url: &str, body: &[u8], now: Time) -> HttpResult {
-        let mut pending = self.start_request(client, url, body, now);
-        let latency_ms = pending.latency_ms();
-        self.poll_response(&mut pending, latency_ms)
-            .expect("a request polled after its full latency is complete")
-    }
-
-    /// Submit an HTTP POST without blocking: the entire request path —
-    /// DNS, outage checks, latency draw, handler dispatch, telemetry —
-    /// runs *now*, at submission time, and the finished result is
-    /// parked in the returned [`PendingRequest`] until enough simulated
-    /// time has passed for [`World::poll_response`] to release it.
-    ///
-    /// Drawing the latency (and mutating all world state) at submission
-    /// time is what keeps a reactor engine byte-identical to the
-    /// blocking path: as long as callers *submit* in canonical order,
-    /// the order in which pending requests later *complete* can never
-    /// influence world state, RNG streams, or the `net.latency_ms`
-    /// histogram.
-    pub fn start_request(
-        &mut self,
-        client: Region,
-        url: &str,
-        body: &[u8],
-        now: Time,
-    ) -> PendingRequest {
-        let result = self.request_now(client, url, body, now);
-        PendingRequest {
-            submitted_at: now,
-            latency_ms: result.latency_ms,
-            result: Some(result),
-        }
-    }
-
-    /// Poll a pending request after `waited_ms` of simulated time since
-    /// submission. Returns the result once `waited_ms` covers the
-    /// request's latency, `None` while it is still in flight (or if the
-    /// result was already taken).
-    pub fn poll_response(
-        &self,
-        pending: &mut PendingRequest,
-        waited_ms: f64,
-    ) -> Option<HttpResult> {
-        if waited_ms >= pending.latency_ms {
-            pending.result.take()
-        } else {
-            None
-        }
-    }
-
-    /// The full request path, executed synchronously. Private: public
-    /// callers go through [`World::http_post`] or
-    /// [`World::start_request`].
-    fn request_now(&mut self, client: Region, url: &str, body: &[u8], now: Time) -> HttpResult {
         self.telemetry.incr(catalog::NET_REQUEST, client.label());
         let (scheme, hostname, path) = match split_url(url) {
             Some(parts) => parts,
@@ -801,64 +714,6 @@ mod tests {
         w.http_post(Region::Paris, "http://err.test/", b"", t(0));
         assert_eq!(w.telemetry().counter("net.failure.http", "Paris"), 1);
         assert_eq!(w.telemetry().counter("handler.custom", "err.test"), 1);
-    }
-
-    #[test]
-    fn start_request_then_poll_equals_http_post() {
-        // Two identical worlds, one driven through the blocking call,
-        // one through the split API: same results, same telemetry.
-        let mut topo = Topology::new(42);
-        topo.register(
-            "ocsp.ca.test",
-            Region::Virginia,
-            None,
-            Box::new(echo_handler),
-        );
-        let topo = Arc::new(topo);
-        let mut blocking = World::from_topology(topo.clone());
-        let mut split = World::from_topology(topo);
-        for h in 0..5 {
-            let direct = blocking.http_post(Region::Seoul, "http://ocsp.ca.test/x", b"q", t(h));
-            let mut pending =
-                split.start_request(Region::Seoul, "http://ocsp.ca.test/x", b"q", t(h));
-            let latency = pending.latency_ms();
-            assert_eq!(latency, direct.latency_ms);
-            assert_eq!(pending.submitted_at(), t(h));
-            let polled = split
-                .poll_response(&mut pending, latency)
-                .expect("ready after full latency");
-            assert_eq!(polled, direct);
-        }
-        assert_eq!(blocking.telemetry(), split.telemetry());
-    }
-
-    #[test]
-    fn poll_before_latency_elapses_returns_none() {
-        let mut w = world_with_host();
-        let mut pending = w.start_request(Region::Paris, "http://ocsp.ca.test/", b"", t(0));
-        let latency = pending.latency_ms();
-        assert!(latency > 0.0);
-        assert!(w.poll_response(&mut pending, 0.0).is_none());
-        assert!(w.poll_response(&mut pending, latency / 2.0).is_none());
-        assert!(!pending.is_taken());
-        let result = w.poll_response(&mut pending, latency).expect("complete");
-        assert!(result.outcome.is_success());
-        assert!(pending.is_taken());
-        // A second poll of a drained handle yields nothing.
-        assert!(w.poll_response(&mut pending, latency * 2.0).is_none());
-    }
-
-    #[test]
-    fn world_state_mutates_at_submission_not_completion() {
-        // Submit two requests to the same host back to back *without*
-        // polling either: the second must already see a warm DNS cache,
-        // proving all state changes happen at submission time.
-        let mut w = world_with_host();
-        let cold = w.start_request(Region::Paris, "http://ocsp.ca.test/", b"", t(0));
-        let warm = w.start_request(Region::Paris, "http://ocsp.ca.test/", b"", t(0));
-        assert!(warm.latency_ms() < cold.latency_ms());
-        // Telemetry was recorded at submission too.
-        assert_eq!(w.telemetry().counter_total("net.request"), 2);
     }
 
     #[test]

@@ -172,7 +172,9 @@ impl HttpResponse {
     }
 
     /// Parse a response off a buffered stream (the probe client's half),
-    /// under the same line and header caps as [`HttpRequest::read_from`].
+    /// under the same line, header and body caps as
+    /// [`HttpRequest::read_from`]. A malformed `Content-Length` is
+    /// refused; without one, the body runs to the end of the stream.
     pub fn read_from(stream: &mut impl BufRead) -> Result<HttpResponse, String> {
         let line = read_line(stream, "status line")?;
         let mut parts = line.split_whitespace();
@@ -201,7 +203,12 @@ impl HttpResponse {
                 continue;
             };
             if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse::<usize>().ok();
+                let value = value.trim();
+                content_length = Some(
+                    value
+                        .parse::<usize>()
+                        .map_err(|_| format!("bad content-length {value:?}"))?,
+                );
             }
         }
 
@@ -216,11 +223,17 @@ impl HttpResponse {
                     .read_exact(&mut body)
                     .map_err(|e| format!("body: {e}"))?;
             }
-            // Connection: close delimits the body.
+            // Connection: close delimits the body; read one byte past
+            // the cap to tell a body at the cap from a longer one.
             None => {
                 stream
+                    .by_ref()
+                    .take(MAX_BODY_BYTES as u64 + 1)
                     .read_to_end(&mut body)
                     .map_err(|e| format!("body: {e}"))?;
+                if body.len() > MAX_BODY_BYTES {
+                    return Err(format!("body over {MAX_BODY_BYTES} bytes refused"));
+                }
             }
         }
         Ok(HttpResponse {
@@ -260,6 +273,20 @@ mod tests {
     fn oversized_bodies_are_refused() {
         let wire = b"POST /ocsp HTTP/1.1\r\nContent-Length: 9999999999\r\n\r\n";
         assert!(HttpRequest::read_from(&mut BufReader::new(&wire[..])).is_err());
+        // A response without Content-Length runs to the end of the
+        // stream, under the same cap. The stream is bounded, so an
+        // uncapped parser fails this test instead of hanging it.
+        let unframed = |len: usize| {
+            let head = &b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n"[..];
+            let body = std::io::repeat(b'x').take(len as u64);
+            HttpResponse::read_from(&mut BufReader::new(head.chain(body)))
+        };
+        assert_eq!(unframed(MAX_BODY_BYTES).unwrap().body.len(), MAX_BODY_BYTES);
+        let err = unframed(MAX_BODY_BYTES + 1).unwrap_err();
+        assert!(err.starts_with("body over"), "{err}");
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\nabc";
+        let err = HttpResponse::read_from(&mut BufReader::new(&wire[..])).unwrap_err();
+        assert_eq!(err, "bad content-length \"abc\"");
     }
 
     /// A request with a request line and headers of the given lengths,

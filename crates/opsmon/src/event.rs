@@ -10,7 +10,7 @@
 //!
 //! `t` is the simulated Unix timestamp, so the rendered bytes are a
 //! pure function of the simulation and byte-identical for every worker
-//! count, engine, and chunking — [`EventLog::to_jsonl`] sorts
+//! count and chunking — [`EventLog::to_jsonl`] sorts
 //! canonically before rendering, so producers may append in any
 //! deterministic order and merged logs render identically no matter
 //! how the work was split. [`EventLog::parse_jsonl`] is strict for
@@ -169,8 +169,8 @@ impl EventLog {
     }
 
     /// Render the depth-free JSONL artifact: one event per line in
-    /// canonical order. Byte-stable across worker counts, engines, and
-    /// chunkings because every producer feeds the same simulated-time
+    /// canonical order. Byte-stable across worker counts and chunkings
+    /// because every producer feeds the same simulated-time
     /// events regardless of how the work was split.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();

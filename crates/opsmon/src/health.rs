@@ -17,8 +17,8 @@
 //!
 //! Determinism: the tracker consumes `(Time, bool)` observations in
 //! simulated-time order, so its transition timeline is a pure function
-//! of the probe outcomes — byte-stable across worker counts, engines,
-//! and chunkings. [`HealthLog`] makes it *mergeable* the way the
+//! of the probe outcomes — byte-stable across worker counts and
+//! chunkings. [`HealthLog`] makes it *mergeable* the way the
 //! telemetry registry is: shards/chunks record their slice of the
 //! outcome sequence independently, [`HealthLog::merge`] concatenates
 //! per-subject slices in time order (an associative operation), and

@@ -14,7 +14,7 @@
 //!   *simulated* time, plus [`HealthLog`], a mergeable accumulator in
 //!   the mold of the telemetry registry: shards and chunks record
 //!   outcomes independently and the merged replay is byte-stable for
-//!   every worker count, engine, and chunking;
+//!   every worker count and chunking;
 //! * [`event`] — a deterministic event bus: health transitions, outage
 //!   open/close, revocation, and window-rollover events flow through
 //!   the [`Notifier`] trait into a depth-free `events.jsonl` with the

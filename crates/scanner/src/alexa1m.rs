@@ -8,10 +8,8 @@
 //! during the Digicert episode; 318 domains *persistently* unavailable
 //! from São Paulo.
 //!
-//! Engine note: this analysis performs no network I/O of its own — it
-//! folds a completed [`HourlyDataset`], so `--engine reactor` reaches
-//! it through the hourly campaign (the dataset is byte-identical under
-//! either engine) and the fold itself is engine-independent.
+//! The analysis performs no network I/O of its own: it folds a
+//! completed [`HourlyDataset`].
 
 use crate::executor::Executor;
 use crate::hourly::HourlyDataset;

@@ -6,13 +6,6 @@
 //! succeeded. This module replays synthetic TLS-driven OCSP traffic
 //! through [`netsim::CdnNode`] edges and reports the same three
 //! observations.
-//!
-//! Engine note: the replay is a single sequential log — there is no
-//! probe matrix to keep in flight — so this study adopts the reactor
-//! work at depth 1: `CdnNode::fetch` drives its origin fetches through
-//! the split [`netsim::World::start_request`] / `poll_response` API
-//! (the same non-blocking path the reactor engine drains), which is
-//! byte-identical to the old blocking call by construction.
 
 use crate::executor::Executor;
 use asn1::Time;

@@ -13,11 +13,10 @@
 //!   carries a code and OCSP none.
 
 use crate::executor::Executor;
-use crate::reactor::Reactor;
 use analysis::{Cdf, StreamingCdf};
 use asn1::Time;
-use ecosystem::{Engine, LiveEcosystem};
-use netsim::{HttpOutcome, PendingRequest, Region, World};
+use ecosystem::LiveEcosystem;
+use netsim::{HttpOutcome, Region, World};
 use ocsp::{
     validate_response_cached, CertStatus, OcspRequest, SigVerifyCache, ValidatedResponse,
     ValidationConfig,
@@ -170,8 +169,7 @@ impl ConsistencyStudy {
         ConsistencyStudy::run_with(eco, at, vantage, &executor)
     }
 
-    /// Run the study on a specific executor, with the engine from the
-    /// ecosystem config.
+    /// Run the study on a specific executor.
     ///
     /// Each shard is one *operator*: its CRL endpoint and its responder
     /// URLs are touched by no other shard, and every operator's CRL URL
@@ -182,23 +180,6 @@ impl ConsistencyStudy {
         at: Time,
         vantage: Region,
         executor: &Executor,
-    ) -> ConsistencySummary {
-        ConsistencyStudy::run_with_engine(eco, at, vantage, executor, eco.config.engine)
-    }
-
-    /// [`ConsistencyStudy::run_with`] with an explicit [`Engine`].
-    ///
-    /// The reactor engine runs each shard in two submit/drain phases —
-    /// CRL fetches (in first-occurrence order), then OCSP probes (in
-    /// pool order) — and folds the comparisons back in pool order, so
-    /// its output is byte-identical to the threads engine's
-    /// (DESIGN.md §12).
-    pub fn run_with_engine(
-        eco: &LiveEcosystem,
-        at: Time,
-        vantage: Region,
-        executor: &Executor,
-        engine: Engine,
     ) -> ConsistencySummary {
         let topo = eco.build_topology();
 
@@ -230,84 +211,26 @@ impl ConsistencyStudy {
                 // balancing) verify once.
                 let mut sigcache = SigVerifyCache::new();
 
-                // Parse one fetched CRL body, counting the outcome. Runs
-                // at completion time under the reactor — safe, because
-                // counter sums are completion-order-insensitive.
-                let parse_crl = |world: &mut World, outcome: HttpOutcome| -> Option<Crl> {
-                    match outcome {
-                        HttpOutcome::Ok(body) => {
-                            let parsed = Crl::from_der(&body).ok();
-                            let label = if parsed.is_some() {
-                                "ok"
-                            } else {
-                                "unparseable"
-                            };
-                            world
-                                .telemetry_mut()
-                                .incr(catalog::SCAN_CONSISTENCY_CRL_FETCH, label);
-                            parsed
-                        }
-                        _ => {
-                            world
-                                .telemetry_mut()
-                                .incr(catalog::SCAN_CONSISTENCY_CRL_FETCH, "unreachable");
-                            None
-                        }
-                    }
-                };
-
-                // Step 1: fetch and parse this operator's CRLs once each.
+                // Step 1: fetch and parse this operator's CRLs once each,
+                // counting every fetch outcome.
                 let mut crls: HashMap<String, Option<Crl>> = HashMap::new();
-                match engine {
-                    Engine::Threads => {
-                        for &idx in &targets_of[shard] {
-                            let target = &eco.revoked[idx];
-                            if !crls.contains_key(&target.crl_url) {
-                                let outcome =
-                                    world.http_post(vantage, &target.crl_url, b"", at).outcome;
-                                let parsed = parse_crl(&mut world, outcome);
-                                crls.insert(target.crl_url.clone(), parsed);
-                            }
-                        }
+                for &idx in &targets_of[shard] {
+                    let target = &eco.revoked[idx];
+                    if crls.contains_key(&target.crl_url) {
+                        continue;
                     }
-                    Engine::Reactor => {
-                        // Submit every distinct CRL fetch in
-                        // first-occurrence order, then drain. The study
-                        // probes one instant, so the event axis is just
-                        // each fetch's latency.
-                        let mut reactor = Reactor::new();
-                        let mut order: Vec<String> = Vec::new();
-                        let mut crl_requests: HashMap<String, Option<PendingRequest>> =
-                            HashMap::new();
-                        for &idx in &targets_of[shard] {
-                            let target = &eco.revoked[idx];
-                            if !crl_requests.contains_key(&target.crl_url) {
-                                let request =
-                                    world.start_request(vantage, &target.crl_url, b"", at);
-                                reactor.submit(request.latency_ms(), order.len());
-                                crl_requests.insert(target.crl_url.clone(), Some(request));
-                                order.push(target.crl_url.clone());
-                            }
-                        }
-                        while let Some((_, token)) = reactor.next_ready() {
-                            let url = &order[token];
-                            let mut request = crl_requests
-                                .get_mut(url)
-                                .and_then(Option::take)
-                                .expect("each CRL fetch drains once");
-                            let latency_ms = request.latency_ms();
-                            let outcome = world
-                                .poll_response(&mut request, latency_ms)
-                                .expect("the wheel only releases completed requests")
-                                .outcome;
-                            let parsed = parse_crl(&mut world, outcome);
-                            crls.insert(url.clone(), parsed);
-                        }
-                        world.telemetry_mut().set_gauge(
-                            catalog::SCAN_CONSISTENCY_REACTOR_CRL_DEPTH,
-                            reactor.peak_in_flight() as u64,
-                        );
-                    }
+                    let (label, parsed) =
+                        match world.http_post(vantage, &target.crl_url, b"", at).outcome {
+                            HttpOutcome::Ok(body) => match Crl::from_der(&body) {
+                                Ok(crl) => ("ok", Some(crl)),
+                                Err(_) => ("unparseable", None),
+                            },
+                            _ => ("unreachable", None),
+                        };
+                    world
+                        .telemetry_mut()
+                        .incr(catalog::SCAN_CONSISTENCY_CRL_FETCH, label);
+                    crls.insert(target.crl_url.clone(), parsed);
                 }
 
                 let mut partial = ShardSummary {
@@ -331,9 +254,8 @@ impl ConsistencyStudy {
                 let mut per_responder: BTreeMap<String, DiscrepantResponder> = BTreeMap::new();
 
                 // Fold one validated OCSP answer into the comparison
-                // accumulators. Shared by both engines and always called
-                // in pool order, so Table 1 rows and the Figure 10
-                // sample order never depend on the engine.
+                // accumulators. Called in pool order, so the Figure 10
+                // sample order and the revocation events follow the pool.
                 let fold_comparison =
                     |partial: &mut ShardSummary,
                      per_responder: &mut BTreeMap<String, DiscrepantResponder>,
@@ -387,127 +309,45 @@ impl ConsistencyStudy {
                     };
 
                 // Step 2: OCSP for every revoked target; compare.
-                match engine {
-                    Engine::Threads => {
-                        for &idx in &targets_of[shard] {
-                            let target = &eco.revoked[idx];
-                            let Some(Some(crl)) = crls.get(&target.crl_url) else {
-                                continue;
-                            };
-                            if crl.find(&target.serial).is_none() {
-                                continue;
-                            }
+                for &idx in &targets_of[shard] {
+                    let target = &eco.revoked[idx];
+                    let Some(Some(crl)) = crls.get(&target.crl_url) else {
+                        continue;
+                    };
+                    if crl.find(&target.serial).is_none() {
+                        continue;
+                    }
 
-                            partial.requests += 1;
-                            world
-                                .telemetry_mut()
-                                .incr(catalog::SCAN_CONSISTENCY_PROBES, &target.url);
-                            let req = OcspRequest::single(target.cert_id.clone()).to_der();
-                            let outcome = world.http_post(vantage, &target.url, &req, at).outcome;
-                            partial.health.record(
-                                &target.url,
-                                at,
-                                matches!(outcome, HttpOutcome::Ok(_)),
-                            );
-                            let HttpOutcome::Ok(body) = outcome else {
-                                continue;
-                            };
-                            // "Collected" means an HTTP response arrived (the
-                            // paper's 99.9 %); unusable bodies are then
-                            // excluded from comparison.
-                            partial.responses_collected += 1;
-                            let issuer = eco.issuer_of(target.operator);
-                            let Ok(validated) = validate_response_cached(
-                                world.telemetry_mut(),
-                                catalog::SCAN_CONSISTENCY_VALIDATE,
-                                &mut sigcache,
-                                &body,
-                                &target.cert_id,
-                                issuer,
-                                at,
-                                ValidationConfig::default(),
-                            ) else {
-                                continue;
-                            };
-                            fold_comparison(&mut partial, &mut per_responder, idx, &validated);
-                        }
-                    }
-                    Engine::Reactor => {
-                        // Submit every eligible probe in pool order —
-                        // all request/probe accounting happens here, at
-                        // submission time.
-                        let mut reactor = Reactor::new();
-                        let mut pending: Vec<(usize, Option<PendingRequest>)> = Vec::new();
-                        for &idx in &targets_of[shard] {
-                            let target = &eco.revoked[idx];
-                            let Some(Some(crl)) = crls.get(&target.crl_url) else {
-                                continue;
-                            };
-                            if crl.find(&target.serial).is_none() {
-                                continue;
-                            }
-                            partial.requests += 1;
-                            world
-                                .telemetry_mut()
-                                .incr(catalog::SCAN_CONSISTENCY_PROBES, &target.url);
-                            let req = OcspRequest::single(target.cert_id.clone()).to_der();
-                            let request = world.start_request(vantage, &target.url, &req, at);
-                            reactor.submit(request.latency_ms(), pending.len());
-                            pending.push((idx, Some(request)));
-                        }
-                        // Drain: validate at completion (counter sums and
-                        // the signature memo are order-insensitive),
-                        // remembering `(collected, validated)` per token.
-                        let mut results: Vec<Option<(bool, Option<ValidatedResponse>)>> =
-                            (0..pending.len()).map(|_| None).collect();
-                        while let Some((_, token)) = reactor.next_ready() {
-                            let idx = pending[token].0;
-                            let target = &eco.revoked[idx];
-                            let mut request =
-                                pending[token].1.take().expect("each token drains once");
-                            let latency_ms = request.latency_ms();
-                            let outcome = world
-                                .poll_response(&mut request, latency_ms)
-                                .expect("the wheel only releases completed requests")
-                                .outcome;
-                            results[token] = Some(match outcome {
-                                HttpOutcome::Ok(body) => {
-                                    let issuer = eco.issuer_of(target.operator);
-                                    let validated = validate_response_cached(
-                                        world.telemetry_mut(),
-                                        catalog::SCAN_CONSISTENCY_VALIDATE,
-                                        &mut sigcache,
-                                        &body,
-                                        &target.cert_id,
-                                        issuer,
-                                        at,
-                                        ValidationConfig::default(),
-                                    )
-                                    .ok();
-                                    (true, validated)
-                                }
-                                _ => (false, None),
-                            });
-                        }
-                        // Fold in pool (submission) order — health
-                        // observations included, so the reactor's log
-                        // matches the threads engine's byte-for-byte.
-                        for (token, &(idx, _)) in pending.iter().enumerate() {
-                            let (collected, validated) =
-                                results[token].take().expect("every probe classified");
-                            partial.health.record(&eco.revoked[idx].url, at, collected);
-                            if collected {
-                                partial.responses_collected += 1;
-                            }
-                            if let Some(validated) = validated {
-                                fold_comparison(&mut partial, &mut per_responder, idx, &validated);
-                            }
-                        }
-                        world.telemetry_mut().set_gauge(
-                            catalog::SCAN_CONSISTENCY_REACTOR_DEPTH,
-                            reactor.peak_in_flight() as u64,
-                        );
-                    }
+                    partial.requests += 1;
+                    world
+                        .telemetry_mut()
+                        .incr(catalog::SCAN_CONSISTENCY_PROBES, &target.url);
+                    let req = OcspRequest::single(target.cert_id.clone()).to_der();
+                    let outcome = world.http_post(vantage, &target.url, &req, at).outcome;
+                    partial
+                        .health
+                        .record(&target.url, at, matches!(outcome, HttpOutcome::Ok(_)));
+                    let HttpOutcome::Ok(body) = outcome else {
+                        continue;
+                    };
+                    // "Collected" means an HTTP response arrived (the
+                    // paper's 99.9 %); unusable bodies are then excluded
+                    // from comparison.
+                    partial.responses_collected += 1;
+                    let issuer = eco.issuer_of(target.operator);
+                    let Ok(validated) = validate_response_cached(
+                        world.telemetry_mut(),
+                        catalog::SCAN_CONSISTENCY_VALIDATE,
+                        &mut sigcache,
+                        &body,
+                        &target.cert_id,
+                        issuer,
+                        at,
+                        ValidationConfig::default(),
+                    ) else {
+                        continue;
+                    };
+                    fold_comparison(&mut partial, &mut per_responder, idx, &validated);
                 }
 
                 partial.rows = per_responder
@@ -630,57 +470,22 @@ mod tests {
         for workers in [2usize, 5] {
             let executor = Executor::new(std::num::NonZeroUsize::new(workers));
             let parallel = ConsistencyStudy::run_with(&eco, at, Region::Virginia, &executor);
+            // ConsistencySummary's PartialEq covers every artifact field.
             assert_eq!(serial, parallel, "workers={workers}");
             assert_eq!(
                 serial.telemetry.to_csv(),
                 parallel.telemetry.to_csv(),
                 "workers={workers}"
             );
-        }
-    }
-
-    #[test]
-    fn reactor_engine_matches_threads_engine_byte_for_byte() {
-        let eco = LiveEcosystem::generate(EcosystemConfig::tiny());
-        let at = Time::from_civil(2018, 5, 1, 0, 0, 0);
-        let threads = ConsistencyStudy::run_with_engine(
-            &eco,
-            at,
-            Region::Virginia,
-            &Executor::serial(),
-            Engine::Threads,
-        );
-        for workers in [1usize, 2, 4] {
-            let executor = Executor::new(std::num::NonZeroUsize::new(workers));
-            let reactor = ConsistencyStudy::run_with_engine(
-                &eco,
-                at,
-                Region::Virginia,
-                &executor,
-                Engine::Reactor,
-            );
-            // ConsistencySummary's PartialEq covers every artifact field;
-            // telemetry equality ignores gauges, which are the only
-            // engine-dependent output.
-            assert_eq!(threads, reactor, "workers={workers}");
             assert_eq!(
-                threads.telemetry.to_csv(),
-                reactor.telemetry.to_csv(),
+                serial.telemetry.to_prometheus(),
+                parallel.telemetry.to_prometheus(),
                 "workers={workers}"
             );
             assert_eq!(
-                threads.telemetry.to_prometheus(),
-                reactor.telemetry.to_prometheus(),
+                serial.trace.to_jsonl(),
+                parallel.trace.to_jsonl(),
                 "workers={workers}"
-            );
-            assert_eq!(
-                threads.trace.to_jsonl(),
-                reactor.trace.to_jsonl(),
-                "workers={workers}"
-            );
-            assert!(
-                reactor.telemetry.gauge("scan.consistency.reactor.depth") > Some(0),
-                "the reactor engine should report its probe depth"
             );
         }
     }

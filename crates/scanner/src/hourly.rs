@@ -13,12 +13,11 @@
 //!   instance `producedAt` regressions).
 
 use crate::executor::Executor;
-use crate::reactor::Reactor;
 use crate::records::{classify_validation_error, ErrorClass, ProbeOutcome};
 use analysis::{Cdf, TimeSeries};
 use asn1::Time;
 use ecosystem::LiveEcosystem;
-use netsim::{HttpOutcome, PendingRequest, Region, Topology, World};
+use netsim::{HttpOutcome, Region, Topology, World};
 use ocsp::profile::GenerationMode;
 use ocsp::{validate_response_cached, OcspRequest, SigVerifyCache, ValidationConfig};
 use opsmon::{Event, EventKind, EventLog, HealthLog, HealthPolicy, HealthReport, Notifier};
@@ -192,7 +191,7 @@ pub struct HourlyDataset {
     /// Per-responder health-state timelines, replayed from the stitched
     /// first-target probe logs through the [`opsmon`] state machine in
     /// canonical (responder, round, region) order — byte-stable across
-    /// worker counts, engines, and chunkings like every other field.
+    /// worker counts and chunkings like every other field.
     pub health: HealthReport,
     /// The campaign's operational event stream: health transitions,
     /// outage open/close pairs, and pre-generation window rollovers,
@@ -506,10 +505,9 @@ struct ChunkRecords {
     telemetry: Registry,
 }
 
-// `Chunking` moved to `ecosystem::config` (PR 7) so it can ride on
-// `EcosystemConfig` next to `Engine`; re-exported here for existing
-// callers.
-pub use ecosystem::{Chunking, Engine};
+// `Chunking` lives in `ecosystem::config` so it can ride on
+// `EcosystemConfig`; re-exported here for existing callers.
+pub use ecosystem::Chunking;
 
 /// Aim for this many time chunks per responder.
 const TARGET_CHUNKS_PER_SHARD: usize = 8;
@@ -584,11 +582,10 @@ fn absorb_report(into: &mut ResponderReport, chunk: ResponderReport) {
 }
 
 /// Fold one classified probe into the chunk's accumulators — the one
-/// place record state mutates per probe, shared verbatim by the
-/// threads and reactor engines. The threads engine calls it right
-/// after each blocking probe; the reactor engine calls it in canonical
-/// submission order after draining all completions, so the two
-/// engines' records are byte-identical by construction.
+/// place record state mutates per probe. Work units call it right
+/// after each probe, in canonical (round, region, target) order, so
+/// the order-sensitive fields (streak logs, `producedAt` samples, time
+/// series) see the serial probe sequence.
 #[allow(clippy::too_many_arguments)]
 fn fold_probe(
     records: &mut ChunkRecords,
@@ -700,8 +697,8 @@ impl<'a> HourlyCampaign<'a> {
         self.run_with(&executor)
     }
 
-    /// Run the full campaign on a specific executor with the default
-    /// [`Chunking::TimeSliced`] work units.
+    /// Run the full campaign on a specific executor with the config's
+    /// [`Chunking`] (by default [`Chunking::TimeSliced`] work units).
     ///
     /// Each work unit is one responder over one contiguous round range.
     /// A unit replays *its responder's* exact serial-run probe
@@ -716,37 +713,17 @@ impl<'a> HourlyCampaign<'a> {
     /// is byte-identical for every worker count and both chunkings.
     pub fn run_with(self, executor: &Executor) -> HourlyDataset {
         let chunking = self.eco.config.chunking;
-        let engine = self.eco.config.engine;
-        self.run_with_engine(executor, chunking, engine)
+        self.run_with_chunking(executor, chunking)
     }
 
     /// [`HourlyCampaign::run_with`] with an explicit [`Chunking`] —
     /// the coarse plan exists so tests can prove the fine-grained one
     /// changes nothing but wall-clock time.
-    pub fn run_with_chunking(self, executor: &Executor, chunking: Chunking) -> HourlyDataset {
-        let engine = self.eco.config.engine;
-        self.run_with_engine(executor, chunking, engine)
-    }
-
-    /// [`HourlyCampaign::run_with_chunking`] with an explicit
-    /// [`Engine`].
     ///
-    /// Under [`Engine::Threads`] each work unit issues one blocking
-    /// `http_post` at a time. Under [`Engine::Reactor`] a work unit
-    /// *submits* every probe of its chunk up front in canonical
-    /// (round, region, target) order — `World::start_request` performs
-    /// all world mutation and draws the latency at submission time —
-    /// then drains completions from a simulated-time wheel and folds
-    /// the classified outcomes back in canonical order. Both engines
-    /// therefore mutate world state and records in the identical
-    /// sequence, and the assembled dataset is byte-identical
-    /// (DESIGN.md §12 gives the full argument).
-    pub fn run_with_engine(
-        self,
-        executor: &Executor,
-        chunking: Chunking,
-        engine: Engine,
-    ) -> HourlyDataset {
+    /// Each work unit issues one blocking `World::http_post` per probe
+    /// in canonical (round, region, target) order and folds the
+    /// classified outcome straight into its records (DESIGN.md §12).
+    pub fn run_with_chunking(self, executor: &Executor, chunking: Chunking) -> HourlyDataset {
         let eco = self.eco;
         let config = &eco.config;
         let bin = config.scan_interval;
@@ -832,142 +809,38 @@ impl<'a> HourlyCampaign<'a> {
                     alexa_unreachable: (0..6).map(|_| TimeSeries::new(bin)).collect(),
                     telemetry: Registry::new(),
                 };
-                // Classify one HTTP result: validation counters and the
-                // per-unit signature memo mutate here. Keyed purely by
-                // the request bytes and window, so calling this in
-                // completion order (reactor) instead of submission
-                // order (threads) changes no counter sums.
-                let classify = |world: &mut World,
-                                sigcache: &mut SigVerifyCache,
-                                target_idx: usize,
-                                t: Time,
-                                result: netsim::HttpResult|
-                 -> ProbeOutcome {
-                    let target = &eco.scan_targets[target_idx];
-                    match result.outcome {
-                        HttpOutcome::Ok(body) => match validate_response_cached(
-                            world.telemetry_mut(),
-                            catalog::SCAN_HOURLY_VALIDATE,
-                            sigcache,
-                            &body,
-                            &target.cert_id,
-                            eco.issuer_of(target.operator),
-                            t,
-                            ValidationConfig::default(),
-                        ) {
-                            Ok(validated) => ProbeOutcome::Valid(validated),
-                            Err(err) => classify_validation_error(err),
-                        },
-                        other => ProbeOutcome::TransportFailure(other),
-                    }
-                };
                 let alexa_weight = alexa_weights[shard] as u64;
-                match engine {
-                    Engine::Threads => {
-                        for round in start_round..end_round {
+                for round in start_round..end_round {
+                    world
+                        .telemetry_mut()
+                        .incr(catalog::SCAN_HOURLY_ROUNDS, &host.url);
+                    let round_start = config.campaign_start + round as i64 * config.scan_interval;
+                    let t = round_start + offsets[shard];
+                    for (region_idx, &region) in Region::VANTAGE_POINTS.iter().enumerate() {
+                        for &target_idx in &targets_of[shard] {
+                            let target = &eco.scan_targets[target_idx];
+                            records.requests += 1;
                             world
                                 .telemetry_mut()
-                                .incr(catalog::SCAN_HOURLY_ROUNDS, &host.url);
-                            let round_start =
-                                config.campaign_start + round as i64 * config.scan_interval;
-                            let t = round_start + offsets[shard];
-                            for (region_idx, &region) in Region::VANTAGE_POINTS.iter().enumerate() {
-                                for &target_idx in &targets_of[shard] {
-                                    let target = &eco.scan_targets[target_idx];
-                                    records.requests += 1;
-                                    world
-                                        .telemetry_mut()
-                                        .incr(catalog::SCAN_HOURLY_PROBES, &host.url);
-                                    let result = world.http_post(
-                                        region,
-                                        &target.url,
-                                        &requests_der[target_idx],
-                                        t,
-                                    );
-                                    let outcome =
-                                        classify(&mut world, &mut sigcache, target_idx, t, result);
-                                    fold_probe(
-                                        &mut records,
-                                        region_idx,
-                                        region,
-                                        first_target_of[shard] == Some(target_idx),
-                                        alexa_weight,
-                                        t,
-                                        &outcome,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Engine::Reactor => {
-                        // Phase 1 — submit the whole chunk in canonical
-                        // (round, region, target) order. All world
-                        // mutation (DNS cache, handler state, latency
-                        // draw, telemetry) happens here, so it replays
-                        // the threads engine's sequence exactly.
-                        let mut reactor = Reactor::new();
-                        let mut pending: Vec<(usize, Region, usize, Time, Option<PendingRequest>)> =
-                            Vec::new();
-                        let epoch = config.campaign_start;
-                        for round in start_round..end_round {
-                            world
-                                .telemetry_mut()
-                                .incr(catalog::SCAN_HOURLY_ROUNDS, &host.url);
-                            let round_start =
-                                config.campaign_start + round as i64 * config.scan_interval;
-                            let t = round_start + offsets[shard];
-                            for (region_idx, &region) in Region::VANTAGE_POINTS.iter().enumerate() {
-                                for &target_idx in &targets_of[shard] {
-                                    let target = &eco.scan_targets[target_idx];
-                                    records.requests += 1;
-                                    world
-                                        .telemetry_mut()
-                                        .incr(catalog::SCAN_HOURLY_PROBES, &host.url);
-                                    let request = world.start_request(
-                                        region,
-                                        &target.url,
-                                        &requests_der[target_idx],
-                                        t,
-                                    );
-                                    let at_ms = t.seconds_since(epoch) as f64 * 1_000.0
-                                        + request.latency_ms();
-                                    reactor.submit(at_ms, pending.len());
-                                    pending.push((
-                                        region_idx,
-                                        region,
-                                        target_idx,
-                                        t,
-                                        Some(request),
-                                    ));
-                                }
-                            }
-                        }
-                        // Phase 2 — drain completions in simulated-time
-                        // order (ties broken by submission sequence).
-                        // Only validation runs here, and its counter
-                        // sums and signature-memo hits are completion-
-                        // order-insensitive.
-                        let mut outcomes: Vec<Option<ProbeOutcome>> =
-                            (0..pending.len()).map(|_| None).collect();
-                        while let Some((_, token)) = reactor.next_ready() {
-                            let (target_idx, t) = (pending[token].2, pending[token].3);
-                            let mut request =
-                                pending[token].4.take().expect("each token drains once");
-                            let latency_ms = request.latency_ms();
-                            let result = world
-                                .poll_response(&mut request, latency_ms)
-                                .expect("the wheel only releases completed requests");
-                            outcomes[token] =
-                                Some(classify(&mut world, &mut sigcache, target_idx, t, result));
-                        }
-                        // Phase 3 — fold in canonical submission order:
-                        // the order-sensitive record fields (streak
-                        // logs, producedAt samples, time series) see
-                        // the exact serial sequence.
-                        for (token, &(region_idx, region, target_idx, t, _)) in
-                            pending.iter().enumerate()
-                        {
-                            let outcome = outcomes[token].take().expect("every probe classified");
+                                .incr(catalog::SCAN_HOURLY_PROBES, &host.url);
+                            let result =
+                                world.http_post(region, &target.url, &requests_der[target_idx], t);
+                            let outcome = match result.outcome {
+                                HttpOutcome::Ok(body) => match validate_response_cached(
+                                    world.telemetry_mut(),
+                                    catalog::SCAN_HOURLY_VALIDATE,
+                                    &mut sigcache,
+                                    &body,
+                                    &target.cert_id,
+                                    eco.issuer_of(target.operator),
+                                    t,
+                                    ValidationConfig::default(),
+                                ) {
+                                    Ok(validated) => ProbeOutcome::Valid(validated),
+                                    Err(err) => classify_validation_error(err),
+                                },
+                                other => ProbeOutcome::TransportFailure(other),
+                            };
                             fold_probe(
                                 &mut records,
                                 region_idx,
@@ -978,17 +851,6 @@ impl<'a> HourlyCampaign<'a> {
                                 &outcome,
                             );
                         }
-                        // Introspection gauges: excluded from artifacts
-                        // (telemetry.prom/csv and equality), so the
-                        // engines stay byte-identical.
-                        world.telemetry_mut().set_gauge(
-                            catalog::SCAN_HOURLY_REACTOR_DEPTH,
-                            reactor.peak_in_flight() as u64,
-                        );
-                        world.telemetry_mut().set_gauge(
-                            catalog::SCAN_HOURLY_REACTOR_READY,
-                            reactor.max_tick_width(),
-                        );
                     }
                 }
                 records.telemetry = world.take_telemetry();
@@ -1475,110 +1337,61 @@ mod tests {
     #[test]
     fn parallel_run_equals_serial_run_exactly() {
         let eco = LiveEcosystem::generate(EcosystemConfig::tiny());
-        let serial = HourlyCampaign::new(&eco).run_with(&Executor::serial());
-        for workers in [2usize, 5] {
-            let executor = Executor::new(std::num::NonZeroUsize::new(workers));
-            let parallel = HourlyCampaign::new(&eco).run_with(&executor);
-            assert_eq!(serial.requests, parallel.requests);
-            assert_eq!(serial.responders, parallel.responders, "workers={workers}");
-            assert_eq!(serial.alexa_weights, parallel.alexa_weights);
-            assert_eq!(serial.telemetry, parallel.telemetry, "workers={workers}");
-            assert_eq!(serial.telemetry.to_csv(), parallel.telemetry.to_csv());
-            assert_eq!(serial.trace, parallel.trace, "workers={workers}");
-            assert_eq!(serial.trace.to_jsonl(), parallel.trace.to_jsonl());
-            for (a, b) in serial
-                .per_region_success
-                .iter()
-                .zip(&parallel.per_region_success)
-            {
-                assert_eq!(a.0, b.0);
-                assert_eq!(a.1.fractions(), b.1.fractions());
-            }
-            for (a, b) in serial.class_series.iter().zip(&parallel.class_series) {
-                assert_eq!(a.0, b.0);
-                assert_eq!(a.1.fractions(), b.1.fractions());
-            }
-            for (a, b) in serial
-                .alexa_unreachable
-                .iter()
-                .zip(&parallel.alexa_unreachable)
-            {
-                assert_eq!(a.1.counts(), b.1.counts());
-            }
-        }
-    }
-
-    #[test]
-    fn reactor_engine_matches_threads_engine_byte_for_byte() {
-        // The tentpole acceptance test: the reactor engine must replay
-        // the threads engine exactly — every record, every telemetry
-        // counter, the exported Prometheus bytes, and the trace tree —
-        // at every worker count and under both chunkings.
-        let eco = LiveEcosystem::generate(EcosystemConfig::tiny());
         for chunking in [Chunking::TimeSliced, Chunking::PerResponder] {
-            // The threads baseline shares the chunk plan under test:
-            // the trace tree has one span per chunk, so it is only
-            // engine- and worker-invariant *within* a chunking.
-            let baseline = HourlyCampaign::new(&eco).run_with_engine(
-                &Executor::serial(),
-                chunking,
-                Engine::Threads,
-            );
-            for workers in [1usize, 2, 4] {
+            // The serial baseline shares the chunk plan under test: the
+            // trace tree has one span per chunk, so it is only
+            // worker-invariant *within* a chunking.
+            let serial = HourlyCampaign::new(&eco).run_with_chunking(&Executor::serial(), chunking);
+            for workers in [2usize, 5] {
                 let executor = Executor::new(std::num::NonZeroUsize::new(workers));
-                let reactor =
-                    HourlyCampaign::new(&eco).run_with_engine(&executor, chunking, Engine::Reactor);
+                let parallel = HourlyCampaign::new(&eco).run_with_chunking(&executor, chunking);
                 let label = format!("chunking={chunking:?} workers={workers}");
-                assert_eq!(baseline.requests, reactor.requests, "{label}");
-                assert_eq!(baseline.responders, reactor.responders, "{label}");
-                assert_eq!(baseline.alexa_weights, reactor.alexa_weights, "{label}");
-                assert_eq!(baseline.telemetry, reactor.telemetry, "{label}");
+                assert_eq!(serial.requests, parallel.requests, "{label}");
+                assert_eq!(serial.responders, parallel.responders, "{label}");
+                assert_eq!(serial.alexa_weights, parallel.alexa_weights, "{label}");
+                assert_eq!(serial.telemetry, parallel.telemetry, "{label}");
                 assert_eq!(
-                    baseline.telemetry.to_csv(),
-                    reactor.telemetry.to_csv(),
+                    serial.telemetry.to_csv(),
+                    parallel.telemetry.to_csv(),
                     "{label}"
                 );
                 assert_eq!(
-                    baseline.telemetry.to_prometheus(),
-                    reactor.telemetry.to_prometheus(),
+                    serial.telemetry.to_prometheus(),
+                    parallel.telemetry.to_prometheus(),
                     "{label}"
                 );
+                assert_eq!(serial.trace, parallel.trace, "{label}");
                 assert_eq!(
-                    baseline.trace.to_jsonl(),
-                    reactor.trace.to_jsonl(),
+                    serial.trace.to_jsonl(),
+                    parallel.trace.to_jsonl(),
                     "{label}"
                 );
-                for (a, b) in baseline
+                for (a, b) in serial
                     .per_region_success
                     .iter()
-                    .zip(&reactor.per_region_success)
+                    .zip(&parallel.per_region_success)
                 {
+                    assert_eq!(a.0, b.0, "{label}");
                     assert_eq!(a.1.fractions(), b.1.fractions(), "{label}");
                 }
-                for (a, b) in baseline.class_series.iter().zip(&reactor.class_series) {
+                for (a, b) in serial.class_series.iter().zip(&parallel.class_series) {
+                    assert_eq!(a.0, b.0, "{label}");
                     assert_eq!(a.1.fractions(), b.1.fractions(), "{label}");
                 }
-                for (a, b) in baseline
+                for (a, b) in serial
                     .alexa_unreachable
                     .iter()
-                    .zip(&reactor.alexa_unreachable)
+                    .zip(&parallel.alexa_unreachable)
                 {
                     assert_eq!(a.1.counts(), b.1.counts(), "{label}");
                 }
-                // The reactor's introspection gauges exist — but only
-                // outside the artifact surface.
-                assert!(reactor
-                    .telemetry
-                    .gauge_max("scan.hourly.reactor.depth")
-                    .is_some());
-                assert!(!reactor.telemetry.to_csv().contains("reactor"), "{label}");
             }
         }
     }
 
     #[test]
     fn trailing_open_streak_is_reported_but_not_closed() {
-        // Pinned semantics for the reactor port (§8 streak fields): a
+        // Pinned semantics of the §8 streak fields: a
         // failure streak still open at campaign end lands in
         // `failure_streak` (persistent failure) but deliberately never
         // in `closed_streaks` (transient-outage CDF) — only a

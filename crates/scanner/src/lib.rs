@@ -29,7 +29,6 @@ pub mod cdnlog;
 pub mod consistency;
 pub mod executor;
 pub mod hourly;
-pub mod reactor;
 pub mod records;
 
 pub use alexa1m::{Alexa1mScan, Alexa1mSummary};
@@ -37,5 +36,4 @@ pub use cdnlog::{CdnStudy, CdnSummary};
 pub use consistency::{ConsistencyStudy, ConsistencySummary};
 pub use executor::{seed_for_shard, Executor};
 pub use hourly::{HourlyCampaign, HourlyDataset, ResponderReport};
-pub use reactor::Reactor;
 pub use records::{ErrorClass, ProbeOutcome};

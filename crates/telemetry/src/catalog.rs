@@ -99,18 +99,6 @@ pub const SCAN_CONSISTENCY_MERGE: &str = "scan.consistency.merge";
 /// Wall time of the Alexa1M scan's shard-merge phase.
 pub const SCAN_ALEXA1M_MERGE: &str = "scan.alexa1m.merge";
 
-// --- scanner: reactor introspection gauges (excluded from artifacts) -
-
-/// Peak in-flight probe depth inside the hourly scan's reactor.
-pub const SCAN_HOURLY_REACTOR_DEPTH: &str = "scan.hourly.reactor.depth";
-/// Widest ready-queue tick inside the hourly scan's reactor.
-pub const SCAN_HOURLY_REACTOR_READY: &str = "scan.hourly.reactor.ready";
-/// Peak in-flight probe depth inside the consistency study's reactor.
-pub const SCAN_CONSISTENCY_REACTOR_DEPTH: &str = "scan.consistency.reactor.depth";
-/// Peak in-flight CRL-fetch depth inside the consistency study's
-/// reactor.
-pub const SCAN_CONSISTENCY_REACTOR_CRL_DEPTH: &str = "scan.consistency.reactor.crl_depth";
-
 // --- webserver: stapling behavior models -----------------------------
 
 /// Staples installed into the server cache, by server kind.
@@ -226,10 +214,6 @@ mod tests {
             SCAN_HOURLY_MERGE,
             SCAN_CONSISTENCY_MERGE,
             SCAN_ALEXA1M_MERGE,
-            SCAN_HOURLY_REACTOR_DEPTH,
-            SCAN_HOURLY_REACTOR_READY,
-            SCAN_CONSISTENCY_REACTOR_DEPTH,
-            SCAN_CONSISTENCY_REACTOR_CRL_DEPTH,
             WEBSERVER_STAPLE_INSTALL,
             WEBSERVER_STAPLE_DROP,
             WEBSERVER_STAPLE_NONE,

@@ -17,12 +17,13 @@
 //!   inspection via [`Registry::wall_report`] only. No wall-clock value
 //!   can ever reach an artifact.
 //! * **Gauges** — [`Registry::set_gauge`] high-watermark gauges
-//!   (reactor in-flight depth, ready-queue width). Deterministic for a
-//!   fixed engine and chunk plan, but legitimately *different* between
-//!   engines or plans that produce byte-identical artifacts — so they
-//!   are excluded from `to_csv`, the Prometheus exposition, and `==`
-//!   just like wall-clock spans, and surface only through
-//!   [`Registry::gauge_report`] and the accessor methods.
+//!   (peak memory, churn populations, health-state counts, `ocspd`
+//!   scrape counts). Some depend on the run rather than the model —
+//!   peak memory differs between worker counts that produce
+//!   byte-identical artifacts — so gauges are excluded from `to_csv`,
+//!   the Prometheus exposition, and `==` just like wall-clock spans,
+//!   and surface only through [`Registry::gauge_report`] and the
+//!   accessor methods.
 //!
 //! Counters and histograms are keyed by a `(metric, label)` pair of
 //! strings, e.g. `("net.failure.tcp", "Virginia")`. Lookups on the hot
@@ -187,11 +188,11 @@ struct WallSpan {
 }
 
 /// A high-watermark gauge: last value set, maximum ever set, and how
-/// many times it was set. Introspection only (reactor queue depths and
-/// the like) — excluded from equality, `to_csv`, and the Prometheus
+/// many times it was set. Introspection only (peak memory and the
+/// like) — excluded from equality, `to_csv`, and the Prometheus
 /// exposition, exactly like wall-clock spans, because gauge values may
-/// legitimately differ between engines or chunk plans that produce
-/// byte-identical artifacts.
+/// legitimately differ between runs that produce byte-identical
+/// artifacts.
 #[derive(Debug, Clone, Copy, Default)]
 struct GaugeSpan {
     last: u64,
@@ -333,8 +334,8 @@ impl Registry {
     ///
     /// Gauges are introspection-only (see [`GaugeSpan`]): they never
     /// reach `to_csv`, the Prometheus exposition, or equality. Use them
-    /// for executor internals — reactor in-flight depth, ready-queue
-    /// width — whose values are allowed to differ between engines that
+    /// for run-dependent values — peak memory, allocation counts,
+    /// scrape counts — which are allowed to differ between runs that
     /// produce byte-identical artifacts.
     pub fn set_gauge(&mut self, name: &str, value: u64) {
         let g = self.gauges.entry(name.to_owned()).or_default();
@@ -483,7 +484,7 @@ impl Registry {
     /// The prefix property is the contract the live-smoke CI job
     /// leans on: truncating a scrape at the marker yields bytes that
     /// must equal an offline [`Registry::to_prometheus`] render, while
-    /// the gauge tail may differ between engines/runs exactly like
+    /// the gauge tail may differ between runs exactly like
     /// every other gauge surface. [`prom::Exposition::parse`] rejects
     /// `gauge` families on purpose, so the tail can never leak into
     /// the determinism-gated toolchain; see `telemetry::prom` for the
@@ -710,7 +711,7 @@ mod tests {
 
     #[test]
     fn quantile_endpoints_are_exact_min_and_max() {
-        // Pinned for the reactor port: q=0.0 must report the exact
+        // Pinned: q=0.0 must report the exact
         // recorded min and q=1.0 the exact recorded max, regardless of
         // bucket boundaries.
         let mut h = Histogram::new();
@@ -728,28 +729,28 @@ mod tests {
     #[test]
     fn gauges_are_excluded_from_equality_and_artifacts() {
         let mut with_gauge = sample_a();
-        with_gauge.set_gauge("reactor.depth", 12_000);
-        with_gauge.set_gauge("reactor.depth", 7);
-        assert_eq!(with_gauge.gauge("reactor.depth"), Some(7));
-        assert_eq!(with_gauge.gauge_max("reactor.depth"), Some(12_000));
+        with_gauge.set_gauge("queue.depth", 12_000);
+        with_gauge.set_gauge("queue.depth", 7);
+        assert_eq!(with_gauge.gauge("queue.depth"), Some(7));
+        assert_eq!(with_gauge.gauge_max("queue.depth"), Some(12_000));
         assert_eq!(with_gauge.gauge("absent"), None);
 
         let without_gauge = sample_a();
         assert_eq!(with_gauge, without_gauge);
         assert_eq!(with_gauge.to_csv(), without_gauge.to_csv());
         assert_eq!(with_gauge.to_prometheus(), without_gauge.to_prometheus());
-        assert!(!with_gauge.to_csv().contains("reactor.depth"));
+        assert!(!with_gauge.to_csv().contains("queue.depth"));
         assert!(with_gauge
             .gauge_report()
-            .contains("reactor.depth last=7 max=12000 sets=2"));
+            .contains("queue.depth last=7 max=12000 sets=2"));
         assert_eq!(Registry::new().gauge_report(), "(no gauges recorded)\n");
     }
 
     #[test]
     fn gauge_exposition_extends_the_equality_gated_render_as_a_prefix() {
         let mut r = sample_a();
-        r.set_gauge("reactor.depth", 12);
-        r.set_gauge("reactor.depth", 7);
+        r.set_gauge("queue.depth", 12);
+        r.set_gauge("queue.depth", 7);
         let gated = r.to_prometheus();
         let operational = r.to_prometheus_with_gauges();
         // The equality-gated bytes are an exact prefix…
@@ -758,11 +759,11 @@ mod tests {
         // stat-labeled gauge families.
         let tail = &operational[gated.len()..];
         assert!(tail.starts_with(prom::GAUGE_SECTION_MARKER));
-        assert!(tail.contains("# TYPE reactor_depth gauge"));
-        assert!(tail.contains("# HELP reactor_depth reactor.depth"));
-        assert!(tail.contains("reactor_depth{stat=\"last\"} 7"));
-        assert!(tail.contains("reactor_depth{stat=\"max\"} 12"));
-        assert!(tail.contains("reactor_depth{stat=\"sets\"} 2"));
+        assert!(tail.contains("# TYPE queue_depth gauge"));
+        assert!(tail.contains("# HELP queue_depth queue.depth"));
+        assert!(tail.contains("queue_depth{stat=\"last\"} 7"));
+        assert!(tail.contains("queue_depth{stat=\"max\"} 12"));
+        assert!(tail.contains("queue_depth{stat=\"sets\"} 2"));
         // Truncating at the marker recovers the gated subset — the
         // live-smoke contract.
         let truncated = &operational[..gated.len()];
@@ -780,17 +781,17 @@ mod tests {
     #[test]
     fn gauges_merge_by_high_watermark_in_any_order() {
         let mut a = Registry::new();
-        a.set_gauge("reactor.depth", 10);
+        a.set_gauge("queue.depth", 10);
         let mut b = Registry::new();
-        b.set_gauge("reactor.depth", 25);
-        b.set_gauge("reactor.depth", 3);
+        b.set_gauge("queue.depth", 25);
+        b.set_gauge("queue.depth", 3);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
         for merged in [&ab, &ba] {
-            assert_eq!(merged.gauge_max("reactor.depth"), Some(25));
-            assert_eq!(merged.gauge("reactor.depth"), Some(10).max(Some(3)));
+            assert_eq!(merged.gauge_max("queue.depth"), Some(25));
+            assert_eq!(merged.gauge("queue.depth"), Some(10).max(Some(3)));
             assert!(merged.gauge_report().contains("sets=3"));
         }
     }

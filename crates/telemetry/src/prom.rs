@@ -30,19 +30,19 @@
 //! Two expositions share this module's format:
 //!
 //! * [`Registry::to_prometheus`] — **equality-gated**: counters and
-//!   histograms only, byte-identical across worker counts, engines,
-//!   and chunkings; committed as `results/telemetry.prom` and diffed
+//!   histograms only, byte-identical across worker counts and
+//!   chunkings; committed as `results/telemetry.prom` and diffed
 //!   in CI. This is the only exposition [`Exposition::parse`]
 //!   accepts — `# TYPE … gauge` lines are rejected on purpose.
 //! * [`Registry::to_prometheus_with_gauges`](crate::Registry::to_prometheus_with_gauges)
 //!   — **operational**: the equality-gated bytes as an *exact prefix*,
-//!   then [`GAUGE_SECTION_MARKER`] and the gauges (`mem.*`, reactor
-//!   depth, `health.*`, `ocspd.*`) as `gauge` families with
-//!   `stat="last"/"max"/"sets"` samples. Gauges are legitimately
-//!   engine-dependent, so this render is never an artifact and never
-//!   parsed back; the live `/metrics` endpoint serves it, and the
-//!   live-smoke CI job truncates a scrape at the marker to recover the
-//!   equality-gated subset for byte comparison.
+//!   then [`GAUGE_SECTION_MARKER`] and the gauges (`mem.*`, churn,
+//!   `health.*`, `ocspd.*`) as `gauge` families with
+//!   `stat="last"/"max"/"sets"` samples. Gauges may legitimately differ
+//!   between runs with identical artifacts, so this render is never an
+//!   artifact and never parsed back; the live `/metrics` endpoint
+//!   serves it, and the live-smoke CI job truncates a scrape at the
+//!   marker to recover the equality-gated subset for byte comparison.
 
 use crate::{Histogram, Registry, HISTOGRAM_BUCKETS};
 use std::collections::BTreeMap;

@@ -3,25 +3,16 @@
 //!
 //! This is the repo's contract for the sharded executor — parallelism
 //! is a wall-clock knob only. The same study runs once serially
-//! (`--serial` equivalent: one worker) and once on four workers, and
+//! (`--workers 1`) and once on four workers, and
 //! every scan-derived artifact's CSV must match byte for byte. CI runs
 //! this test plus a binary-level `figures` diff.
 
-use ecosystem::{Chunking, EcosystemConfig, Engine};
+use ecosystem::{Chunking, EcosystemConfig};
 use mustaple::{Study, StudyResults};
 use mustaple_bench::{build, ALL_ARTIFACTS};
 
 fn run_study(workers: usize) -> StudyResults {
     Study::new(EcosystemConfig::tiny().with_parallelism(workers)).run()
-}
-
-fn run_study_on(workers: usize, engine: Engine) -> StudyResults {
-    Study::new(
-        EcosystemConfig::tiny()
-            .with_parallelism(workers)
-            .with_engine(engine),
-    )
-    .run()
 }
 
 #[test]
@@ -91,60 +82,15 @@ fn serial_and_parallel_artifacts_are_byte_identical() {
 }
 
 #[test]
-fn reactor_engine_artifacts_are_byte_identical_to_threads() {
-    // The engine axis of the same contract (DESIGN.md §12): the
-    // simulated-time reactor must reproduce the threads engine's whole
-    // artifact surface byte for byte, at every worker count.
-    let threads = run_study_on(1, Engine::Threads);
-    for workers in [1usize, 2, 4] {
-        let reactor = run_study_on(workers, Engine::Reactor);
-        for name in ALL_ARTIFACTS
-            .iter()
-            .chain(["freshness", "recommendations", "telemetry"].iter())
-        {
-            let a = build(name, &threads).unwrap_or_else(|| panic!("missing artifact {name}"));
-            let b = build(name, &reactor).unwrap_or_else(|| panic!("missing artifact {name}"));
-            assert!(
-                a.table.to_csv().as_bytes() == b.table.to_csv().as_bytes(),
-                "artifact `{name}` differs between threads and {workers}-worker reactor runs"
-            );
-        }
-        assert_eq!(
-            threads.telemetry, reactor.telemetry,
-            "telemetry diverged at {workers} reactor workers"
-        );
-        assert!(
-            threads.telemetry.to_prometheus().as_bytes()
-                == reactor.telemetry.to_prometheus().as_bytes(),
-            "telemetry.prom differs between threads and {workers}-worker reactor runs"
-        );
-        assert!(
-            threads.trace.to_jsonl().as_bytes() == reactor.trace.to_jsonl().as_bytes(),
-            "trace.jsonl differs between threads and {workers}-worker reactor runs"
-        );
-        assert!(
-            threads.events.to_jsonl().as_bytes() == reactor.events.to_jsonl().as_bytes(),
-            "events.jsonl differs between threads and {workers}-worker reactor runs"
-        );
-        assert_eq!(
-            threads.readiness_report().render(),
-            reactor.readiness_report().render(),
-            "readiness reports diverged at {workers} reactor workers"
-        );
-    }
-}
-
-#[test]
 fn event_bus_is_byte_identical_across_the_whole_split_matrix() {
     // The event bus joins trace.jsonl under the determinism contract:
     // health transitions, outages, rollovers, and revocation events
-    // must render the same bytes for every worker count × engine ×
-    // chunking, and the health-state machine's exported counters must
-    // agree with them.
+    // must render the same bytes for every worker count × chunking,
+    // and the health-state machine's exported counters must agree with
+    // them.
     let reference = Study::new(
         EcosystemConfig::tiny()
             .with_parallelism(1)
-            .with_engine(Engine::Threads)
             .with_chunking(Chunking::PerResponder),
     )
     .run();
@@ -156,29 +102,26 @@ fn event_bus_is_byte_identical_across_the_whole_split_matrix() {
     let parsed = mustaple::opsmon::EventLog::parse_jsonl(&baseline).expect("events round-trip");
     assert_eq!(parsed.to_jsonl(), baseline);
 
-    for engine in [Engine::Threads, Engine::Reactor] {
-        for chunking in [Chunking::PerResponder, Chunking::TimeSliced] {
-            for workers in [1usize, 4] {
-                let run = Study::new(
-                    EcosystemConfig::tiny()
-                        .with_parallelism(workers)
-                        .with_engine(engine)
-                        .with_chunking(chunking),
-                )
-                .run();
-                assert!(
-                    run.events.to_jsonl().as_bytes() == baseline.as_bytes(),
-                    "events.jsonl differs at {workers} workers / {engine:?} / {chunking:?}"
-                );
-                assert_eq!(
-                    run.hourly.health, reference.hourly.health,
-                    "hourly health report differs at {workers} workers / {engine:?} / {chunking:?}"
-                );
-                assert_eq!(
-                    run.consistency.health, reference.consistency.health,
-                    "consistency health differs at {workers} workers / {engine:?} / {chunking:?}"
-                );
-            }
+    for chunking in [Chunking::PerResponder, Chunking::TimeSliced] {
+        for workers in [1usize, 4] {
+            let run = Study::new(
+                EcosystemConfig::tiny()
+                    .with_parallelism(workers)
+                    .with_chunking(chunking),
+            )
+            .run();
+            assert!(
+                run.events.to_jsonl().as_bytes() == baseline.as_bytes(),
+                "events.jsonl differs at {workers} workers / {chunking:?}"
+            );
+            assert_eq!(
+                run.hourly.health, reference.hourly.health,
+                "hourly health report differs at {workers} workers / {chunking:?}"
+            );
+            assert_eq!(
+                run.consistency.health, reference.consistency.health,
+                "consistency health differs at {workers} workers / {chunking:?}"
+            );
         }
     }
 }
