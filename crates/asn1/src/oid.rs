@@ -123,14 +123,26 @@ impl Oid {
 
     /// Encode the OID content octets (without tag/length).
     pub fn to_der_content(&self) -> Vec<u8> {
-        let arcs = self.arcs();
-        let mut out = Vec::with_capacity(arcs.len() + 1);
-        let first = arcs[0] * 40 + arcs[1];
-        push_base128(&mut out, first);
-        for &arc in &arcs[2..] {
-            push_base128(&mut out, arc);
-        }
+        let mut out = Vec::with_capacity(self.arcs().len() + 1);
+        self.push_der_content(&mut out);
         out
+    }
+
+    /// Append the content octets to `out`.
+    pub(crate) fn push_der_content(&self, out: &mut Vec<u8>) {
+        let arcs = self.arcs();
+        push_base128(out, arcs[0] * 40 + arcs[1]);
+        for &arc in &arcs[2..] {
+            push_base128(out, arc);
+        }
+    }
+
+    /// Length of the content octets, without encoding them.
+    pub(crate) fn der_content_len(&self) -> usize {
+        let arcs = self.arcs();
+        let base128_len = |value: u64| (64 - value.leading_zeros() as usize).div_ceil(7).max(1);
+        base128_len(arcs[0] * 40 + arcs[1])
+            + arcs[2..].iter().map(|&arc| base128_len(arc)).sum::<usize>()
     }
 
     /// Decode an OID from content octets (without tag/length).

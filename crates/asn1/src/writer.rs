@@ -5,9 +5,12 @@
 //! encoder then computes the definite length (DER forbids the indefinite
 //! form) and inserts the header where the value started. No intermediate
 //! `Vec` is allocated per nesting level, and the insertion shifts at most
-//! the constructed value's own content by a ≤ 5-byte header.
+//! the constructed value's own content by a ≤ 5-byte header. Primitive
+//! values (integers, OIDs, times, bit strings) are written straight into
+//! the buffer too, with no heap temporaries, so an encoder sized with
+//! [`Encoder::with_capacity`] for its message allocates once.
 
-use crate::{Oid, Result, Tag, Time};
+use crate::{Civil, Error, Oid, Result, Tag, Time};
 
 /// A DER encoder.
 ///
@@ -22,6 +25,14 @@ impl Encoder {
     /// Create an empty encoder.
     pub fn new() -> Encoder {
         Encoder { out: Vec::new() }
+    }
+
+    /// Create an empty encoder with room for `bytes` bytes of output
+    /// before its buffer grows.
+    pub fn with_capacity(bytes: usize) -> Encoder {
+        Encoder {
+            out: Vec::with_capacity(bytes),
+        }
     }
 
     /// Consume the encoder and return the encoded bytes.
@@ -132,10 +143,7 @@ impl Encoder {
             return;
         }
         if trimmed[0] & 0x80 != 0 {
-            let mut content = Vec::with_capacity(trimmed.len() + 1);
-            content.push(0);
-            content.extend_from_slice(trimmed);
-            self.tlv(Tag::INTEGER, &content);
+            self.prefixed_tlv(Tag::INTEGER, 0, trimmed);
         } else {
             self.tlv(Tag::INTEGER, trimmed);
         }
@@ -143,17 +151,18 @@ impl Encoder {
 
     /// Append an ENUMERATED from an `i64`.
     pub fn enumerated(&mut self, value: i64) {
-        let mut tmp = Encoder::new();
-        tmp.integer_i64(value);
-        // Same content, ENUMERATED tag.
-        let mut bytes = tmp.finish();
-        bytes[0] = Tag::ENUMERATED.0;
-        self.out.extend_from_slice(&bytes);
+        // Same content as the INTEGER, ENUMERATED tag.
+        let start = self.out.len();
+        self.integer_i64(value);
+        self.out[start] = Tag::ENUMERATED.0;
     }
 
-    /// Append an OBJECT IDENTIFIER.
+    /// Append an OBJECT IDENTIFIER, its arcs written straight into the
+    /// buffer after a length computed from them.
     pub fn oid(&mut self, oid: &Oid) {
-        self.tlv(Tag::OID, &oid.to_der_content());
+        self.out.push(Tag::OID.0);
+        push_length(&mut self.out, oid.der_content_len());
+        oid.push_der_content(&mut self.out);
     }
 
     /// Append an OCTET STRING.
@@ -173,10 +182,15 @@ impl Encoder {
 
     /// Append a BIT STRING with zero unused bits.
     pub fn bit_string(&mut self, bytes: &[u8]) {
-        let mut content = Vec::with_capacity(bytes.len() + 1);
-        content.push(0);
-        content.extend_from_slice(bytes);
-        self.tlv(Tag::BIT_STRING, &content);
+        self.prefixed_tlv(Tag::BIT_STRING, 0, bytes);
+    }
+
+    /// Append one TLV whose content is `first` followed by `rest`.
+    fn prefixed_tlv(&mut self, tag: Tag, first: u8, rest: &[u8]) {
+        self.out.push(tag.0);
+        push_length(&mut self.out, rest.len() + 1);
+        self.out.push(first);
+        self.out.extend_from_slice(rest);
     }
 
     /// Append a UTF8String.
@@ -200,25 +214,61 @@ impl Encoder {
         self.tlv(Tag::IA5_STRING, s.as_bytes());
     }
 
-    /// Append a GeneralizedTime.
+    /// Append a GeneralizedTime: the content of
+    /// [`Time::to_generalized`], whose 15 characters are written as
+    /// digits for years 0–9999. Other years take the formatted path,
+    /// which renders a sign or a fifth year digit.
     pub fn generalized_time(&mut self, t: Time) {
-        self.tlv(Tag::GENERALIZED_TIME, t.to_generalized().as_bytes());
+        let c = t.civil();
+        let Ok(year @ 0..=9999) = u32::try_from(c.year) else {
+            self.tlv(Tag::GENERALIZED_TIME, t.to_generalized().as_bytes());
+            return;
+        };
+        let mut content = [b'Z'; 15];
+        put_digits(&mut content[..4], year);
+        put_clock(&mut content[4..14], c);
+        self.tlv(Tag::GENERALIZED_TIME, &content);
     }
 
-    /// Append a UTCTime (fails outside 1950–2049).
+    /// Append a UTCTime (fails outside 1950–2049): the content of
+    /// [`Time::to_utc_time`], written as digits.
     pub fn utc_time(&mut self, t: Time) -> Result<()> {
-        let s = t.to_utc_time()?;
-        self.tlv(Tag::UTC_TIME, s.as_bytes());
+        let c = t.civil();
+        if !(1950..2050).contains(&c.year) {
+            return Err(Error::InvalidTime);
+        }
+        let mut content = [b'Z'; 13];
+        put_digits(&mut content[..2], c.year.unsigned_abs() % 100);
+        put_clock(&mut content[2..12], c);
+        self.tlv(Tag::UTC_TIME, &content);
         Ok(())
     }
 
     /// Append a time using the RFC 5280 rule: UTCTime through 2049,
     /// GeneralizedTime from 2050 on.
     pub fn x509_time(&mut self, t: Time) {
-        match t.to_utc_time() {
-            Ok(s) => self.tlv(Tag::UTC_TIME, s.as_bytes()),
-            Err(_) => self.generalized_time(t),
+        if self.utc_time(t).is_err() {
+            self.generalized_time(t);
         }
+    }
+}
+
+/// Write `value` as exactly `out.len()` zero-padded decimal digits
+/// (the low ones, should it have more).
+fn put_digits(out: &mut [u8], mut value: u32) {
+    for digit in out.iter_mut().rev() {
+        *digit = b'0' + (value % 10) as u8;
+        value /= 10;
+    }
+}
+
+/// Write `MMDDHHMMSS` of `c` over `out`'s ten bytes.
+fn put_clock(out: &mut [u8], c: Civil) {
+    for (pair, value) in out
+        .chunks_exact_mut(2)
+        .zip([c.month, c.day, c.hour, c.minute, c.second])
+    {
+        put_digits(pair, u32::from(value));
     }
 }
 
@@ -236,13 +286,13 @@ fn insert_length(out: &mut Vec<u8>, len_pos: usize) {
         out.insert(len_pos, len as u8);
         return;
     }
-    let bytes = (len as u64).to_be_bytes();
-    let skip = bytes.iter().take_while(|&&b| b == 0).count();
-    let tail = &bytes[skip..];
-    let mut header = Vec::with_capacity(1 + tail.len());
-    header.push(0x80 | tail.len() as u8);
-    header.extend_from_slice(tail);
-    out.splice(len_pos..len_pos, header);
+    // 0x80 | n, then the length's n significant bytes, built on the
+    // stack and spliced in.
+    let mut header = [0u8; 9];
+    header[1..].copy_from_slice(&(len as u64).to_be_bytes());
+    let skip = header[1..].iter().take_while(|&&b| b == 0).count();
+    header[skip] = 0x80 | (8 - skip) as u8;
+    out.splice(len_pos..len_pos, header[skip..].iter().copied());
 }
 
 /// Append a DER definite length.
@@ -339,7 +389,31 @@ mod tests {
     }
 
     #[test]
+    fn constructed_long_lengths() {
+        for (len, header) in [
+            (127usize, &[0x30, 0x7f][..]),
+            (128, &[0x30, 0x81, 0x80]),
+            (255, &[0x30, 0x81, 0xff]),
+            (256, &[0x30, 0x82, 0x01, 0x00]),
+            (70_000, &[0x30, 0x83, 0x01, 0x11, 0x70]),
+        ] {
+            let der = enc(|e| e.sequence(|e| e.raw(&vec![0xab; len])));
+            assert_eq!(&der[..header.len()], header, "{len}");
+            assert_eq!(der.len(), header.len() + len);
+            assert!(der[header.len()..].iter().all(|&b| b == 0xab));
+        }
+    }
+
+    #[test]
     fn enumerated_uses_enum_tag() {
         assert_eq!(enc(|e| e.enumerated(1)), vec![0x0a, 0x01, 0x01]);
+        assert_eq!(enc(|e| e.enumerated(-129)), vec![0x0a, 0x02, 0xff, 0x7f]);
+        assert_eq!(
+            enc(|e| {
+                e.null();
+                e.enumerated(128);
+            }),
+            vec![0x05, 0x00, 0x0a, 0x02, 0x00, 0x80]
+        );
     }
 }

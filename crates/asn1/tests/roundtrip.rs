@@ -105,3 +105,140 @@ proptest! {
         prop_assert!(result.is_err());
     }
 }
+
+/// `Encoder::oid`'s output: tag, then the length and content octets of
+/// `Oid::to_der_content`.
+fn oid_tlv_reference(oid: &Oid) -> Vec<u8> {
+    let content = oid.to_der_content();
+    let mut e = Encoder::new();
+    e.octet_string(&content);
+    let mut der = e.finish();
+    der[0] = 0x06;
+    der
+}
+
+fn oid_tlv(oid: &Oid) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.oid(oid);
+    e.finish()
+}
+
+/// The GeneralizedTime TLV `Time::to_generalized` spells.
+fn generalized_reference(t: Time) -> Vec<u8> {
+    let content = t.to_generalized();
+    let mut der = vec![0x18, content.len() as u8];
+    der.extend_from_slice(content.as_bytes());
+    der
+}
+
+fn generalized_tlv(t: Time) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.generalized_time(t);
+    e.finish()
+}
+
+#[test]
+fn oid_writes_match_content_octets_for_every_catalog_oid() {
+    for oid in [
+        Oid::TLS_FEATURE,
+        Oid::AUTHORITY_INFO_ACCESS,
+        Oid::AD_OCSP,
+        Oid::AD_CA_ISSUERS,
+        Oid::CRL_DISTRIBUTION_POINTS,
+        Oid::BASIC_CONSTRAINTS,
+        Oid::KEY_USAGE,
+        Oid::EXT_KEY_USAGE,
+        Oid::KP_OCSP_SIGNING,
+        Oid::SUBJECT_ALT_NAME,
+        Oid::CRL_REASON,
+        Oid::INVALIDITY_DATE,
+        Oid::COMMON_NAME,
+        Oid::ORGANIZATION,
+        Oid::COUNTRY,
+        Oid::OCSP_BASIC,
+        Oid::OCSP_NONCE,
+        Oid::SIM_RSA_SHA256,
+        Oid::SHA256,
+    ] {
+        assert_eq!(oid_tlv(&oid), oid_tlv_reference(&oid), "{oid}");
+    }
+}
+
+#[test]
+fn generalized_time_outside_four_digit_years_keeps_the_formatted_path() {
+    for (year, month, day) in [
+        (-1, 12, 31),
+        (-2_000, 3, 1),
+        (10_000, 1, 1),
+        (12_345, 6, 15),
+    ] {
+        let t = Time::from_civil(year, month, day, 7, 8, 9);
+        assert_eq!(generalized_tlv(t), generalized_reference(t), "{year}");
+    }
+    // The first and last instants with four-digit years.
+    for t in [
+        Time::from_civil(0, 1, 1, 0, 0, 0),
+        Time::from_civil(9_999, 12, 31, 23, 59, 59),
+    ] {
+        assert_eq!(generalized_tlv(t), generalized_reference(t));
+        assert_eq!(generalized_tlv(t)[1], 15);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// The digit-writing GeneralizedTime equals `to_generalized()` byte
+    /// for byte over years 0–9999.
+    #[test]
+    fn generalized_time_digits_match_formatting(
+        secs in -62_167_219_200i64..253_402_300_800, // 0000-01-01 .. 10000-01-01
+    ) {
+        let t = Time::from_unix(secs);
+        prop_assert_eq!(generalized_tlv(t), generalized_reference(t));
+    }
+
+    /// Beyond four-digit years both paths agree too.
+    #[test]
+    fn generalized_time_matches_formatting_beyond_four_digits(
+        secs in any::<i32>().prop_map(|s| i64::from(s) * 100_000),
+    ) {
+        let t = Time::from_unix(secs);
+        prop_assert_eq!(generalized_tlv(t), generalized_reference(t));
+    }
+
+    /// The digit-writing UTCTime equals `to_utc_time()`, and refuses the
+    /// same years.
+    #[test]
+    fn utc_time_digits_match_formatting(secs in -946_771_200i64..2_871_763_200) { // 1940 .. 2061
+        let t = Time::from_unix(secs);
+        let mut e = Encoder::new();
+        match (e.utc_time(t), t.to_utc_time()) {
+            (Ok(()), Ok(content)) => {
+                let mut expected = vec![0x17, content.len() as u8];
+                expected.extend_from_slice(content.as_bytes());
+                prop_assert_eq!(e.finish(), expected);
+            }
+            (Err(a), Err(b)) => {
+                prop_assert_eq!(a, b);
+                prop_assert!(e.is_empty());
+            }
+            (ours, theirs) => prop_assert!(false, "{:?} vs {:?}", ours, theirs.map(|_| ())),
+        }
+    }
+
+    /// The OID written straight into the encoder equals its content
+    /// octets, for random arcs of every size.
+    #[test]
+    fn oid_writes_match_content_octets(
+        first in 0u64..3,
+        second in any::<u64>(),
+        rest in proptest::collection::vec(any::<u64>().prop_map(|a| a >> (a % 64)), 0..12),
+    ) {
+        let second = if first < 2 { second % 40 } else { second >> 2 };
+        let mut arcs = vec![first, second];
+        arcs.extend(rest);
+        let oid = Oid::new(&arcs);
+        prop_assert_eq!(oid_tlv(&oid), oid_tlv_reference(&oid));
+    }
+}

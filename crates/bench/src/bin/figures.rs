@@ -203,21 +203,31 @@ fn main() {
 
     let seeds = seed_list.or_else(|| seed_count.map(|n| seeds_for(config.seed, n)));
 
-    eprintln!(
-        "running the study at `{scale}` scale ({} responders, {} scan rounds{})...",
-        config.responders,
-        config.scan_rounds(),
-        match &seeds {
-            Some(seeds) => format!(", {} seeds", seeds.len()),
-            None => String::new(),
-        }
-    );
+    // `bench-scan` and `ablations` build their own inputs; every other
+    // artifact reads the study's results, so the study (or the
+    // ensemble) runs only when one of those is asked for.
+    let study_needed = wanted
+        .iter()
+        .any(|name| !matches!(name.as_str(), "bench-scan" | "ablations"));
+    if study_needed {
+        eprintln!(
+            "running the study at `{scale}` scale ({} responders, {} scan rounds{})...",
+            config.responders,
+            config.scan_rounds(),
+            match &seeds {
+                Some(seeds) => format!(", {} seeds", seeds.len()),
+                None => String::new(),
+            }
+        );
+    } else {
+        eprintln!("no requested artifact reads the study's results; skipping the study");
+    }
     let started = std::time::Instant::now();
-    let ensemble = seeds.as_deref().map(|s| Ensemble::run(&config, s));
-    let mut single = match &ensemble {
-        Some(_) => None,
-        None => Some(Study::new(config.clone()).run()),
-    };
+    let ensemble = seeds
+        .as_deref()
+        .filter(|_| study_needed)
+        .map(|s| Ensemble::run(&config, s));
+    let mut single = (study_needed && ensemble.is_none()).then(|| Study::new(config.clone()).run());
     // Export the allocator's high watermark as telemetry gauges —
     // excluded from every artifact-equality surface, so instrumented
     // and uninstrumented runs stay byte-identical (single-run only;
@@ -230,17 +240,17 @@ fn main() {
             .telemetry
             .set_gauge(telemetry::catalog::MEM_ALLOC_COUNT, allocs);
     }
-    let results: &StudyResults = ensemble
-        .as_ref()
-        .map(Ensemble::primary)
-        .or(single.as_ref())
-        .expect("one of the two run paths produced results");
-    let elapsed = started.elapsed();
-    eprintln!(
-        "study completed in {:.1?} ({:.0} hourly-scan req/s); rendering artifacts\n",
-        elapsed,
-        results.hourly.requests as f64 / elapsed.as_secs_f64().max(1e-9)
-    );
+    let results: Option<&StudyResults> =
+        ensemble.as_ref().map(Ensemble::primary).or(single.as_ref());
+    if let Some(results) = results {
+        let elapsed = started.elapsed();
+        eprintln!(
+            "study completed in {:.1?} ({:.0} hourly-scan req/s); rendering artifacts\n",
+            elapsed,
+            results.hourly.requests as f64 / elapsed.as_secs_f64().max(1e-9)
+        );
+    }
+    let study = || results.expect("the study runs whenever an artifact reads its results");
 
     fs::create_dir_all(&out_dir).expect("create output directory");
     if let Some(ensemble) = &ensemble {
@@ -255,7 +265,7 @@ fn main() {
                 }
             }
             "readiness" => {
-                let report = results.readiness_report();
+                let report = study().readiness_report();
                 println!("== readiness ==============================================");
                 println!("{}", report.render());
                 fs::write(out_dir.join("readiness.txt"), report.render())
@@ -263,6 +273,7 @@ fn main() {
             }
             "bench-scan" => emit(&out_dir, &bench_scan(&config)),
             "telemetry" => {
+                let results = study();
                 let artifact = build("telemetry", results).expect("telemetry artifact");
                 emit(&out_dir, &artifact);
                 // Ensemble runs keep per-seed series separable in the
@@ -281,7 +292,7 @@ fn main() {
                 println!("{}", mustaple_bench::telemetry_report(results));
                 emit_companion(&out_dir, ensemble.as_ref(), name);
             }
-            name => match build(name, results) {
+            name => match build(name, study()) {
                 Some(artifact) => {
                     emit(&out_dir, &artifact);
                     emit_companion(&out_dir, ensemble.as_ref(), name);

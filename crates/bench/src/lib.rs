@@ -709,15 +709,15 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
     // (mode label, executor) — serial first: it is the speedup baseline
     // every other row is measured against.
     let legs: [(&str, &Executor); 2] = [("serial", &serial_exec), ("parallel", &parallel_exec)];
-    let mut runs: Vec<_> = legs
+    let mut runs: Vec<CampaignLeg> = legs
         .iter()
         .map(|&(mode, executor)| {
             let mem_before = mem_leg_start();
             let started = std::time::Instant::now();
             let dataset = HourlyCampaign::new(&eco).run_with(executor);
             let wall = started.elapsed();
-            let (peak, allocs) = mem_leg_end(mem_before);
-            (mode, executor.workers(), wall, dataset, peak, allocs)
+            let memory = mem_leg_end(mem_before);
+            CampaignLeg::new(mode, executor.workers(), wall, dataset, memory)
         })
         .collect();
 
@@ -739,8 +739,8 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
         assert!(!adoption.is_empty(), "streaming Alexa fold ran");
         let dataset = HourlyCampaign::new(&eco).run_with(&serial_exec);
         let wall = started.elapsed();
-        let (peak, allocs) = mem_leg_end(mem_before);
-        runs.push(("streaming", 1, wall, dataset, peak, allocs));
+        let memory = mem_leg_end(mem_before);
+        runs.push(CampaignLeg::new("streaming", 1, wall, dataset, memory));
     }
 
     let baseline = &runs[0];
@@ -752,7 +752,7 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
     // hands its service back so the cache-hit column reads the same
     // counters the other legs do.
     let (serve_wall, serve_hit_rate, serve_peak, serve_allocs) = {
-        let total = baseline.3.requests;
+        let total = baseline.requests;
         let seed = config.seed;
         let mem_before = mem_leg_start();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -785,26 +785,15 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
         (wall, rate, peak, allocs)
     };
 
-    for (mode, _, _, dataset, _, _) in &runs[1..] {
-        assert_eq!(baseline.3.requests, dataset.requests, "{mode} run diverged");
+    for leg in &runs[1..] {
+        let mode = leg.mode;
+        assert_eq!(baseline.requests, leg.requests, "{mode} run diverged");
         assert_eq!(
-            baseline.3.responders, dataset.responders,
+            baseline.responders, leg.responders,
             "{mode} run diverged from serial"
         );
     }
 
-    // Request-path cache effectiveness: `window_sign` events stand in
-    // for the scheduled signing real pre-generating responders do off
-    // the request path, so the hit rate is hit / (hit + miss).
-    let cache_hit_rate = |dataset: &scanner::hourly::HourlyDataset| {
-        let hit = dataset
-            .telemetry
-            .counter(catalog::OCSP_RESPONDER_CACHE, "hit");
-        let miss = dataset
-            .telemetry
-            .counter(catalog::OCSP_RESPONDER_CACHE, "miss");
-        hit as f64 / (hit + miss).max(1) as f64
-    };
     let req_per_sec =
         |requests: u64, wall: std::time::Duration| requests as f64 / wall.as_secs_f64().max(1e-9);
     let mut table = Table::new(&[
@@ -818,23 +807,23 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
         "peak_alloc_bytes",
         "alloc_count",
     ]);
-    let serial_wall = baseline.2;
-    for (mode, workers, wall, dataset, peak, allocs) in &runs {
-        let speedup = serial_wall.as_secs_f64() / wall.as_secs_f64().max(1e-9);
+    let serial_wall = baseline.wall;
+    for leg in &runs {
+        let speedup = serial_wall.as_secs_f64() / leg.wall.as_secs_f64().max(1e-9);
         table.row(&[
-            (*mode).into(),
-            if *mode == "parallel" {
-                workers.to_string()
+            leg.mode.into(),
+            if leg.mode == "parallel" {
+                leg.workers.to_string()
             } else {
                 "1".into()
             },
-            format!("{:.1}", wall.as_secs_f64() * 1e3),
-            dataset.requests.to_string(),
-            format!("{:.0}", req_per_sec(dataset.requests, *wall)),
-            format!("{:.4}", cache_hit_rate(dataset)),
+            format!("{:.1}", leg.wall.as_secs_f64() * 1e3),
+            leg.requests.to_string(),
+            format!("{:.0}", req_per_sec(leg.requests, leg.wall)),
+            format!("{:.4}", leg.cache_hit_rate()),
             format!("{speedup:.2}"),
-            peak.clone(),
-            allocs.clone(),
+            leg.peak.clone(),
+            leg.allocs.clone(),
         ]);
     }
     // The serve row last: it replays the canonical request through the
@@ -847,8 +836,8 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
             "serve".into(),
             "1".into(),
             format!("{:.1}", serve_wall.as_secs_f64() * 1e3),
-            baseline.3.requests.to_string(),
-            format!("{:.0}", req_per_sec(baseline.3.requests, serve_wall)),
+            baseline.requests.to_string(),
+            format!("{:.0}", req_per_sec(baseline.requests, serve_wall)),
             format!("{serve_hit_rate:.4}"),
             format!("{speedup:.2}"),
             serve_peak,
@@ -856,7 +845,7 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
         ]);
     }
     let parallel = &runs[1];
-    let speedup = serial_wall.as_secs_f64() / parallel.2.as_secs_f64().max(1e-9);
+    let speedup = serial_wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-9);
     Artifact {
         name: "bench-scan",
         summary: format!(
@@ -868,16 +857,68 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
              Peak-allocation columns are real only under `--features mem-profile` \
              (else n/a).",
             serial_wall,
-            parallel.2,
-            parallel.1,
-            runs[2].2,
+            parallel.wall,
+            parallel.workers,
+            runs[2].wall,
             serve_wall,
-            req_per_sec(baseline.3.requests, serve_wall),
-            baseline.3.requests,
-            req_per_sec(baseline.3.requests, serial_wall),
-            cache_hit_rate(&baseline.3) * 100.0,
+            req_per_sec(baseline.requests, serve_wall),
+            baseline.requests,
+            req_per_sec(baseline.requests, serial_wall),
+            baseline.cache_hit_rate() * 100.0,
         ),
         table,
+    }
+}
+
+/// What `bench_scan` keeps of a finished campaign leg: the table's cells
+/// and what the identity check compares. The leg's `HourlyDataset` is
+/// dropped when this is made, so it cannot count toward a later leg's
+/// peak allocation.
+struct CampaignLeg {
+    mode: &'static str,
+    workers: usize,
+    wall: std::time::Duration,
+    requests: u64,
+    responders: Vec<scanner::hourly::ResponderReport>,
+    /// `ocsp.responder.cache{hit}` and `{miss}`.
+    cache_hits: u64,
+    cache_misses: u64,
+    /// The leg's `peak_alloc_bytes` and `alloc_count` cells.
+    peak: String,
+    allocs: String,
+}
+
+impl CampaignLeg {
+    fn new(
+        mode: &'static str,
+        workers: usize,
+        wall: std::time::Duration,
+        dataset: scanner::hourly::HourlyDataset,
+        (peak, allocs): (String, String),
+    ) -> CampaignLeg {
+        let counter = |label| {
+            dataset
+                .telemetry
+                .counter(catalog::OCSP_RESPONDER_CACHE, label)
+        };
+        CampaignLeg {
+            mode,
+            workers,
+            wall,
+            requests: dataset.requests,
+            cache_hits: counter("hit"),
+            cache_misses: counter("miss"),
+            responders: dataset.responders,
+            peak,
+            allocs,
+        }
+    }
+
+    /// Request-path cache effectiveness: `window_sign` events stand in
+    /// for the scheduled signing real pre-generating responders do off
+    /// the request path, so the hit rate is hit / (hit + miss).
+    fn cache_hit_rate(&self) -> f64 {
+        self.cache_hits as f64 / (self.cache_hits + self.cache_misses).max(1) as f64
     }
 }
 

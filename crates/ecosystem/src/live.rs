@@ -379,7 +379,7 @@ impl LiveEcosystem {
                         let this_update =
                             Time::from_unix(now.unix() - now.unix().rem_euclid(7 * 86_400));
                         let crl = ca.generate_crl(this_update, Some(this_update + 7 * 86_400));
-                        (200, crl.to_der())
+                        (200, crl.to_der().into())
                     },
                 )
             });

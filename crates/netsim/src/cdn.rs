@@ -13,6 +13,7 @@ use crate::world::{HttpOutcome, HttpResult, World};
 use asn1::Time;
 use simcrypto::sha256;
 use std::collections::HashMap;
+use std::sync::Arc;
 use telemetry::catalog;
 
 /// Counters for the CDN-perspective analysis.
@@ -49,7 +50,7 @@ impl CdnStats {
 
 #[derive(Clone)]
 struct CacheEntry {
-    body: Vec<u8>,
+    body: Arc<[u8]>,
     expires: Time,
 }
 
@@ -100,7 +101,7 @@ impl CdnNode {
                 // Edge hit: client-to-edge latency is the caller's
                 // concern; edge processing is ~1 ms.
                 return HttpResult {
-                    outcome: HttpOutcome::Ok(entry.body.clone()),
+                    outcome: HttpOutcome::Ok(Arc::clone(&entry.body)),
                     latency_ms: 1.0,
                 };
             }
@@ -125,7 +126,7 @@ impl CdnNode {
                 self.cache.insert(
                     key,
                     CacheEntry {
-                        body: reply.clone(),
+                        body: Arc::clone(reply),
                         expires: now + ttl,
                     },
                 );
@@ -162,7 +163,7 @@ mod tests {
             Box::new(|_, body, now, _, _| {
                 let mut reply = body.to_vec();
                 reply.extend_from_slice(&now.unix().to_be_bytes());
-                (200, reply)
+                (200, reply.into())
             }),
         );
         w

@@ -31,9 +31,12 @@ use telemetry::{catalog, Registry};
 
 /// A boxed request handler: `(path, body, now, client_region, telemetry)
 /// -> (status, body)`. The handler may record its own events (e.g.
-/// responder fault-profile triggers) into the world's registry.
+/// responder fault-profile triggers) into the world's registry. The
+/// reply body is a shared buffer, so a handler that serves the same
+/// bytes again (a responder's signed-response cache) shares the buffer
+/// it holds instead of copying it.
 pub type Handler =
-    Box<dyn FnMut(&str, &[u8], Time, Region, &mut Registry) -> (u16, Vec<u8>) + Send>;
+    Box<dyn FnMut(&str, &[u8], Time, Region, &mut Registry) -> (u16, Arc<[u8]>) + Send>;
 
 /// A recipe for building a host's handler. Stored in the shared
 /// [`Topology`] so every [`World`] can instantiate its own private
@@ -43,8 +46,8 @@ pub type HandlerFactory = Box<dyn Fn() -> Handler + Send + Sync>;
 /// How an HTTP transaction ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpOutcome {
-    /// HTTP 200 with a body.
-    Ok(Vec<u8>),
+    /// HTTP 200 with a body, as the handler shared it.
+    Ok(Arc<[u8]>),
     /// A non-200 HTTP status (body discarded; the study only needs the
     /// code).
     HttpError(u16),
@@ -448,7 +451,7 @@ mod tests {
             let mut reply = path.as_bytes().to_vec();
             reply.push(b'|');
             reply.extend_from_slice(body);
-            (200, reply)
+            (200, reply.into())
         })
     }
 
@@ -467,7 +470,7 @@ mod tests {
     fn successful_post_reaches_handler() {
         let mut w = world_with_host();
         let r = w.http_post(Region::Paris, "http://ocsp.ca.test/sub", b"req", t(0));
-        assert_eq!(r.outcome, HttpOutcome::Ok(b"/sub|req".to_vec()));
+        assert_eq!(r.outcome, HttpOutcome::Ok(b"/sub|req"[..].into()));
         assert!(r.latency_ms > 100.0); // trans-Atlantic
     }
 
@@ -512,7 +515,7 @@ mod tests {
     fn url_without_path_defaults_to_root() {
         let mut w = world_with_host();
         let r = w.http_post(Region::Paris, "http://ocsp.ca.test", b"x", t(0));
-        assert_eq!(r.outcome, HttpOutcome::Ok(b"/|x".to_vec()));
+        assert_eq!(r.outcome, HttpOutcome::Ok(b"/|x"[..].into()));
     }
 
     #[test]
@@ -624,7 +627,7 @@ mod tests {
             "err.test",
             Region::Paris,
             None,
-            Box::new(|_, _, _, _, _| (500, Vec::new())),
+            Box::new(|_, _, _, _, _| (500, Arc::from(&[][..]))),
         );
         let r = w.http_post(Region::Paris, "http://err.test/", b"", t(0));
         assert_eq!(r.outcome, HttpOutcome::HttpError(500));
@@ -643,7 +646,7 @@ mod tests {
                 let mut count = 0u32;
                 Box::new(move |_, _, _, _, _| {
                     count += 1;
-                    (200, count.to_be_bytes().to_vec())
+                    (200, count.to_be_bytes().into())
                 })
             }),
         );
@@ -655,7 +658,7 @@ mod tests {
             .http_post(Region::Virginia, "http://ocsp.ca.test/", b"", t(0))
             .outcome
         {
-            HttpOutcome::Ok(body) => u32::from_be_bytes(body.try_into().unwrap()),
+            HttpOutcome::Ok(body) => u32::from_be_bytes(body[..].try_into().unwrap()),
             other => panic!("unexpected outcome {other:?}"),
         };
         assert_eq!(post(&mut a), 1);
@@ -708,7 +711,7 @@ mod tests {
             None,
             Box::new(|_, _, _, _, reg: &mut Registry| {
                 reg.incr("handler.custom", "err.test");
-                (500, Vec::new())
+                (500, Arc::from(&[][..]))
             }),
         );
         w.http_post(Region::Paris, "http://err.test/", b"", t(0));

@@ -38,7 +38,10 @@ impl OcspRequest {
 
     /// Encode to DER.
     pub fn to_der(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        // Room for the whole message: under 128 bytes per CertID, plus
+        // the nonce extension's.
+        let nonce_len = self.nonce.as_ref().map_or(0, |nonce| 32 + nonce.len());
+        let mut enc = Encoder::with_capacity(16 + 128 * self.cert_ids.len() + nonce_len);
         enc.sequence(|enc| {
             // TBSRequest
             enc.sequence(|enc| {

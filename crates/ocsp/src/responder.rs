@@ -13,7 +13,10 @@ use crate::response::{CertStatus, OcspResponse, ResponseStatus, SingleResponse};
 use asn1::Time;
 use pki::{Certificate, CertificateAuthority, Serial};
 use simcrypto::KeyPair;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 use telemetry::catalog;
 
 /// Who signs the responses.
@@ -44,7 +47,147 @@ struct CachedWindow {
 /// instance index, signer-role tag). Pre-generated responders use the
 /// interval boundary; on-demand responders use the request second, so a
 /// cache hit can only repeat bytes that are identical by construction.
-type ResponseCacheKey = (Vec<u8>, i64, usize, u8);
+#[derive(Debug, Clone)]
+struct CacheKey {
+    serial: Vec<u8>,
+    boundary: i64,
+    instance: usize,
+    role: u8,
+}
+
+/// A cache key's parts as borrowed values. The cache is looked up
+/// through this view, with the request's own serial bytes, so a lookup
+/// makes no owned copy of them; [`CacheKey`] hashes and compares through
+/// the same view, so both agree.
+trait KeyParts {
+    fn parts(&self) -> (&[u8], i64, usize, u8);
+}
+
+impl KeyParts for CacheKey {
+    fn parts(&self) -> (&[u8], i64, usize, u8) {
+        (&self.serial, self.boundary, self.instance, self.role)
+    }
+}
+
+impl KeyParts for (&[u8], i64, usize, u8) {
+    fn parts(&self) -> (&[u8], i64, usize, u8) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for CacheKey {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for CacheKey {}
+
+/// How many parsed requests the raw-bytes path keeps. A campaign world
+/// asks each responder about two certificates; a flood of fresh serials
+/// replaces the entries in turn and never grows the memo past this.
+const REQUEST_MEMO_CAP: usize = 4;
+
+/// Parsed requests keyed on their exact bytes: a scan asks a responder
+/// the same questions every round, so each distinct body is parsed once
+/// while it stays here. A full memo replaces its entries in insertion
+/// order. Malformed bodies are never kept.
+#[derive(Debug, Clone, Default)]
+struct RequestMemo {
+    entries: Vec<(Vec<u8>, OcspRequest)>,
+    /// The entry the next insertion replaces once the memo is full.
+    next: usize,
+}
+
+impl RequestMemo {
+    /// The parse of `body`, from the memo or parsed now (and then kept);
+    /// `None` if `body` is not a well-formed request.
+    fn get_or_parse(&mut self, body: &[u8]) -> Option<&OcspRequest> {
+        if let Some(i) = self
+            .entries
+            .iter()
+            .position(|(bytes, _)| bytes[..] == *body)
+        {
+            return Some(&self.entries[i].1);
+        }
+        let entry = (body.to_vec(), OcspRequest::from_der(body).ok()?);
+        let i = if self.entries.len() < REQUEST_MEMO_CAP {
+            self.entries.push(entry);
+            self.entries.len() - 1
+        } else {
+            let i = self.next;
+            self.entries[i] = entry;
+            self.next = (i + 1) % REQUEST_MEMO_CAP;
+            i
+        };
+        Some(&self.entries[i].1)
+    }
+}
+
+/// What [`Responder::answer`] produced.
+enum Answer {
+    /// Bytes shared rather than built: a signed-response cache hit, or a
+    /// malformed profile's constant body.
+    Shared(Arc<[u8]>),
+    /// Bytes built for this request, and where the signed-response
+    /// cache keeps them (healthy single-serial requests only).
+    Fresh(Vec<u8>, Option<CacheSlot>),
+}
+
+/// Where a freshly signed healthy response goes in the cache.
+struct CacheSlot {
+    key: CacheKey,
+    /// Whether the responder pre-generates (counted as `window_sign`
+    /// rather than `miss`).
+    pre_generated: bool,
+}
+
+/// The body a malformed-response profile serves instead of DER, as one
+/// buffer shared by every responder of the process, with its
+/// `ocsp.responder.fault` label; `None` for the profiles that produce
+/// DER.
+fn malformed_body(mode: MalformMode) -> Option<(&'static str, Arc<[u8]>)> {
+    static ZERO: OnceLock<Arc<[u8]>> = OnceLock::new();
+    static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
+    static JAVASCRIPT: OnceLock<Arc<[u8]>> = OnceLock::new();
+    let (label, cell, bytes): (_, _, &[u8]) = match mode {
+        MalformMode::LiteralZero => ("malformed.literal_zero", &ZERO, b"0"),
+        MalformMode::Empty => ("malformed.empty", &EMPTY, b""),
+        MalformMode::JavascriptPage => (
+            "malformed.javascript",
+            &JAVASCRIPT,
+            b"<html><body><script>window.location='/status';</script></body></html>",
+        ),
+        MalformMode::Valid | MalformMode::TruncatedDer => return None,
+    };
+    Some((label, Arc::clone(cell.get_or_init(|| Arc::from(bytes)))))
+}
 
 /// An OCSP responder bound to one CA.
 #[derive(Debug, Clone)]
@@ -59,7 +202,10 @@ pub struct Responder {
     /// serves the cached bytes — matching real deployments and keeping
     /// large scan campaigns cheap. Fault profiles (malformed bodies,
     /// wrong serial, corrupted signatures) bypass the cache entirely.
-    response_cache: HashMap<ResponseCacheKey, Vec<u8>>,
+    /// Each body is one shared buffer, so a hit copies nothing.
+    response_cache: HashMap<CacheKey, Arc<[u8]>>,
+    /// Parsed requests of the raw-bytes path.
+    requests: RequestMemo,
 }
 
 impl Responder {
@@ -71,6 +217,7 @@ impl Responder {
             signer: SignerRole::Direct,
             windows: HashMap::new(),
             response_cache: HashMap::new(),
+            requests: RequestMemo::default(),
         }
     }
 
@@ -90,6 +237,7 @@ impl Responder {
             },
             windows: HashMap::new(),
             response_cache: HashMap::new(),
+            requests: RequestMemo::default(),
         }
     }
 
@@ -118,26 +266,46 @@ impl Responder {
 
     /// Handle raw request bytes, producing raw response bytes — exactly
     /// what travels over HTTP POST.
-    pub fn handle_bytes(&mut self, ca: &CertificateAuthority, body: &[u8], now: Time) -> Vec<u8> {
+    pub fn handle_bytes(&mut self, ca: &CertificateAuthority, body: &[u8], now: Time) -> Arc<[u8]> {
         self.handle_bytes_with(ca, body, now, &mut telemetry::Registry::new())
     }
 
     /// [`Responder::handle_bytes`] plus telemetry: fault-profile triggers
     /// are counted into `reg` under `ocsp.responder.fault`.
+    ///
+    /// Each distinct well-formed body is parsed once while it stays in a
+    /// small memo (four entries) keyed on its exact bytes; a malformed
+    /// body is parsed and refused every time. The response comes back
+    /// as a shared buffer: a signed-response cache hit hands out the
+    /// cached one.
     pub fn handle_bytes_with(
         &mut self,
         ca: &CertificateAuthority,
         body: &[u8],
         now: Time,
         reg: &mut telemetry::Registry,
-    ) -> Vec<u8> {
-        match OcspRequest::from_der(body) {
-            Ok(req) => self.handle_with(ca, &req, now, reg),
-            Err(_) => {
+    ) -> Arc<[u8]> {
+        // The memo leaves `self` while its entry is borrowed; moving a
+        // `Vec` out and back allocates nothing.
+        let mut requests = std::mem::take(&mut self.requests);
+        let response = match requests.get_or_parse(body) {
+            Some(req) => match self.answer(ca, req, now, reg) {
+                Answer::Shared(body) => body,
+                Answer::Fresh(der, slot) => {
+                    let body: Arc<[u8]> = Arc::from(der);
+                    if let Some(slot) = slot {
+                        self.store(slot, Arc::clone(&body), reg);
+                    }
+                    body
+                }
+            },
+            None => {
                 reg.incr(catalog::OCSP_RESPONDER_FAULT, "malformed_request");
-                OcspResponse::error(ResponseStatus::MalformedRequest).to_der()
+                Arc::from(OcspResponse::error(ResponseStatus::MalformedRequest).to_der())
             }
-        }
+        };
+        self.requests = requests;
+        response
     }
 
     /// Handle a parsed request.
@@ -160,34 +328,75 @@ impl Responder {
         now: Time,
         reg: &mut telemetry::Registry,
     ) -> Vec<u8> {
+        match self.answer(ca, req, now, reg) {
+            Answer::Shared(body) => body.to_vec(),
+            Answer::Fresh(der, slot) => {
+                if let Some(slot) = slot {
+                    self.store(slot, Arc::from(&der[..]), reg);
+                }
+                der
+            }
+        }
+    }
+
+    /// Keep a freshly signed healthy response in the cache, counting the
+    /// sign. A pre-generating responder materializes its window on first
+    /// touch — the request-path stand-in for the scheduled signing real
+    /// deployments do off-path (§5.4) — while an on-demand responder
+    /// signs in the request path proper, so only the latter counts as a
+    /// cache miss.
+    fn store(&mut self, slot: CacheSlot, body: Arc<[u8]>, reg: &mut telemetry::Registry) {
+        reg.incr(
+            catalog::OCSP_RESPONDER_CACHE,
+            if slot.pre_generated {
+                "window_sign"
+            } else {
+                "miss"
+            },
+        );
+        self.response_cache.insert(slot.key, body);
+    }
+
+    /// Note `generated_at` as the window last used for `serial`, in place
+    /// once the serial is known.
+    fn record_window(&mut self, serial: &Serial, generated_at: Time) {
+        match self.windows.get_mut(serial) {
+            Some(window) => window.generated_at = generated_at,
+            None => {
+                self.windows
+                    .insert(serial.clone(), CachedWindow { generated_at });
+            }
+        }
+    }
+
+    /// The answer to `req`, without storing a freshly signed one: the
+    /// two public paths keep it in the cache each in the form that costs
+    /// them no extra copy.
+    fn answer(
+        &mut self,
+        ca: &CertificateAuthority,
+        req: &OcspRequest,
+        now: Time,
+        reg: &mut telemetry::Registry,
+    ) -> Answer {
         // Body-level mangling happens regardless of the request.
-        match self.profile.malform {
-            MalformMode::LiteralZero => {
-                reg.incr(catalog::OCSP_RESPONDER_FAULT, "malformed.literal_zero");
-                return b"0".to_vec();
-            }
-            MalformMode::Empty => {
-                reg.incr(catalog::OCSP_RESPONDER_FAULT, "malformed.empty");
-                return Vec::new();
-            }
-            MalformMode::JavascriptPage => {
-                reg.incr(catalog::OCSP_RESPONDER_FAULT, "malformed.javascript");
-                return b"<html><body><script>window.location='/status';</script></body></html>"
-                    .to_vec();
-            }
-            MalformMode::Valid | MalformMode::TruncatedDer => {}
+        if let Some((label, body)) = malformed_body(self.profile.malform) {
+            reg.incr(catalog::OCSP_RESPONDER_FAULT, label);
+            return Answer::Shared(body);
         }
 
         if req.cert_ids.is_empty() {
             reg.incr(catalog::OCSP_RESPONDER_FAULT, "malformed_request");
-            return OcspResponse::error(ResponseStatus::MalformedRequest).to_der();
+            let der = OcspResponse::error(ResponseStatus::MalformedRequest).to_der();
+            return Answer::Fresh(der, None);
         }
 
         // Refuse questions about certificates from other issuers.
         let issuer_cert = ca.certificate();
         if !req.cert_ids.iter().any(|id| id.matches_issuer(issuer_cert)) {
             reg.incr(catalog::OCSP_RESPONDER_FAULT, "unauthorized");
-            return OcspResponse::error(ResponseStatus::Unauthorized).to_der();
+            let der = OcspResponse::error(ResponseStatus::Unauthorized).to_der();
+            return Answer::Fresh(der, None);
         }
 
         // Work out which load-balanced instance serves this request.
@@ -220,7 +429,7 @@ impl Responder {
             && !self.profile.wrong_serial
             && !self.profile.corrupt_signature
             && req.cert_ids.len() == 1;
-        let cache_key = if healthy {
+        let cache_slot = if healthy {
             let (boundary, pre_generated) = match self.profile.generation {
                 GenerationMode::OnDemand => (now.unix(), false),
                 GenerationMode::PreGenerated { interval } => {
@@ -231,25 +440,23 @@ impl Responder {
                 SignerRole::Direct => 0u8,
                 SignerRole::Delegated { .. } => 1u8,
             };
-            let key = (
-                req.cert_ids[0].serial.bytes().to_vec(),
+            let serial = &req.cert_ids[0].serial;
+            let parts = (serial.bytes(), boundary, instance, role);
+            if let Some(body) = self.response_cache.get(&parts as &dyn KeyParts) {
+                let body = Arc::clone(body);
+                reg.incr(catalog::OCSP_RESPONDER_CACHE, "hit");
+                if pre_generated {
+                    self.record_window(serial, Time::from_unix(boundary));
+                }
+                return Answer::Shared(body);
+            }
+            let key = CacheKey {
+                serial: serial.bytes().to_vec(),
                 boundary,
                 instance,
                 role,
-            );
-            if let Some(bytes) = self.response_cache.get(&key) {
-                reg.incr(catalog::OCSP_RESPONDER_CACHE, "hit");
-                if pre_generated {
-                    self.windows.insert(
-                        req.cert_ids[0].serial.clone(),
-                        CachedWindow {
-                            generated_at: Time::from_unix(boundary),
-                        },
-                    );
-                }
-                return bytes.clone();
-            }
-            Some((key, pre_generated))
+            };
+            Some(CacheSlot { key, pre_generated })
         } else {
             None
         };
@@ -261,12 +468,7 @@ impl Responder {
                 // request within a window sees the same times.
                 let boundary = Time::from_unix(now.unix() - now.unix().rem_euclid(interval));
                 for id in &req.cert_ids {
-                    self.windows.insert(
-                        id.serial.clone(),
-                        CachedWindow {
-                            generated_at: boundary,
-                        },
-                    );
+                    self.record_window(&id.serial, boundary);
                 }
                 boundary
             }
@@ -348,19 +550,7 @@ impl Responder {
             reg.incr(catalog::OCSP_RESPONDER_FAULT, "malformed.truncated_der");
             der.truncate(der.len() / 2);
         }
-        if let Some((key, pre_generated)) = cache_key {
-            // A pre-generating responder materializes its window on
-            // first touch — the request-path stand-in for the scheduled
-            // signing real deployments do off-path (§5.4) — while an
-            // on-demand responder signs in the request path proper, so
-            // only the latter counts as a cache miss.
-            reg.incr(
-                catalog::OCSP_RESPONDER_CACHE,
-                if pre_generated { "window_sign" } else { "miss" },
-            );
-            self.response_cache.insert(key, der.clone());
-        }
-        der
+        Answer::Fresh(der, cache_slot)
     }
 
     /// The status of one serial according to the CA's *OCSP view*.
@@ -384,7 +574,7 @@ mod tests {
     use super::*;
     use crate::response::BasicResponse;
     use pki::{IssueParams, RevocationReason};
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, RngCore, SeedableRng};
 
     fn now() -> Time {
         Time::from_civil(2018, 5, 1, 10, 30, 0)
@@ -780,5 +970,82 @@ mod tests {
         let der = responder.handle_bytes(&f.ca, b"not a request", now());
         let resp = parse(&der);
         assert_eq!(resp.status, ResponseStatus::MalformedRequest);
+    }
+
+    /// The raw-bytes path, with its request memo and shared bodies,
+    /// answers byte for byte and counter for counter like a responder
+    /// that parses every body, over a sequence mixing repeated bodies,
+    /// fresh serials and malformed bodies, under healthy, pre-generating
+    /// and faulty profiles.
+    #[test]
+    fn memoized_requests_answer_like_parsed_ones() {
+        let mut rng = StdRng::seed_from_u64(0x3E30_0001);
+        let mut f = fixture(30);
+        let second =
+            f.ca.issue(&mut rng, &IssueParams::new("two.example", now()));
+        let canonical = OcspRequest::single(f.id.clone()).to_der();
+        let other = OcspRequest::single(CertId::for_certificate(&second, f.ca.certificate()));
+        let other = other.to_der();
+        for profile in [
+            ResponderProfile::healthy(),
+            ResponderProfile::healthy().pre_generated(7_200),
+            ResponderProfile::healthy().instances(vec![0, 30, -30]),
+            ResponderProfile::healthy().extra_serials(2),
+            ResponderProfile::healthy().corrupt_signature(),
+            ResponderProfile::healthy().malformed(MalformMode::LiteralZero),
+        ] {
+            let mut memoized = Responder::new("u", profile.clone());
+            let mut parsing = Responder::new("u", profile);
+            let (mut memo_reg, mut parse_reg) =
+                (telemetry::Registry::new(), telemetry::Registry::new());
+            let mut at = now();
+            for step in 0..400u64 {
+                let body = match rng.next_u64() % 8 {
+                    0..=2 => canonical.clone(),
+                    3 | 4 => other.clone(),
+                    5 => {
+                        let mut id = f.id.clone();
+                        id.serial = Serial::from_u64(rng.next_u64());
+                        OcspRequest::single(id).to_der()
+                    }
+                    6 => canonical[..canonical.len() - 3].to_vec(),
+                    _ => b"junk".to_vec(),
+                };
+                at += (step % 3) as i64 * 1_800;
+                let served = memoized.handle_bytes_with(&f.ca, &body, at, &mut memo_reg);
+                let expected = match OcspRequest::from_der(&body) {
+                    Ok(req) => parsing.handle_with(&f.ca, &req, at, &mut parse_reg),
+                    Err(_) => {
+                        parse_reg.incr(catalog::OCSP_RESPONDER_FAULT, "malformed_request");
+                        OcspResponse::error(ResponseStatus::MalformedRequest).to_der()
+                    }
+                };
+                assert_eq!(&served[..], &expected[..], "step {step}");
+                assert!(memoized.requests.entries.len() <= REQUEST_MEMO_CAP);
+            }
+            assert_eq!(memo_reg, parse_reg);
+            assert!(memo_reg.counter(catalog::OCSP_RESPONDER_FAULT, "malformed_request") > 0);
+        }
+        let _ = f.leaf;
+    }
+
+    /// A cache hit hands out the cached buffer itself, and a flood of
+    /// fresh serials never grows the request memo past its cap.
+    #[test]
+    fn hits_share_the_cached_buffer_and_the_memo_stays_bounded() {
+        let f = fixture(31);
+        let mut responder = Responder::new("u", ResponderProfile::healthy().pre_generated(3_600));
+        let canonical = OcspRequest::single(f.id.clone()).to_der();
+        let first = responder.handle_bytes(&f.ca, &canonical, now());
+        let again = responder.handle_bytes(&f.ca, &canonical, now() + 60);
+        assert!(Arc::ptr_eq(&first, &again));
+
+        let mut serials = StdRng::seed_from_u64(0xF100D);
+        for _ in 0..10_000 {
+            let mut id = f.id.clone();
+            id.serial = Serial::from_u64(serials.next_u64());
+            responder.handle_bytes(&f.ca, &OcspRequest::single(id).to_der(), now());
+        }
+        assert_eq!(responder.requests.entries.len(), REQUEST_MEMO_CAP);
     }
 }

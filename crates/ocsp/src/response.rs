@@ -182,7 +182,18 @@ impl OcspResponse {
 
     /// Encode the full response to DER.
     pub fn to_der(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        // Room for the whole message: the envelope's headers and OIDs
+        // take under 64 bytes around the basic response's parts.
+        let basic_len = self.basic.as_ref().map_or(0, |basic| {
+            basic.tbs_der.len()
+                + basic.signature.len()
+                + basic
+                    .certs
+                    .iter()
+                    .map(Certificate::der_len_bound)
+                    .sum::<usize>()
+        });
+        let mut enc = Encoder::with_capacity(64 + basic_len);
         enc.sequence(|enc| {
             enc.enumerated(self.status.code());
             if let Some(basic) = &self.basic {
@@ -235,7 +246,7 @@ impl BasicResponse {
                 enc.explicit(0, |enc| {
                     enc.sequence(|enc| {
                         for cert in &self.certs {
-                            enc.raw(&cert.to_der());
+                            cert.encode(enc);
                         }
                     });
                 });
@@ -286,7 +297,10 @@ pub fn encode_response_data(
     produced_at: Time,
     responses: &[SingleResponse],
 ) -> Vec<u8> {
-    let mut enc = Encoder::new();
+    // Room for the whole message: 55 bytes of responder id and
+    // producedAt, and under 192 per single response (its CertID, status
+    // and two times).
+    let mut enc = Encoder::with_capacity(64 + 192 * responses.len());
     enc.sequence(|enc| {
         let ResponderId::ByKey(key_hash) = responder_id;
         enc.explicit(2, |enc| enc.octet_string(key_hash));

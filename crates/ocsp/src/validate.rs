@@ -21,6 +21,7 @@ use crate::response::{BasicResponse, CertStatus, OcspResponse, ResponseStatus, S
 use asn1::Time;
 use pki::Certificate;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use telemetry::catalog;
 
 /// Memo for the stages of validation that do not depend on the call:
@@ -38,11 +39,15 @@ use telemetry::catalog;
 /// only the serial match and the time-window checks, which depend on
 /// the call.
 ///
-/// Keying on the bytes themselves rather than a digest of them costs a
-/// copy per distinct body instead of a SHA-256 pass per lookup, and no
-/// two bodies can share an entry. Attached certificates are parsed
-/// eagerly, as the uncached path does, so a malformed one stays
-/// `MalformedStructure`.
+/// Keying on the bytes themselves rather than a digest of them means no
+/// two bodies can share an entry. The memo keeps the caller's shared
+/// buffer rather than a copy, and checks the last few buffers it was
+/// handed by pointer before it hashes a body: a scan that is handed the
+/// same buffer again (a responder's signed-response cache serves one
+/// buffer to every vantage point) finds its entry without reading the
+/// bytes. Equal bytes in a different buffer still find it through the
+/// hash. Attached certificates are parsed eagerly, as the uncached path
+/// does, so a malformed one stays `MalformedStructure`.
 ///
 /// Scan pipelines hold one cache per shard (or per work chunk), keeping
 /// the memo deterministic and thread-local.
@@ -52,10 +57,57 @@ pub struct SigVerifyCache {
     entries: BTreeMap<[u8; 32], BodyMemos>,
 }
 
-/// One issuer's memo entries, keyed by the exact response body. The
-/// bodies are responder-controlled bytes, so the map keeps std's keyed
-/// hasher.
-type BodyMemos = HashMap<Vec<u8>, Result<ParsedBody, ResponseError>>;
+/// How many recently looked-up buffers an issuer's memo checks by
+/// pointer before hashing: a responder's scan interleaves a few
+/// certificates' bodies.
+const RECENT_BUFFERS: usize = 8;
+
+/// One issuer's memo entries, keyed by the exact response body.
+#[derive(Debug, Default)]
+struct BodyMemos {
+    /// Body → its entry in `memos`. The bodies are responder-controlled
+    /// bytes, so the map keeps std's keyed hasher.
+    index: HashMap<Arc<[u8]>, usize>,
+    memos: Vec<Result<ParsedBody, ResponseError>>,
+    /// The buffers most recently looked up, with their entries, replaced
+    /// in turn. Holding each buffer keeps its address from being reused
+    /// for other bytes while it is here.
+    recent: [Option<(Arc<[u8]>, usize)>; RECENT_BUFFERS],
+    next_recent: usize,
+}
+
+impl BodyMemos {
+    /// The entry for `body`: found by pointer among the recent buffers,
+    /// else by its bytes, else parsed now and added.
+    fn entry(&mut self, body: &Arc<[u8]>) -> &mut Result<ParsedBody, ResponseError> {
+        let by_pointer = self
+            .recent
+            .iter()
+            .flatten()
+            .find(|(held, _)| Arc::ptr_eq(held, body));
+        let i = match by_pointer {
+            Some(&(_, i)) => i,
+            None => {
+                let i = match self.index.get(&body[..]) {
+                    Some(&i) => i,
+                    None => {
+                        let memo = parse_body(body).map(|basic| ParsedBody {
+                            basic,
+                            signature: None,
+                        });
+                        self.memos.push(memo);
+                        self.index.insert(Arc::clone(body), self.memos.len() - 1);
+                        self.memos.len() - 1
+                    }
+                };
+                self.recent[self.next_recent] = Some((Arc::clone(body), i));
+                self.next_recent = (self.next_recent + 1) % RECENT_BUFFERS;
+                i
+            }
+        };
+        &mut self.memos[i]
+    }
+}
 
 /// A body that passed the structural stage.
 #[derive(Debug)]
@@ -76,7 +128,7 @@ impl SigVerifyCache {
     pub fn len(&self) -> usize {
         self.entries
             .values()
-            .flat_map(HashMap::values)
+            .flat_map(|bodies| &bodies.memos)
             .filter(|memo| matches!(memo, Ok(parsed) if parsed.signature.is_some()))
             .count()
     }
@@ -229,45 +281,33 @@ pub fn validate_response(
 fn validate_memoized(
     cache: &mut SigVerifyCache,
     reg: &mut telemetry::Registry,
-    body: &[u8],
+    body: &Arc<[u8]>,
     cert_id: &CertId,
     issuer: &Certificate,
     received_at: Time,
     config: ValidationConfig,
 ) -> Result<ValidatedResponse, ResponseError> {
-    let bodies = cache
+    let parsed = cache
         .entries
         .entry(issuer.public_key().key_id())
-        .or_default();
-    let check = |memo: &mut Result<ParsedBody, ResponseError>, reg: &mut telemetry::Registry| {
-        let parsed = memo.as_mut().map_err(|err| err.clone())?;
-        let single = answer_for(&parsed.basic, cert_id)?;
-        match &parsed.signature {
-            Some(outcome) => {
-                reg.incr(catalog::OCSP_VALIDATE_SIGCACHE, "hit");
-                outcome.clone()?;
-            }
-            None => {
-                reg.incr(catalog::OCSP_VALIDATE_SIGCACHE, "miss");
-                let outcome = verify_signature_stage(&parsed.basic, issuer);
-                parsed.signature = Some(outcome.clone());
-                outcome?;
-            }
+        .or_default()
+        .entry(body)
+        .as_mut()
+        .map_err(|err| err.clone())?;
+    let single = answer_for(&parsed.basic, cert_id)?;
+    match &parsed.signature {
+        Some(outcome) => {
+            reg.incr(catalog::OCSP_VALIDATE_SIGCACHE, "hit");
+            outcome.clone()?;
         }
-        check_window(&parsed.basic, single, received_at, config)
-    };
-    match bodies.get_mut(body) {
-        Some(memo) => check(memo, reg),
         None => {
-            let mut memo = parse_body(body).map(|basic| ParsedBody {
-                basic,
-                signature: None,
-            });
-            let result = check(&mut memo, reg);
-            bodies.insert(body.to_vec(), memo);
-            result
+            reg.incr(catalog::OCSP_VALIDATE_SIGCACHE, "miss");
+            let outcome = verify_signature_stage(&parsed.basic, issuer);
+            parsed.signature = Some(outcome.clone());
+            outcome?;
         }
     }
+    check_window(&parsed.basic, single, received_at, config)
 }
 
 /// The structural stage: `body` must be a `successful` OCSP response
@@ -398,13 +438,14 @@ pub fn validate_response_with(
 /// [`validate_response_with`] through a [`SigVerifyCache`]: the outcome
 /// counter is identical to the uncached path (so per-pipeline
 /// cross-checks are unaffected), and `ocsp.validate.sigcache.{hit,miss}`
-/// records the signature memo's effectiveness separately.
+/// records the signature memo's effectiveness separately. `body` is the
+/// shared buffer the transport delivered, which the memo keeps.
 #[allow(clippy::too_many_arguments)]
 pub fn validate_response_cached(
     reg: &mut telemetry::Registry,
     metric: &str,
     cache: &mut SigVerifyCache,
-    body: &[u8],
+    body: &Arc<[u8]>,
     cert_id: &CertId,
     issuer: &Certificate,
     received_at: Time,
@@ -446,9 +487,11 @@ mod tests {
         Fixture { ca, leaf, id }
     }
 
-    fn fetch(f: &Fixture, profile: ResponderProfile, at: Time) -> Vec<u8> {
+    fn fetch(f: &Fixture, profile: ResponderProfile, at: Time) -> Arc<[u8]> {
         let mut responder = Responder::new("u", profile);
-        responder.handle(&f.ca, &OcspRequest::single(f.id.clone()), at)
+        responder
+            .handle(&f.ca, &OcspRequest::single(f.id.clone()), at)
+            .into()
     }
 
     fn check(
@@ -823,7 +866,7 @@ mod tests {
         let other = fixture(24);
         let mut reg = telemetry::Registry::new();
         let mut cache = SigVerifyCache::new();
-        let mut validate = |body: &[u8], issuer: &Certificate| {
+        let mut validate = |body: &Arc<[u8]>, issuer: &Certificate| {
             validate_response_cached(
                 &mut reg,
                 "m",
@@ -843,11 +886,11 @@ mod tests {
 
         // The signature ends the body (no certificates ride along): one
         // flipped bit in it is a different key, so a miss and a failure.
-        let mut flipped = body.clone();
+        let mut flipped = body.to_vec();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         assert_eq!(
-            validate(&flipped, f.ca.certificate()),
+            validate(&flipped.into(), f.ca.certificate()),
             Err(ResponseError::SignatureInvalid)
         );
         // The same bytes under another issuer are another key too.

@@ -16,6 +16,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use simcrypto::KeyPair;
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use telemetry::{catalog, Registry};
 
 thread_local! {
@@ -112,12 +113,26 @@ fn reaches_signature_stage(body: &[u8], id: &CertId) -> bool {
         })
 }
 
+/// Each body as two shared buffers holding the same bytes: body `i` is
+/// buffer `i`, handed out again on every draw of `i`, and buffer
+/// `i + bodies.len()` is a second copy, which the memo must find by its
+/// bytes.
+fn shared_buffers(bodies: &[Vec<u8>]) -> Vec<Arc<[u8]>> {
+    let buffer = |body: &Vec<u8>| Arc::<[u8]>::from(&body[..]);
+    bodies
+        .iter()
+        .map(buffer)
+        .chain(bodies.iter().map(buffer))
+        .collect()
+}
+
 /// Validate a sequence of `(body, id, issuer, time)` draws through one
 /// memo, checking each result against the uncached validator and the
 /// memo's counters against the calls that reach the signature stage.
+/// Counters are per distinct bytes, whichever buffer holds them.
 fn check_memo_sequence(
     env: &MemoEnv,
-    bodies: &[Vec<u8>],
+    bodies: &[Arc<[u8]>],
     calls: &[(usize, usize, usize, usize)],
 ) -> Result<(), TestCaseError> {
     let mut reg = Registry::new();
@@ -144,7 +159,7 @@ fn check_memo_sequence(
         prop_assert_eq!(&cached, &plain);
         if reaches_signature_stage(body, id) {
             reaching += 1;
-            distinct.insert((issuer.public_key().key_id(), body.clone()));
+            distinct.insert((issuer.public_key().key_id(), body.to_vec()));
         }
     }
     let hits = reg.counter(catalog::OCSP_VALIDATE_SIGCACHE, "hit");
@@ -319,10 +334,12 @@ proptest! {
     /// equal, signature hits and misses fall exactly on the calls that
     /// reach the signature stage, and each distinct (issuer, body) pair
     /// that reaches it misses once. The body pool gains one mutated copy
-    /// of the healthy body per case.
+    /// of the healthy body per case, and every body comes in two buffers
+    /// (see `shared_buffers`), so draws repeat one buffer and mix equal
+    /// bytes in distinct ones.
     #[test]
     fn memoized_validation_equals_uncached(
-        calls in proptest::collection::vec((0usize..11, 0usize..2, 0usize..2, 0usize..3), 1..48),
+        calls in proptest::collection::vec((0usize..22, 0usize..2, 0usize..2, 0usize..3), 1..48),
         idx_frac in 0.0f64..1.0,
         xor in 1u8..=255,
     ) {
@@ -332,7 +349,7 @@ proptest! {
             let idx = ((mutated.len() - 1) as f64 * idx_frac) as usize;
             mutated[idx] ^= xor;
             bodies.push(mutated);
-            check_memo_sequence(env, &bodies, &calls)
+            check_memo_sequence(env, &shared_buffers(&bodies), &calls)
         })?;
     }
 
@@ -373,7 +390,7 @@ fn memo_counts_a_body_first_seen_under_a_mismatching_serial() {
             (wrong_serial, 1, 1, 0),
             (wrong_serial, 1, 0, 1),
         ];
-        let outcome = check_memo_sequence(env, &env.bodies, &calls);
+        let outcome = check_memo_sequence(env, &shared_buffers(&env.bodies), &calls);
         assert!(outcome.is_ok(), "{outcome:?}");
     });
 }

@@ -28,14 +28,14 @@ pub fn serve(
     Ok(served)
 }
 
+/// Read one request off `stream` and answer it. `&TcpStream` reads and
+/// writes, so the reader and the writer borrow the one socket.
 fn handle_connection(stream: TcpStream, service: &mut OcspService) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let response = match HttpRequest::read_from(&mut reader) {
+    let response = match HttpRequest::read_from(&mut BufReader::new(&stream)) {
         Ok(request) => service.handle(&request),
         Err(reason) => HttpResponse::error(400, &reason),
     };
-    let mut writer = BufWriter::new(stream);
-    response.write_to(&mut writer)
+    response.write_to(&mut BufWriter::new(&stream))
 }
 
 /// A webhook-style [`EventSink`] that POSTs each payload to a real HTTP
@@ -87,7 +87,7 @@ pub mod client {
         body: &[u8],
     ) -> std::io::Result<(u16, Vec<u8>)> {
         let stream = TcpStream::connect(addr)?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
+        let mut writer = BufWriter::new(&stream);
         write!(
             writer,
             "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -95,18 +95,20 @@ pub mod client {
         )?;
         writer.write_all(body)?;
         writer.flush()?;
+        drop(writer);
         read_response(stream)
     }
 
     /// GET `http://{addr}{path}`; returns `(status, body)`.
     pub fn get(addr: &str, path: &str) -> std::io::Result<(u16, Vec<u8>)> {
         let stream = TcpStream::connect(addr)?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
+        let mut writer = BufWriter::new(&stream);
         write!(
             writer,
             "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
         )?;
         writer.flush()?;
+        drop(writer);
         read_response(stream)
     }
 

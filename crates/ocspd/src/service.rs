@@ -167,7 +167,8 @@ impl OcspService {
                 .handle_with(&self.ca, request, at, &mut self.registry),
             None => self
                 .responder
-                .handle_bytes_with(&self.ca, body, at, &mut self.registry),
+                .handle_bytes_with(&self.ca, body, at, &mut self.registry)
+                .to_vec(),
         };
         HttpResponse::ok("application/ocsp-response", der)
     }

@@ -242,12 +242,17 @@ impl HealthLog {
 
     /// Record one probe classification for `subject` at simulated time
     /// `at`. Within a subject, calls must arrive in non-decreasing
-    /// time order (chunks already iterate rounds in order).
+    /// time order (chunks already iterate rounds in order). The subject
+    /// is copied only the first time it is seen.
     pub fn record(&mut self, subject: &str, at: Time, ok: bool) {
-        self.logs
-            .entry(subject.to_owned())
-            .or_default()
-            .push((at, ok));
+        match self.logs.get_mut(subject) {
+            Some(log) => log.push((at, ok)),
+            None => self
+                .logs
+                .entry(subject.to_owned())
+                .or_default()
+                .push((at, ok)),
+        }
     }
 
     /// Absorb `later`, whose per-subject observations all happen at or

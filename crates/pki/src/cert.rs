@@ -168,13 +168,26 @@ impl Certificate {
 
     /// Encode the full certificate to DER.
     pub fn to_der(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        let mut enc = Encoder::with_capacity(self.der_len_bound());
+        self.encode(&mut enc);
+        enc.finish()
+    }
+
+    /// Append the certificate's DER to `enc`, as [`Certificate::to_der`]
+    /// spells it.
+    pub fn encode(&self, enc: &mut Encoder) {
         enc.sequence(|enc| {
             enc.raw(&self.tbs_der);
             encode_algorithm_id(enc);
             enc.bit_string(&self.signature);
         });
-        enc.finish()
+    }
+
+    /// An upper bound on the DER's length, for sizing a buffer: the
+    /// signed bytes and the signature plus room for the headers and the
+    /// algorithm identifier.
+    pub fn der_len_bound(&self) -> usize {
+        self.tbs_der.len() + self.signature.len() + 40
     }
 
     /// Decode a certificate from DER.

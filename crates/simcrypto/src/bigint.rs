@@ -129,6 +129,16 @@ impl BigUint {
         self.limbs.get(limb).is_some_and(|&l| l >> off & 1 == 1)
     }
 
+    /// Window `i` of `width` bits (little-endian: bits `i·width` up),
+    /// read from one limb; `width` divides 32, so a window never
+    /// straddles two.
+    fn window(&self, i: usize, width: usize) -> usize {
+        let bit = i * width;
+        self.limbs.get(bit / 32).map_or(0, |&limb| {
+            (limb >> (bit % 32)) as usize & ((1 << width) - 1)
+        })
+    }
+
     fn normalize(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
@@ -457,6 +467,37 @@ impl BigUint {
 /// bits, the CRT primes of a 2048-bit key.
 pub(crate) const MAX_LIMBS: usize = 16;
 
+/// `$body` with the constant `$n` bound to the width `$limbs`, which
+/// must be `1..=MAX_LIMBS`: where a runtime width picks the kernel
+/// monomorphized for it.
+macro_rules! with_width {
+    ($limbs:expr, $n:ident => $body:expr) => {
+        match $limbs {
+            1 => with_width!(@ $n = 1, $body),
+            2 => with_width!(@ $n = 2, $body),
+            3 => with_width!(@ $n = 3, $body),
+            4 => with_width!(@ $n = 4, $body),
+            5 => with_width!(@ $n = 5, $body),
+            6 => with_width!(@ $n = 6, $body),
+            7 => with_width!(@ $n = 7, $body),
+            8 => with_width!(@ $n = 8, $body),
+            9 => with_width!(@ $n = 9, $body),
+            10 => with_width!(@ $n = 10, $body),
+            11 => with_width!(@ $n = 11, $body),
+            12 => with_width!(@ $n = 12, $body),
+            13 => with_width!(@ $n = 13, $body),
+            14 => with_width!(@ $n = 14, $body),
+            15 => with_width!(@ $n = 15, $body),
+            16 => with_width!(@ $n = 16, $body),
+            _ => unreachable!("MontgomeryCtx::new caps the width at MAX_LIMBS"),
+        }
+    };
+    (@ $n:ident = $width:literal, $body:expr) => {{
+        const $n: usize = $width;
+        $body
+    }};
+}
+
 /// The Montgomery constants of one odd modulus `m > 1` of at most
 /// [`MAX_LIMBS`] 64-bit limbs: everything `modpow` derives from the
 /// modulus alone, so a key that exponentiates under one modulus many
@@ -513,28 +554,17 @@ impl MontgomeryCtx {
         if exp.is_zero() {
             return BigUint::one();
         }
-        match self.limbs {
-            1 => self.pow_n::<1>(base, exp),
-            2 => self.pow_n::<2>(base, exp),
-            3 => self.pow_n::<3>(base, exp),
-            4 => self.pow_n::<4>(base, exp),
-            5 => self.pow_n::<5>(base, exp),
-            6 => self.pow_n::<6>(base, exp),
-            7 => self.pow_n::<7>(base, exp),
-            8 => self.pow_n::<8>(base, exp),
-            9 => self.pow_n::<9>(base, exp),
-            10 => self.pow_n::<10>(base, exp),
-            11 => self.pow_n::<11>(base, exp),
-            12 => self.pow_n::<12>(base, exp),
-            13 => self.pow_n::<13>(base, exp),
-            14 => self.pow_n::<14>(base, exp),
-            15 => self.pow_n::<15>(base, exp),
-            16 => self.pow_n::<16>(base, exp),
-            _ => unreachable!("MontgomeryCtx::new caps the width at MAX_LIMBS"),
-        }
+        with_width!(self.limbs, N => self.pow_n::<N>(base, exp))
     }
 
     fn pow_n<const N: usize>(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let kernel = self.kernel::<N>();
+        let acc = kernel.pow(kernel.to_mont(&base.limbs), exp);
+        unpack(&kernel.out_of_mont(&acc))
+    }
+
+    /// The kernel for this modulus at its width `N`.
+    fn kernel<const N: usize>(&self) -> Kernel<N> {
         let mut kernel = Kernel {
             m: [0; N],
             r2: [0; N],
@@ -542,12 +572,199 @@ impl MontgomeryCtx {
         };
         kernel.m.copy_from_slice(&self.m[..N]);
         kernel.r2.copy_from_slice(&self.r2[..N]);
-        let acc = kernel.pow(kernel.to_mont(&base.limbs), exp);
-        // Leave Montgomery form: multiply by plain 1.
-        let mut one = [0; N];
-        one[0] = 1;
-        unpack(&kernel.mul(&acc, &one))
+        kernel
     }
+}
+
+/// The RSA-CRT private operation of one key, `m^d mod pq` from its two
+/// half-size exponentiations: the primes' Montgomery constants, `d`
+/// reduced mod `p − 1` and `q − 1`, and `q⁻¹ mod p`, all made once at
+/// key generation.
+///
+/// When `p` and `q` share a width in 64-bit limbs and both exponents
+/// are longer than 32 bits — every key of an even bit count — the two
+/// exponentiations run in lock-step and Garner's recombination runs on
+/// the kernel's fixed arrays, so [`CrtCtx::sign`] allocates nothing.
+/// Otherwise the halves run one after the other and recombine through
+/// `BigUint`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct CrtCtx {
+    p: MontgomeryCtx,
+    q: MontgomeryCtx,
+    dp: BigUint,
+    dq: BigUint,
+    qinv: BigUint,
+    /// For the lock-step path: `q⁻¹ mod p` and `q⁻¹·R mod p` (`qinv` in
+    /// Montgomery form), zero from the width up.
+    garner: Option<([u64; MAX_LIMBS], [u64; MAX_LIMBS])>,
+}
+
+impl CrtCtx {
+    /// The operation for primes `p` and `q` with `dp = d mod (p − 1)`,
+    /// `dq = d mod (q − 1)` and `qinv = q⁻¹ mod p`, or `None` unless the
+    /// kernel takes both primes (odd, at most [`MAX_LIMBS`] limbs).
+    pub(crate) fn new(
+        p: &BigUint,
+        q: &BigUint,
+        dp: BigUint,
+        dq: BigUint,
+        qinv: BigUint,
+    ) -> Option<CrtCtx> {
+        let (p_ctx, q_ctx) = (MontgomeryCtx::new(p)?, MontgomeryCtx::new(q)?);
+        let lock_step = p_ctx.limbs == q_ctx.limbs && dp.bit_len() > 32 && dq.bit_len() > 32;
+        let garner = lock_step.then(|| {
+            let mut plain = [0; MAX_LIMBS];
+            pack(&qinv.rem(p).limbs, &mut plain);
+            let mut mont = [0; MAX_LIMBS];
+            pack(&qinv.shl(64 * p_ctx.limbs).rem(p).limbs, &mut mont);
+            (plain, mont)
+        });
+        Some(CrtCtx {
+            p: p_ctx,
+            q: q_ctx,
+            dp,
+            dq,
+            qinv,
+            garner,
+        })
+    }
+
+    /// `em^d mod pq`, for the big-endian message representative `em`
+    /// below `pq`, written big-endian over the whole of `out`. Counts
+    /// two exponentiations in [`modpow_calls`] on either path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `em` or `out` is wider than `pq`'s limbs, or `out` is
+    /// too short for the result.
+    pub(crate) fn sign(&self, em: &[u8], out: &mut [u8]) {
+        let Some((qinv, qinv_r)) = &self.garner else {
+            // s1 = m^dp mod p, s2 = m^dq mod q, h = qinv (s1 − s2) mod p,
+            // s = s2 + q h.
+            let (p, q) = (
+                unpack(&self.p.m[..self.p.limbs]),
+                unpack(&self.q.m[..self.q.limbs]),
+            );
+            let m = BigUint::from_be_bytes(em);
+            let s1 = self.p.pow(&m, &self.dp);
+            let s2 = self.q.pow(&m, &self.dq);
+            // (s1 − s2) mod p, lifting s2 into Z_p first to avoid underflow.
+            let s2_mod_p = s2.rem(&p);
+            let diff = if s1.cmp_to(&s2_mod_p) != Ordering::Less {
+                s1.sub(&s2_mod_p)
+            } else {
+                s1.add(&p).sub(&s2_mod_p)
+            };
+            let h = self.qinv.mulmod(&diff, &p);
+            out.copy_from_slice(&s2.add(&q.mul(&h)).to_be_bytes_padded(out.len()));
+            return;
+        };
+        count_modpow();
+        count_modpow();
+        with_width!(self.p.limbs, N => self.sign_lock_step::<N>(em, qinv, qinv_r, out))
+    }
+
+    fn sign_lock_step<const N: usize>(
+        &self,
+        em: &[u8],
+        qinv: &[u64; MAX_LIMBS],
+        qinv_r: &[u64; MAX_LIMBS],
+        out: &mut [u8],
+    ) {
+        assert!(
+            em.len() <= 16 * N && out.len() <= 16 * N,
+            "message wider than the modulus"
+        );
+        let (kp, kq) = (self.p.kernel::<N>(), self.q.kernel::<N>());
+        let mut words = [0u32; 4 * MAX_LIMBS];
+        for (i, &byte) in em.iter().rev().enumerate() {
+            words[i / 4] |= u32::from(byte) << (8 * (i % 4));
+        }
+        let words = &words[..em.len().div_ceil(4)];
+        let (s1, s2) = pow_pair(
+            &kp,
+            kp.to_mont(words),
+            &self.dp,
+            &kq,
+            kq.to_mont(words),
+            &self.dq,
+        );
+        // Garner: h = (s1 − s2)·qinv mod p, then s = s2 + q·h. s1 stays
+        // in Montgomery form, since its product with plain qinv takes the
+        // R back out; s2 < q is below R, which is all the product needs
+        // of its first factor, and meets qinv·R.
+        let s2 = kq.out_of_mont(&s2);
+        let mut plain = [0; N];
+        plain.copy_from_slice(&qinv[..N]);
+        let mut mont = [0; N];
+        mont.copy_from_slice(&qinv_r[..N]);
+        let h = kp.sub(&kp.mul(&s1, &plain), &kp.mul(&s2, &mont));
+        // s ≤ (q − 1) + q·(p − 1) < pq fits in 2N words.
+        let mut halves = [[0u64; N]; 2];
+        let s = halves.as_flattened_mut();
+        for (i, &qi) in kq.m.iter().enumerate() {
+            let mut carry = 0u64;
+            for (j, &hj) in h.iter().enumerate() {
+                let t = u128::from(s[i + j]) + u128::from(qi) * u128::from(hj) + u128::from(carry);
+                s[i + j] = t as u64;
+                carry = (t >> 64) as u64;
+            }
+            s[i + N] = carry;
+        }
+        let mut carry = false;
+        for (j, sj) in s.iter_mut().enumerate() {
+            let (x, c1) = sj.overflowing_add(s2.get(j).copied().unwrap_or(0));
+            let (x, c2) = x.overflowing_add(u64::from(carry));
+            *sj = x;
+            carry = c1 | c2;
+        }
+        for (i, byte) in out.iter_mut().rev().enumerate() {
+            *byte = (s[i / 8] >> (8 * (i % 8))) as u8;
+        }
+    }
+}
+
+/// `(xp^ep, xq^eq)` in Montgomery form under `kp` and `kq`, for
+/// exponents longer than 32 bits: the two exponentiations of one CRT
+/// signature in one loop. The chains share no data, so each step's two
+/// products overlap in the CPU's pipelines instead of running one after
+/// the other. A shorter exponent idles at Montgomery one, which
+/// squaring leaves unchanged, until its top window comes up.
+fn pow_pair<const N: usize>(
+    kp: &Kernel<N>,
+    xp: [u64; N],
+    ep: &BigUint,
+    kq: &Kernel<N>,
+    xq: [u64; N],
+    eq: &BigUint,
+) -> ([u64; N], [u64; N]) {
+    const WIDTH: usize = 4;
+    let (tp, tq) = (kp.table(xp, WIDTH), kq.table(xq, WIDTH));
+    let (wp, wq) = (ep.bit_len().div_ceil(WIDTH), eq.bit_len().div_ceil(WIDTH));
+    let windows = wp.max(wq);
+    let top = |k: &Kernel<N>, table: &[[u64; N]; 16], e: &BigUint, w: usize| {
+        if w == windows {
+            table[e.window(windows - 1, WIDTH)]
+        } else {
+            k.one()
+        }
+    };
+    let mut ap = top(kp, &tp, ep, wp);
+    let mut aq = top(kq, &tq, eq, wq);
+    for i in (0..windows - 1).rev() {
+        for _ in 0..WIDTH {
+            ap = kp.sqr(&ap);
+            aq = kq.sqr(&aq);
+        }
+        let (dp, dq) = (ep.window(i, WIDTH), eq.window(i, WIDTH));
+        if dp != 0 {
+            ap = kp.mul(&ap, &tp[dp]);
+        }
+        if dq != 0 {
+            aq = kq.mul(&aq, &tq[dq]);
+        }
+    }
+    (ap, aq)
 }
 
 /// The CIOS kernel at a width of `N` 64-bit limbs. Values are `N`
@@ -597,6 +814,93 @@ impl<const N: usize> Kernel<N> {
             top = u64::from(over) + u64::from(over_again);
         }
         self.reduce_once(t, top != 0)
+    }
+
+    /// `a·a·R⁻¹ mod m` for `a < m`, the same value as `mul(a, a)` with
+    /// fewer products: the square is built in `2N` words with each cross
+    /// product `a_i·a_j` (`i < j`) computed once and doubled, then
+    /// reduced a word at a time (separated operand scanning): `N(N+1)/2`
+    /// word products for the square where `mul` spends `N²`, and the
+    /// same `N²` for the reduction.
+    ///
+    /// Always inlined, like [`Kernel::mul`].
+    #[inline(always)]
+    fn sqr(&self, a: &[u64; N]) -> [u64; N] {
+        let mut halves = [[0u64; N]; 2];
+        let t = halves.as_flattened_mut();
+        // The cross products; row i ends at word i + N, which no
+        // earlier row reached.
+        for i in 0..N {
+            let mut carry = 0u64;
+            for j in i + 1..N {
+                let s =
+                    u128::from(t[i + j]) + u128::from(a[i]) * u128::from(a[j]) + u128::from(carry);
+                t[i + j] = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            t[i + N] = carry;
+        }
+        // Doubled, they stay below a² < 2^(128N), so no bit leaves.
+        let mut shifted_out = 0u64;
+        for word in t.iter_mut() {
+            let next = *word >> 63;
+            *word = *word << 1 | shifted_out;
+            shifted_out = next;
+        }
+        // Plus the squares on the diagonal.
+        let mut carry = 0u64;
+        for (i, &ai) in a.iter().enumerate() {
+            let square = u128::from(ai) * u128::from(ai);
+            let lo = u128::from(t[2 * i]) + (square & u128::from(u64::MAX)) + u128::from(carry);
+            t[2 * i] = lo as u64;
+            let hi = u128::from(t[2 * i + 1]) + (square >> 64) + (lo >> 64);
+            t[2 * i + 1] = hi as u64;
+            carry = (hi >> 64) as u64;
+        }
+        // Reduce: add u·m at word i so word i cancels, for each of the
+        // low N words. Each row's carry out of word i + N is added one
+        // word up with the next row's, and the last one is bit 64·N of
+        // the result, which ends below 2m.
+        let mut extra = false;
+        for i in 0..N {
+            let u = t[i].wrapping_mul(self.n0);
+            let mut carry =
+                ((u128::from(t[i]) + u128::from(u) * u128::from(self.m[0])) >> 64) as u64;
+            for j in 1..N {
+                let s = u128::from(t[i + j])
+                    + u128::from(u) * u128::from(self.m[j])
+                    + u128::from(carry);
+                t[i + j] = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            let (word, c1) = t[i + N].overflowing_add(carry);
+            let (word, c2) = word.overflowing_add(u64::from(extra));
+            t[i + N] = word;
+            extra = c1 | c2;
+        }
+        self.reduce_once(halves[1], extra)
+    }
+
+    /// `a − b mod m`.
+    fn sub(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let mut d = [0; N];
+        let mut borrow = false;
+        for ((dj, &aj), &bj) in d.iter_mut().zip(a).zip(b) {
+            let (x, b1) = aj.overflowing_sub(bj);
+            let (x, b2) = x.overflowing_sub(u64::from(borrow));
+            *dj = x;
+            borrow = b1 | b2;
+        }
+        if borrow {
+            let mut carry = false;
+            for (dj, &mj) in d.iter_mut().zip(&self.m) {
+                let (x, c1) = dj.overflowing_add(mj);
+                let (x, c2) = x.overflowing_add(u64::from(carry));
+                *dj = x;
+                carry = c1 | c2;
+            }
+        }
+        d
     }
 
     /// `a + b mod m`.
@@ -652,27 +956,45 @@ impl<const N: usize> Kernel<N> {
     fn pow(&self, x: [u64; N], exp: &BigUint) -> [u64; N] {
         let bits = exp.bit_len();
         let width = if bits <= 32 { 1 } else { 4 };
-        // table[w] = x^w for every nonzero window value w.
-        let mut table = [[0; N]; 16];
-        table[1] = x;
-        for w in 2..1 << width {
-            table[w] = self.mul(&table[w - 1], &x);
-        }
-        let window =
-            |i: usize| (0..width).fold(0, |w, b| w | usize::from(exp.bit(i * width + b)) << b);
+        let table = self.table(x, width);
         let windows = bits.div_ceil(width);
         // The top window holds exp's top bit, so it is never zero.
-        let mut acc = table[window(windows - 1)];
+        let mut acc = table[exp.window(windows - 1, width)];
         for i in (0..windows - 1).rev() {
             for _ in 0..width {
-                acc = self.mul(&acc, &acc);
+                acc = self.sqr(&acc);
             }
-            let w = window(i);
+            let w = exp.window(i, width);
             if w != 0 {
                 acc = self.mul(&acc, &table[w]);
             }
         }
         acc
+    }
+
+    /// `table[w] = x^w` for every nonzero window value `w` of `width`
+    /// bits; the rest stays zero.
+    fn table(&self, x: [u64; N], width: usize) -> [[u64; N]; 16] {
+        let mut table = [[0; N]; 16];
+        table[1] = x;
+        for w in 2..1 << width {
+            table[w] = self.mul(&table[w - 1], &x);
+        }
+        table
+    }
+
+    /// One in Montgomery form, `R mod m`.
+    fn one(&self) -> [u64; N] {
+        let mut one = [0; N];
+        one[0] = 1;
+        self.mul(&self.r2, &one)
+    }
+
+    /// `a·R⁻¹ mod m`: out of Montgomery form, by a product with plain 1.
+    fn out_of_mont(&self, a: &[u64; N]) -> [u64; N] {
+        let mut one = [0; N];
+        one[0] = 1;
+        self.mul(a, &one)
     }
 }
 
@@ -936,5 +1258,64 @@ mod tests {
         assert_eq!(format!("{:?}", n(0)), "0x0");
         assert_eq!(format!("{:?}", n(0xdeadbeef)), "0xdeadbeef");
         assert_eq!(format!("{:?}", n(0x1_0000_0000)), "0x100000000");
+    }
+
+    #[test]
+    fn windows_read_the_exponent_bits() {
+        let e = BigUint::from_be_bytes(&[0xa5, 0x3c, 0x0f, 0xf0, 0x12, 0x34, 0x56, 0x78, 0x9a]);
+        for width in [1, 4] {
+            for i in 0..=e.bit_len().div_ceil(width) + 2 {
+                let by_bits = (0..width).fold(0, |w, b| w | usize::from(e.bit(i * width + b)) << b);
+                assert_eq!(e.window(i, width), by_bits, "width {width} window {i}");
+            }
+        }
+    }
+
+    /// `(sqr(a), mul(a, a))` under the kernel for `m`, at its width;
+    /// `None` if the kernel does not take `m`.
+    fn square_both_ways(m: &BigUint, a: &BigUint) -> Option<(BigUint, BigUint)> {
+        let ctx = MontgomeryCtx::new(m)?;
+        Some(with_width!(ctx.limbs, N => {
+            let kernel = ctx.kernel::<N>();
+            let mut x = [0; N];
+            pack(&a.limbs, &mut x);
+            (unpack(&kernel.sqr(&x)), unpack(&kernel.mul(&x, &x)))
+        }))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The dedicated squaring equals the product of a value with
+        /// itself at every kernel width, on random odd moduli and on
+        /// moduli just under 2^(64·N), for random values below the
+        /// modulus and for `m − 1`.
+        #[test]
+        fn squaring_matches_product_at_every_width(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 32..33),
+            gap in 0u64..1 << 20,
+        ) {
+            let limb = |w: &u64| [*w as u32, (*w >> 32) as u32];
+            for limbs in 1..=MAX_LIMBS {
+                let mut random: Vec<u32> = words[..limbs].iter().flat_map(limb).collect();
+                random[0] |= 1;
+                random[2 * limbs - 1] |= 1 << 31;
+                let top = BigUint::one().shl(64 * limbs).sub(&BigUint::from_u64(2 * gap + 1));
+                for m in [BigUint { limbs: random }, top] {
+                    let below = BigUint {
+                        limbs: words[16..16 + limbs].iter().flat_map(limb).collect(),
+                    };
+                    let mut below = below.rem(&m);
+                    below.normalize();
+                    for a in [below, m.sub(&BigUint::one())] {
+                        let squares = square_both_ways(&m, &a);
+                        proptest::prop_assert!(
+                            squares.as_ref().is_some_and(|(sqr, mul)| sqr == mul),
+                            "m={:?} a={:?}: {:?}", m, a, squares
+                        );
+                    }
+                }
+            }
+        }
     }
 }

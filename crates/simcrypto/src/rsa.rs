@@ -10,7 +10,7 @@
 //! encodings look realistic, small enough that a measurement campaign can
 //! sign millions of responses in seconds.
 
-use crate::bigint::{BigUint, MontgomeryCtx, MAX_LIMBS};
+use crate::bigint::{BigUint, CrtCtx, MontgomeryCtx, MAX_LIMBS};
 use crate::prime::generate_prime;
 use crate::sha256;
 use rand::Rng;
@@ -155,19 +155,12 @@ impl core::fmt::Debug for PublicKey {
 pub struct KeyPair {
     public: PublicKey,
     d: BigUint,
-    /// CRT: the prime factors and reduced exponents. Signing via the
-    /// Chinese Remainder Theorem is ~4x faster than a full modpow, which
-    /// matters because the simulated responders sign hundreds of
-    /// thousands of OCSP responses per measurement campaign.
-    p: BigUint,
-    q: BigUint,
-    dp: BigUint,
-    dq: BigUint,
-    qinv: BigUint,
-    /// The Montgomery constants of `p` and `q`, made once here rather
-    /// than on every signature.
-    p_mont: MontgomeryCtx,
-    q_mont: MontgomeryCtx,
+    /// CRT: signing via the Chinese Remainder Theorem is ~4x faster than
+    /// a full modpow, which matters because the simulated responders
+    /// sign hundreds of thousands of OCSP responses per measurement
+    /// campaign. Its constants are made once here rather than on every
+    /// signature.
+    crt: CrtCtx,
 }
 
 impl KeyPair {
@@ -200,20 +193,13 @@ impl KeyPair {
             let dp = d.rem(&p.sub(&one));
             let dq = d.rem(&q.sub(&one));
             // Odd primes within the asserted width always have contexts.
-            let (Some(p_mont), Some(q_mont)) = (MontgomeryCtx::new(&p), MontgomeryCtx::new(&q))
-            else {
+            let Some(crt) = CrtCtx::new(&p, &q, dp, dq, qinv) else {
                 continue;
             };
             return KeyPair {
                 public: PublicKey::new(n, e),
                 d,
-                p,
-                q,
-                dp,
-                dq,
-                qinv,
-                p_mont,
-                q_mont,
+                crt,
             };
         }
     }
@@ -230,23 +216,16 @@ impl KeyPair {
 
     /// Sign `message`, returning a signature of exactly `modulus_len`
     /// bytes. Uses CRT: `s1 = m^dp mod p`, `s2 = m^dq mod q`,
-    /// `h = qinv (s1 - s2) mod p`, `s = s2 + q h`.
+    /// `h = qinv (s1 - s2) mod p`, `s = s2 + q h`; the signature is the
+    /// only allocation.
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
         let k = self.public.modulus_len();
-        let em = encode_em(message, k).expect("modulus checked at generation");
-        let m = BigUint::from_be_bytes(&em);
-        let s1 = self.p_mont.pow(&m, &self.dp);
-        let s2 = self.q_mont.pow(&m, &self.dq);
-        // (s1 - s2) mod p, lifting s2 into Z_p first to avoid underflow.
-        let s2_mod_p = s2.rem(&self.p);
-        let diff = if s1.cmp_to(&s2_mod_p) != core::cmp::Ordering::Less {
-            s1.sub(&s2_mod_p)
-        } else {
-            s1.add(&self.p).sub(&s2_mod_p)
-        };
-        let h = self.qinv.mulmod(&diff, &self.p);
-        let s = s2.add(&self.q.mul(&h));
-        s.to_be_bytes_padded(k)
+        let mut em = [0; 16 * MAX_LIMBS];
+        let em = &mut em[..k];
+        encode_em_into(message, em).expect("modulus checked at generation");
+        let mut signature = vec![0; k];
+        self.crt.sign(em, &mut signature);
+        signature
     }
 
     /// The full private exponent (exposed for tests/ablations comparing
@@ -262,19 +241,27 @@ impl KeyPair {
 /// PKCS#1 v1.5-shaped encoded message for a SHA-256 digest.
 /// Returns `None` when `k` is too small to hold the padding.
 fn encode_em(message: &[u8], k: usize) -> Option<Vec<u8>> {
+    let mut em = vec![0; k];
+    encode_em_into(message, &mut em)?;
+    Some(em)
+}
+
+/// [`encode_em`] over all of `em`: `0x00 0x01 PS 0x00 DIGEST`, with PS
+/// at least 8 bytes of 0xFF. Returns `None`, leaving `em` as it is, when
+/// `em` is too short to hold the padding.
+fn encode_em_into(message: &[u8], em: &mut [u8]) -> Option<()> {
     let digest = sha256(message);
-    // 0x00 0x01 PS 0x00 DIGEST, with PS at least 8 bytes of 0xFF.
-    let ps_len = k.checked_sub(3 + digest.len())?;
+    let ps_len = em.len().checked_sub(3 + digest.len())?;
     if ps_len < 8 {
         return None;
     }
-    let mut em = Vec::with_capacity(k);
-    em.push(0x00);
-    em.push(0x01);
-    em.extend(core::iter::repeat_n(0xff, ps_len));
-    em.push(0x00);
-    em.extend_from_slice(&digest);
-    Some(em)
+    let (header, rest) = em.split_at_mut(2 + ps_len);
+    header[0] = 0x00;
+    header[1] = 0x01;
+    header[2..].fill(0xff);
+    rest[0] = 0x00;
+    rest[1..].copy_from_slice(&digest);
+    Some(())
 }
 
 #[cfg(test)]

@@ -67,6 +67,28 @@ fn montgomery_edge_moduli_and_fallback() {
     }
 }
 
+/// Lock-step CRT signing, on keys whose primes share a limb width, and
+/// the one-half-after-the-other fallback, on 513-bit keys (a 256-bit `p`
+/// and a 257-bit `q`), both equal the straight `m^d mod n` oracle on
+/// random messages, and every signature counts two exponentiations.
+#[test]
+fn lock_step_and_split_signing_match_plain() {
+    use mustaple_simcrypto::bigint::modpow_calls;
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(0x5EED_C127);
+    for (seed, bits) in [(1, 384), (2, 384), (3, 384), (4, 512), (5, 513), (6, 1024)] {
+        let kp = KeyPair::generate(&mut StdRng::seed_from_u64(seed), bits);
+        for _ in 0..24 {
+            let mut msg = vec![0u8; rng.gen_range(0..300usize)];
+            rng.fill(&mut msg[..]);
+            let before = modpow_calls();
+            let sig = kp.sign(&msg);
+            assert_eq!(modpow_calls() - before, 2, "bits={bits}");
+            assert_eq!(sig, kp.sign_without_crt(&msg), "bits={bits} msg={msg:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
