@@ -1,10 +1,9 @@
 //! `figures` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! figures [--scale tiny|figures] [--scale-mult K] [--streaming]
-//!         [--mem-budget BYTES] [--out DIR] [--workers N]
-//!         [--chunking per-responder|time-sliced]
-//!         [--seeds N | --seed-list a,b,c] [ARTIFACT...]
+//! figures [--scale tiny|figures] [--scale-mult K] [--mem-budget BYTES]
+//!         [--out DIR] [--workers N] [--seeds N | --seed-list a,b,c]
+//!         [--telemetry] [ARTIFACT...]
 //! ```
 //!
 //! With no artifact arguments, regenerates everything (all figures,
@@ -15,9 +14,8 @@
 //!
 //! The scan campaigns are sharded across worker threads by default
 //! (`available_parallelism`); `--workers N` pins the count (`1` runs
-//! serially), and `--chunking` picks the hourly work-unit split. Every
-//! combination produces byte-identical CSVs — both are purely
-//! wall-clock knobs (DESIGN.md §8).
+//! serially). Every count produces byte-identical CSVs — it is purely
+//! a wall-clock knob (DESIGN.md §8).
 //!
 //! `--seeds N` reruns the whole study under N independently-derived
 //! seeds (`--seed-list` pins them explicitly) and writes, next to each
@@ -30,28 +28,27 @@
 //! worker count yields byte-identical output.
 //!
 //! `--scale-mult K` multiplies the *statistical* populations (corpus +
-//! Alexa) by K, leaving the scan populations untouched; `--streaming`
-//! folds those populations off the pull-based feeds in bounded memory
-//! instead of materializing them. At `--scale-mult 1` streaming output
-//! is byte-identical to batch (DESIGN.md §13). Built with
-//! `--features mem-profile`, the binary installs a counting global
-//! allocator, reports `mem.peak_bytes` / `mem.alloc_count` as
-//! telemetry gauges (excluded from equality surfaces), and
-//! `--mem-budget BYTES` turns the peak into a hard gate (exit 3 when
-//! exceeded) — the CI peak-memory ratchet.
+//! Alexa) by K, leaving the scan populations untouched; those
+//! populations are folded off the pull-based feeds in bounded memory
+//! (DESIGN.md §13). Built with `--features mem-profile`, the binary
+//! installs a counting global allocator, reports `mem.peak_bytes` /
+//! `mem.alloc_count` as telemetry gauges (excluded from equality
+//! surfaces), and `--mem-budget BYTES` turns the peak into a hard gate
+//! (exit 3 when exceeded) — the CI peak-memory ratchet.
 //!
 //! `--telemetry` additionally dumps the campaigns' deterministic
-//! counters and histograms to `telemetry.csv`, a Prometheus text
-//! exposition to `telemetry.prom`, the simulated-clock span tree to
-//! `trace.jsonl`, and the operational event bus (health transitions,
-//! outages, window rollovers, revocations) to `events.jsonl` (all
-//! byte-identical for every worker count), with histogram quantiles,
-//! the span tree, and wall timings summarized on stdout. Diff two
-//! runs' expositions with `cargo run -p teldiff`.
+//! counters and histograms as a Prometheus text exposition to
+//! `telemetry.prom` (under `--seeds`, every series carries its `seed`
+//! label), the simulated-clock span tree to `trace.jsonl`, and the
+//! operational event bus (health transitions, outages, window
+//! rollovers, revocations) to `events.jsonl` (all byte-identical for
+//! every worker count), with histogram quantiles, the span tree, and
+//! wall timings summarized on stdout. Diff two runs' expositions with
+//! `cargo run -p teldiff`.
 
 #![forbid(unsafe_code)]
 
-use ecosystem::{Chunking, EcosystemConfig};
+use ecosystem::EcosystemConfig;
 use mustaple::{Study, StudyResults};
 use mustaple_bench::ensemble::{parse_seed_list, seeds_for, Ensemble};
 use mustaple_bench::{ablations, bench_scan, build, Artifact, ALL_ARTIFACTS};
@@ -85,9 +82,7 @@ fn main() {
     let mut telemetry = false;
     let mut seed_count: Option<usize> = None;
     let mut seed_list: Option<Vec<u64>> = None;
-    let mut chunking: Option<Chunking> = None;
     let mut scale_mult: usize = 1;
-    let mut streaming = false;
     let mut mem_budget: Option<u64> = None;
 
     let mut args = std::env::args().skip(1);
@@ -131,16 +126,6 @@ fn main() {
                         .unwrap_or_else(|err| usage(&format!("--seed-list: {err}"))),
                 );
             }
-            "--chunking" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| usage("--chunking needs a value"));
-                chunking = Some(Chunking::parse(&v).unwrap_or_else(|| {
-                    usage(&format!(
-                        "unknown chunking `{v}` (use per-responder|time-sliced)"
-                    ))
-                }));
-            }
             "--scale-mult" => {
                 let n = args
                     .next()
@@ -152,7 +137,6 @@ fn main() {
                     usage("--scale-mult needs a positive integer, got `0`");
                 }
             }
-            "--streaming" => streaming = true,
             "--mem-budget" => {
                 let n = args
                     .next()
@@ -181,10 +165,7 @@ fn main() {
         }
         config = config.with_parallelism(n);
     }
-    if let Some(chunking) = chunking {
-        config = config.with_chunking(chunking);
-    }
-    config = config.with_scale_mult(scale_mult).with_streaming(streaming);
+    config = config.with_scale_mult(scale_mult);
     if mem_budget.is_some() && mem_stats().is_none() {
         usage("--mem-budget requires building with `--features mem-profile`");
     }
@@ -274,11 +255,8 @@ fn main() {
             "bench-scan" => emit(&out_dir, &bench_scan(&config)),
             "telemetry" => {
                 let results = study();
-                let artifact = build("telemetry", results).expect("telemetry artifact");
-                emit(&out_dir, &artifact);
                 // Ensemble runs keep per-seed series separable in the
-                // exposition via a `seed` label; single runs are as
-                // before.
+                // exposition via a `seed` label.
                 let exposition = match &ensemble {
                     Some(ensemble) => ensemble.to_prometheus(),
                     None => results.telemetry.to_prometheus(),
@@ -290,7 +268,6 @@ fn main() {
                 fs::write(out_dir.join("events.jsonl"), results.events.to_jsonl())
                     .expect("write operational events");
                 println!("{}", mustaple_bench::telemetry_report(results));
-                emit_companion(&out_dir, ensemble.as_ref(), name);
             }
             name => match build(name, study()) {
                 Some(artifact) => {
@@ -362,12 +339,11 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: figures [--scale tiny|figures] [--scale-mult K] [--streaming] \
+        "usage: figures [--scale tiny|figures] [--scale-mult K] \
          [--mem-budget BYTES] [--out DIR] [--workers N] \
-         [--chunking per-responder|time-sliced] \
          [--seeds N | --seed-list a,b,c] [--telemetry] [ARTIFACT...]\n\
          artifacts: {} freshness recommendations telemetry ablations readiness bench-scan\n\
-         --seeds/--seed-list run a multi-seed ensemble: every artifact gains an \
+         --seeds/--seed-list run a multi-seed ensemble: every CSV artifact gains an \
          <name>.ens.csv companion (mean, 95% CI, stddev, min/max per cell) plus a \
          seeds.txt manifest",
         ALL_ARTIFACTS.join(" ")

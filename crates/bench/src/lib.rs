@@ -12,8 +12,8 @@ pub mod ablations;
 pub mod ensemble;
 
 use analysis::table::{pct, secs};
-use analysis::{AlexaAdoption, Cdf, Table};
-use ecosystem::{monthly_snapshots, AlexaStream, CorpusStream, EcosystemConfig, LiveEcosystem};
+use analysis::{Cdf, Table};
+use ecosystem::{monthly_snapshots, EcosystemConfig, LiveEcosystem};
 use scanner::executor::Executor;
 use scanner::hourly::HourlyCampaign;
 use scanner::ErrorClass;
@@ -59,7 +59,6 @@ pub fn build(name: &str, results: &StudyResults) -> Option<Artifact> {
         "cdn" => cdn(results),
         "freshness" => freshness(results),
         "recommendations" => recommendations(results),
-        "telemetry" => telemetry_artifact(results),
         _ => return None,
     })
 }
@@ -609,48 +608,6 @@ fn recommendations(results: &StudyResults) -> Artifact {
     }
 }
 
-/// The `telemetry` artifact: every deterministic counter and histogram
-/// the campaigns recorded, in canonical (lexicographic) order. The CSV
-/// rendering of this table is byte-identical for every worker count;
-/// wall-clock spans are deliberately excluded.
-fn telemetry_artifact(results: &StudyResults) -> Artifact {
-    let reg = &results.telemetry;
-    let mut table = Table::new(&["kind", "metric", "label", "value"]);
-    for (metric, label, value) in reg.counters() {
-        table.row(&[
-            "counter".into(),
-            metric.into(),
-            label.into(),
-            value.to_string(),
-        ]);
-    }
-    for (metric, label, h) in reg.histograms() {
-        table.row(&[
-            "histogram".into(),
-            metric.into(),
-            label.into(),
-            format!(
-                "count={};sum={};min={};max={}",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max()
-            ),
-        ]);
-    }
-    let counters = reg.counters().count();
-    let events: u64 = reg.counters().map(|(_, _, v)| v).sum();
-    Artifact {
-        name: "telemetry",
-        summary: format!(
-            "Campaign telemetry — {counters} counters totalling {events} events, plus {} \
-             histogram series; deterministic and byte-identical across worker counts.",
-            reg.histograms().count(),
-        ),
-        table,
-    }
-}
-
 /// The human-oriented report printed by `figures --telemetry`:
 /// log2-interpolated histogram quantiles, the simulated-clock span
 /// tree, and the wall-clock report. Everything above the wall section
@@ -683,116 +640,46 @@ pub fn telemetry_report(results: &StudyResults) -> String {
     out
 }
 
-/// The `bench-scan` artifact: serial vs parallel wall-clock for the
-/// hourly campaign over the same ecosystem, plus the streaming pass and
-/// a live `ocspd` serve leg over loopback. Every leg replays the
-/// identical request count, so the rows are directly comparable — and
-/// the artifact doubles as a determinism probe at full scale (all three
+/// The `bench-scan` artifact: serial vs parallel wall clock and peak
+/// allocation for the hourly campaign over one figures-scale ecosystem
+/// — the parallel speedup and the figures-scale memory, which the
+/// per-probe benchmark (`perfbench`) does not report. Both legs replay
+/// the identical request count, so the rows are directly comparable,
+/// and the artifact doubles as a determinism probe at full scale (both
 /// campaign runs must agree on requests and responder reports).
 pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
     let eco = LiveEcosystem::generate(config.clone());
 
     let serial_exec = Executor::serial();
-    // The parallel legs honor `config.parallelism` when set (and >1);
-    // otherwise they use every available core, with a floor of 4 workers
+    // The parallel leg honors `config.parallelism` when set (and >1);
+    // otherwise it uses every available core, with a floor of 4 workers
     // so the sharded path is always what gets measured (on a single-core
     // host the honest speedup is then ~1x).
+    let available = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
     let parallel_exec = match config.parallelism {
         Some(n) if n.get() > 1 => Executor::new(Some(n)),
-        _ => {
-            let avail = std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1);
-            Executor::new(std::num::NonZeroUsize::new(avail.max(4)))
-        }
+        _ => Executor::new(std::num::NonZeroUsize::new(available.max(4))),
     };
-    // (mode label, executor) — serial first: it is the speedup baseline
-    // every other row is measured against.
-    let legs: [(&str, &Executor); 2] = [("serial", &serial_exec), ("parallel", &parallel_exec)];
-    let mut runs: Vec<CampaignLeg> = legs
-        .iter()
-        .map(|&(mode, executor)| {
+    // Serial first: it is the speedup baseline.
+    let [baseline, parallel] =
+        [("serial", &serial_exec), ("parallel", &parallel_exec)].map(|(mode, executor)| {
             let mem_before = mem_leg_start();
             let started = std::time::Instant::now();
             let dataset = HourlyCampaign::new(&eco).run_with(executor);
             let wall = started.elapsed();
             let memory = mem_leg_end(mem_before);
             CampaignLeg::new(mode, executor.workers(), wall, dataset, memory)
-        })
-        .collect();
-
-    // The streaming leg: the same serial campaign plus the
-    // streaming statistical pass (corpus + Alexa folds off the feeds at
-    // the scaled sizes) — what a bounded-memory `figures --streaming`
-    // run pays, at equal hourly request counts.
-    {
-        let mem_before = mem_leg_start();
-        let started = std::time::Instant::now();
-        let mut corpus_stream = CorpusStream::new(config.seed, config.scaled_corpus_size());
-        for _ in corpus_stream.by_ref() {}
-        let corpus_fold = corpus_stream.into_fold();
-        assert!(corpus_fold.stats().total > 0, "streaming corpus fold ran");
-        let mut adoption = AlexaAdoption::new(config.scaled_alexa_size());
-        for site in AlexaStream::new(config.seed, config.scaled_alexa_size()) {
-            adoption.record(site.rank, site.https, site.ocsp, site.staples);
-        }
-        assert!(!adoption.is_empty(), "streaming Alexa fold ran");
-        let dataset = HourlyCampaign::new(&eco).run_with(&serial_exec);
-        let wall = started.elapsed();
-        let memory = mem_leg_end(mem_before);
-        runs.push(CampaignLeg::new("streaming", 1, wall, dataset, memory));
-    }
-
-    let baseline = &runs[0];
-
-    // The serve leg: the same request count pushed through the live
-    // `ocspd` tier as real loopback HTTP — one connection per request,
-    // `Connection: close` — so the table shows what the operational
-    // surface costs next to the in-process campaign. The server thread
-    // hands its service back so the cache-hit column reads the same
-    // counters the other legs do.
-    let (serve_wall, serve_hit_rate, serve_peak, serve_allocs) = {
-        let total = baseline.requests;
-        let seed = config.seed;
-        let mem_before = mem_leg_start();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("loopback addr").to_string();
-        let server = std::thread::spawn(move || {
-            let mut service = ocspd::OcspService::new(seed);
-            ocspd::serve(&listener, &mut service, Some(total)).expect("serve loopback");
-            service
         });
-        let body = ocspd::OcspService::new(seed).canonical_request();
-        let started = std::time::Instant::now();
-        for _ in 0..total {
-            let (status, response) =
-                ocspd::client::post(&addr, "/ocsp", "application/ocsp-request", &body)
-                    .expect("POST /ocsp over loopback");
-            assert_eq!(status, 200, "live responder refused the canonical request");
-            assert!(!response.is_empty(), "live responder sent an empty body");
-        }
-        let wall = started.elapsed();
-        let service = server.join().expect("join ocspd server thread");
-        assert_eq!(service.requests_served(), total, "serve leg lost requests");
-        let hit = service
-            .registry()
-            .counter(catalog::OCSP_RESPONDER_CACHE, "hit");
-        let miss = service
-            .registry()
-            .counter(catalog::OCSP_RESPONDER_CACHE, "miss");
-        let (peak, allocs) = mem_leg_end(mem_before);
-        let rate = hit as f64 / (hit + miss).max(1) as f64;
-        (wall, rate, peak, allocs)
-    };
-
-    for leg in &runs[1..] {
-        let mode = leg.mode;
-        assert_eq!(baseline.requests, leg.requests, "{mode} run diverged");
-        assert_eq!(
-            baseline.responders, leg.responders,
-            "{mode} run diverged from serial"
-        );
-    }
+    assert_eq!(
+        baseline.requests, parallel.requests,
+        "parallel run diverged"
+    );
+    assert_eq!(
+        baseline.responders, parallel.responders,
+        "parallel run diverged from serial"
+    );
 
     let req_per_sec =
         |requests: u64, wall: std::time::Duration| requests as f64 / wall.as_secs_f64().max(1e-9);
@@ -808,15 +695,11 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
         "alloc_count",
     ]);
     let serial_wall = baseline.wall;
-    for leg in &runs {
+    for leg in [&baseline, &parallel] {
         let speedup = serial_wall.as_secs_f64() / leg.wall.as_secs_f64().max(1e-9);
         table.row(&[
             leg.mode.into(),
-            if leg.mode == "parallel" {
-                leg.workers.to_string()
-            } else {
-                "1".into()
-            },
+            leg.workers.to_string(),
             format!("{:.1}", leg.wall.as_secs_f64() * 1e3),
             leg.requests.to_string(),
             format!("{:.0}", req_per_sec(leg.requests, leg.wall)),
@@ -826,42 +709,18 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
             leg.allocs.clone(),
         ]);
     }
-    // The serve row last: it replays the canonical request through the
-    // live tier rather than running the campaign, so it carries no
-    // `HourlyDataset` and sits outside the dataset-identity assertion
-    // above — its request count is still pinned to the baseline's.
-    {
-        let speedup = serial_wall.as_secs_f64() / serve_wall.as_secs_f64().max(1e-9);
-        table.row(&[
-            "serve".into(),
-            "1".into(),
-            format!("{:.1}", serve_wall.as_secs_f64() * 1e3),
-            baseline.requests.to_string(),
-            format!("{:.0}", req_per_sec(baseline.requests, serve_wall)),
-            format!("{serve_hit_rate:.4}"),
-            format!("{speedup:.2}"),
-            serve_peak,
-            serve_allocs,
-        ]);
-    }
-    let parallel = &runs[1];
     let speedup = serial_wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-9);
     Artifact {
         name: "bench-scan",
         summary: format!(
             "Hourly-scan wall clock, serial vs sharded: {:.1?} serial vs {:.1?} on {} \
-             workers ({speedup:.2}x), streaming {:.1?} (campaign + corpus/Alexa folds), \
-             live `ocspd` serve {:.1?} ({:.0} req/s over loopback HTTP at the same \
-             request count), for {} probes at {:.0} req/s serial, responder-cache hit \
-             rate {:.1}% — all three campaign outputs verified identical. \
-             Peak-allocation columns are real only under `--features mem-profile` \
-             (else n/a).",
+             workers ({speedup:.2}x; available_parallelism {available}), for {} probes at \
+             {:.0} req/s serial, responder-cache hit rate {:.1}% — both campaign outputs \
+             verified identical. Peak-allocation columns are real only under \
+             `--features mem-profile` (else n/a).",
             serial_wall,
             parallel.wall,
             parallel.workers,
-            runs[2].wall,
-            serve_wall,
-            req_per_sec(baseline.requests, serve_wall),
             baseline.requests,
             req_per_sec(baseline.requests, serial_wall),
             baseline.cache_hit_rate() * 100.0,
@@ -977,7 +836,7 @@ mod tests {
         let results = Study::new(EcosystemConfig::tiny()).run();
         for name in ALL_ARTIFACTS
             .iter()
-            .chain(["freshness", "recommendations", "telemetry"].iter())
+            .chain(["freshness", "recommendations"].iter())
         {
             let artifact = build(name, &results).unwrap_or_else(|| panic!("missing {name}"));
             assert_eq!(&artifact.name, name);

@@ -3,10 +3,7 @@
 use crate::readiness::ReadinessReport;
 use analysis::AlexaAdoption;
 use browser::testsuite::{run_browser_suite, SuiteRow};
-use ecosystem::{
-    AlexaList, AlexaStream, ChurnStream, Corpus, CorpusStats, CorpusStream, EcosystemConfig,
-    LiveEcosystem,
-};
+use ecosystem::{AlexaStream, CorpusStats, CorpusStream, EcosystemConfig, LiveEcosystem};
 use netsim::Region;
 use pki::RootStore;
 use scanner::alexa1m::{Alexa1mScan, Alexa1mSummary};
@@ -14,7 +11,6 @@ use scanner::cdnlog::{CdnStudy, CdnSummary};
 use scanner::consistency::{ConsistencyStudy, ConsistencySummary};
 use scanner::executor::Executor;
 use scanner::hourly::{HourlyCampaign, HourlyDataset};
-use telemetry::catalog;
 use webserver::experiment::{run_table3_experiments, Table3Row, TestBench};
 use webserver::{Apache, Ideal, Nginx};
 
@@ -32,11 +28,8 @@ pub struct StudyResults {
     pub corpus: CorpusStats,
     /// §4: the per-CA Must-Staple breakdown.
     pub must_staple_by_ca: Vec<(String, usize)>,
-    /// §4 / Figures 2 & 11: the folded Alexa rank-adoption summary.
-    /// Batch and streaming runs produce identical folds (the batch
-    /// path records the materialized list through the same
-    /// accumulator), so every downstream artifact is byte-identical
-    /// either way (DESIGN.md §13).
+    /// §4 / Figures 2 & 11: the Alexa rank-adoption summary, folded
+    /// site by site off the feed (DESIGN.md §13).
     pub alexa: AlexaAdoption,
     /// §5: the Hourly campaign aggregation (Figures 3, 5–9, freshness).
     pub hourly: HourlyDataset,
@@ -62,7 +55,7 @@ pub struct StudyResults {
     /// transitions, outage open/close pairs, window rollovers, and
     /// revocation events from the hourly and consistency pipelines,
     /// merged into one canonically-sorted stream. Byte-identical for
-    /// every worker count and chunking, like `trace.jsonl`.
+    /// every worker count, like `trace.jsonl`.
     pub events: opsmon::EventLog,
 }
 
@@ -78,27 +71,19 @@ impl Study {
         // §4: the statistical corpus and Alexa list, at the scaled
         // sizes. Scan populations below intentionally keep the *base*
         // sizes, so `scale_mult` moves only these statistical passes.
+        // Bounded memory: drain the feeds, keep only the folds.
         let corpus_size = self.config.scaled_corpus_size();
         let alexa_size = self.config.scaled_alexa_size();
-        let (corpus_stats, must_staple_by_ca, alexa) = if self.config.streaming {
-            // Bounded memory: drain the feeds, keep only the folds.
-            let mut corpus_stream = CorpusStream::new(self.config.seed, corpus_size);
-            for _ in corpus_stream.by_ref() {}
-            let fold = corpus_stream.into_fold();
-            let mut adoption = AlexaAdoption::new(alexa_size);
-            for site in AlexaStream::new(self.config.seed, alexa_size) {
-                adoption.record(site.rank, site.https, site.ocsp, site.staples);
-            }
-            (fold.stats().clone(), fold.must_staple_by_issuer(), adoption)
-        } else {
-            let corpus = Corpus::generate(self.config.seed, corpus_size);
-            let list = AlexaList::generate(self.config.seed, alexa_size);
-            let mut adoption = AlexaAdoption::new(list.len());
-            for site in list.sites() {
-                adoption.record(site.rank, site.https, site.ocsp, site.staples);
-            }
-            (corpus.stats(), corpus.must_staple_by_issuer(), adoption)
+        let (corpus, must_staple_by_ca) = {
+            let mut feed = CorpusStream::new(self.config.seed, corpus_size);
+            for _ in feed.by_ref() {}
+            let fold = feed.into_fold();
+            (fold.stats().clone(), fold.must_staple_by_issuer())
         };
+        let mut alexa = AlexaAdoption::new(alexa_size);
+        for site in AlexaStream::new(self.config.seed, alexa_size) {
+            alexa.record(site.rank, site.https, site.ocsp, site.staples);
+        }
 
         // §5: the live ecosystem and its campaigns. One executor, sized
         // by `config.parallelism`, drives all of them; every worker
@@ -137,21 +122,6 @@ impl Study {
             telemetry.merge(&row.telemetry);
         }
 
-        // Optional mid-campaign churn: a churn-salted RNG stream, so the
-        // base populations are untouched. Its summary lands in gauges,
-        // which are excluded from every artifact-equality surface —
-        // enabling churn changes no committed artifact.
-        if let Some(churn) = &self.config.churn {
-            let mut events =
-                ChurnStream::new(self.config.seed, churn.clone(), self.config.scan_rounds());
-            for _ in events.by_ref() {}
-            let summary = events.summary();
-            telemetry.set_gauge(catalog::ECOSYSTEM_CHURN_ISSUED, summary.issued);
-            telemetry.set_gauge(catalog::ECOSYSTEM_CHURN_EXPIRED, summary.expired);
-            telemetry.set_gauge(catalog::ECOSYSTEM_CHURN_REVOKED, summary.revoked);
-            telemetry.set_gauge(catalog::ECOSYSTEM_CHURN_LIVE, summary.live);
-        }
-
         // The event bus: both probing pipelines feed one stream. The
         // merge order is irrelevant — `to_jsonl` sorts canonically.
         let mut events = hourly.events.clone();
@@ -170,7 +140,7 @@ impl Study {
 
         StudyResults {
             config: self.config,
-            corpus: corpus_stats,
+            corpus,
             must_staple_by_ca,
             alexa,
             hourly,

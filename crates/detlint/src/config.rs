@@ -153,7 +153,7 @@ impl Config {
     /// it. Layers order the DOT export and catch inversions: every
     /// normal dependency points at a strictly lower layer (dev
     /// dependencies are exempt from the ordering, since test harness
-    /// edges like telemetry → proptest legitimately point upward).
+    /// edges like asn1 → proptest legitimately point upward).
     fn workspace_layering() -> Vec<CrateSpec> {
         vec![
             // Layer 0: leaves — no workspace dependencies.
@@ -161,7 +161,7 @@ impl Config {
             CrateSpec::new("asn1", "asn1", 0, &["proptest"]),
             CrateSpec::new("memprof", "memprof", 0, &[]),
             CrateSpec::new("detlint", "detlint", 0, &[]),
-            CrateSpec::new("telemetry", "telemetry", 0, &["proptest"]),
+            CrateSpec::new("telemetry", "telemetry", 0, &[]),
             // Layer 1: primitives over the leaves.
             CrateSpec::new("simcrypto", "simcrypto", 1, &["rand", "proptest"]),
             CrateSpec::new("proptest", "proptest", 1, &["rand"]),
@@ -265,7 +265,6 @@ impl Config {
                     "rand",
                     "memprof",
                     "criterion",
-                    "ocspd",
                 ],
             ),
             CrateSpec::new(

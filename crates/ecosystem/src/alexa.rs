@@ -2,9 +2,8 @@
 //!
 //! Adoption probabilities interpolate log-linearly between a "top" and a
 //! "tail" value across the rank range, which is exactly the shape of the
-//! paper's Figures 2 and 11: high and slowly declining.
-
-use crate::stream::AlexaStream;
+//! paper's Figures 2 and 11: high and slowly declining. The list is
+//! streamed site by site by [`crate::stream::AlexaStream`].
 
 /// One ranked site.
 #[derive(Debug, Clone)]
@@ -23,47 +22,10 @@ pub struct AlexaSite {
     pub must_staple: bool,
 }
 
-/// The ranked list.
-#[derive(Debug, Clone)]
-pub struct AlexaList {
-    sites: Vec<AlexaSite>,
-}
-
-impl AlexaList {
-    /// Generate `size` ranked sites with `seed` — [`AlexaStream`]'s
-    /// collect, so batch and streaming lists are byte-identical by
-    /// construction (DESIGN.md §13).
-    pub fn generate(seed: u64, size: usize) -> AlexaList {
-        AlexaList {
-            sites: AlexaStream::new(seed, size).collect(),
-        }
-    }
-
-    /// All sites, rank order.
-    pub fn sites(&self) -> &[AlexaSite] {
-        &self.sites
-    }
-
-    /// Number of sites.
-    pub fn len(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
-    }
-
-    /// Sites that support HTTPS + OCSP — the Alexa1M scan population
-    /// (paper: 606,367 of 1M).
-    pub fn ocsp_sites(&self) -> impl Iterator<Item = &AlexaSite> {
-        self.sites.iter().filter(|s| s.ocsp)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::AlexaStream;
     use analysis_shim::fraction;
 
     /// Tiny local helper (the real analysis crate is a dev-dependency of
@@ -75,21 +37,21 @@ mod tests {
         }
     }
 
-    fn list() -> AlexaList {
-        AlexaList::generate(3, 100_000)
+    fn list() -> Vec<AlexaSite> {
+        AlexaStream::new(3, 100_000).collect()
     }
 
     #[test]
     fn https_is_roughly_three_quarters() {
         let l = list();
-        let f = fraction(l.sites(), |s| s.https);
+        let f = fraction(&l, |s| s.https);
         assert!((0.68..0.82).contains(&f), "https fraction {f}");
     }
 
     #[test]
     fn ocsp_among_https_matches_paper_average() {
         let l = list();
-        let https: Vec<_> = l.sites().iter().filter(|s| s.https).cloned().collect();
+        let https: Vec<_> = l.iter().filter(|s| s.https).cloned().collect();
         let f = fraction(&https, |s| s.ocsp);
         // Paper: 91.3 % average.
         assert!((0.88..0.945).contains(&f), "ocsp|https fraction {f}");
@@ -98,7 +60,7 @@ mod tests {
     #[test]
     fn stapling_is_roughly_a_third_of_ocsp_sites() {
         let l = list();
-        let ocsp: Vec<_> = l.sites().iter().filter(|s| s.ocsp).cloned().collect();
+        let ocsp: Vec<_> = l.iter().filter(|s| s.ocsp).cloned().collect();
         let f = fraction(&ocsp, |s| s.staples);
         assert!((0.25..0.45).contains(&f), "stapling fraction {f}");
     }
@@ -106,8 +68,8 @@ mod tests {
     #[test]
     fn popular_sites_adopt_more() {
         let l = list();
-        let head = &l.sites()[..10_000];
-        let tail = &l.sites()[90_000..];
+        let head = &l[..10_000];
+        let tail = &l[90_000..];
         assert!(fraction(head, |s| s.https) > fraction(tail, |s| s.https));
         assert!(fraction(head, |s| s.staples) > fraction(tail, |s| s.staples));
     }
@@ -115,26 +77,17 @@ mod tests {
     #[test]
     fn must_staple_count_is_tiny() {
         let l = list();
-        let count = l.sites().iter().filter(|s| s.must_staple).count();
+        let count = l.iter().filter(|s| s.must_staple).count();
         // Paper: 100 in 1M → ~10 in 100k. Allow generous slack.
         assert!(count < 60, "count {count}");
     }
 
     #[test]
-    fn ocsp_sites_iterator_consistent() {
-        let l = list();
-        assert_eq!(
-            l.ocsp_sites().count(),
-            l.sites().iter().filter(|s| s.ocsp).count()
-        );
-    }
-
-    #[test]
     fn deterministic() {
-        let a = AlexaList::generate(5, 1_000);
-        let b = AlexaList::generate(5, 1_000);
-        assert_eq!(a.sites().len(), b.sites().len());
-        for (x, y) in a.sites().iter().zip(b.sites()) {
+        let a: Vec<AlexaSite> = AlexaStream::new(5, 1_000).collect();
+        let b: Vec<AlexaSite> = AlexaStream::new(5, 1_000).collect();
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.https, y.https);
             assert_eq!(x.staples, y.staples);
         }

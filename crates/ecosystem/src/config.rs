@@ -1,44 +1,7 @@
 //! Scale configuration.
 
-use crate::stream::ChurnConfig;
 use asn1::Time;
 use std::num::NonZeroUsize;
-
-/// How the hourly campaign splits its probe matrix into executor work
-/// units. Lives here (not in `scanner`) so it can ride on
-/// [`EcosystemConfig`]; `scanner::hourly` re-exports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Chunking {
-    /// One work unit per responder — the original sharding. A slow
-    /// responder (many certs, long fault paths) straggles behind the
-    /// rest and caps parallel speedup.
-    PerResponder,
-    /// (responder × time-chunk) work units: each responder's rounds are
-    /// cut at cache-safe boundaries so many short units keep every
-    /// worker busy. Byte-identical to [`Chunking::PerResponder`] by
-    /// construction (see `scanner::hourly::chunk_plan`).
-    #[default]
-    TimeSliced,
-}
-
-impl Chunking {
-    /// Parse a CLI value (`per-responder` | `time-sliced`).
-    pub fn parse(s: &str) -> Option<Chunking> {
-        match s {
-            "per-responder" => Some(Chunking::PerResponder),
-            "time-sliced" => Some(Chunking::TimeSliced),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            Chunking::PerResponder => "per-responder",
-            Chunking::TimeSliced => "time-sliced",
-        }
-    }
-}
 
 /// How large the synthetic ecosystem is. The *distributions* are always
 /// calibrated to the paper; these knobs set only the sample counts.
@@ -69,24 +32,11 @@ pub struct EcosystemConfig {
     /// for every setting — shards carry their own derived RNG streams —
     /// so this is purely a wall-clock knob.
     pub parallelism: Option<NonZeroUsize>,
-    /// Hourly-campaign work-unit chunking. Byte-identical output either
-    /// way (DESIGN.md §8).
-    pub chunking: Chunking,
     /// Multiplier on the *statistical* populations (corpus + Alexa —
     /// see [`EcosystemConfig::scaled_corpus_size`]). Scan populations
     /// are untouched, so `1` (the default) reproduces every artifact
     /// byte for byte.
     pub scale_mult: usize,
-    /// Run the §4 / Figure 2 / Figure 11 passes off the pull-based
-    /// feeds ([`crate::stream`]) instead of materialized vectors.
-    /// Byte-identical output either way; this is purely a memory knob
-    /// (DESIGN.md §13).
-    pub streaming: bool,
-    /// Mid-campaign certificate churn (issuance/expiry/revocation
-    /// events). `None` (the default) disables churn entirely; enabling
-    /// it only adds telemetry gauges, which are excluded from every
-    /// artifact-equality surface.
-    pub churn: Option<ChurnConfig>,
 }
 
 impl EcosystemConfig {
@@ -104,10 +54,7 @@ impl EcosystemConfig {
             campaign_end: Time::from_civil(2018, 9, 4, 0, 0, 0),
             scan_interval: 2 * 3_600,
             parallelism: None,
-            chunking: Chunking::TimeSliced,
             scale_mult: 1,
-            streaming: false,
-            churn: None,
         }
     }
 
@@ -125,10 +72,7 @@ impl EcosystemConfig {
             campaign_end: Time::from_civil(2018, 5, 5, 0, 0, 0),
             scan_interval: 3 * 3_600,
             parallelism: None,
-            chunking: Chunking::TimeSliced,
             scale_mult: 1,
-            streaming: false,
-            churn: None,
         }
     }
 
@@ -144,38 +88,20 @@ impl EcosystemConfig {
         self
     }
 
-    /// Override the hourly-campaign chunking.
-    pub fn with_chunking(mut self, chunking: Chunking) -> EcosystemConfig {
-        self.chunking = chunking;
-        self
-    }
-
     /// Override the statistical-population scale multiplier.
     pub fn with_scale_mult(mut self, scale_mult: usize) -> EcosystemConfig {
         self.scale_mult = scale_mult;
         self
     }
 
-    /// Toggle the streaming (bounded-memory) analysis paths.
-    pub fn with_streaming(mut self, streaming: bool) -> EcosystemConfig {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Enable mid-campaign certificate churn.
-    pub fn with_churn(mut self, churn: ChurnConfig) -> EcosystemConfig {
-        self.churn = Some(churn);
-        self
-    }
-
     /// The corpus size after the scale multiplier — what the §4 pass
-    /// actually streams/generates.
+    /// actually streams.
     pub fn scaled_corpus_size(&self) -> usize {
         self.corpus_size * self.scale_mult.max(1)
     }
 
     /// The Alexa list size after the scale multiplier — what the
-    /// Figure 2 / Figure 11 folds actually stream/generate. Scan-path
+    /// Figure 2 / Figure 11 folds actually stream. Scan-path
     /// populations (e.g. the Alexa1M probe set) intentionally keep the
     /// *base* `alexa_size`, so scan artifacts are scale-invariant.
     pub fn scaled_alexa_size(&self) -> usize {

@@ -3,10 +3,9 @@
 //! §4's analysis needs only a handful of per-certificate booleans at
 //! enormous scale, so the corpus is *statistical*: lightweight records
 //! drawn from the calibrated marginals, with the issuing operator
-//! attached. (Full cryptographic certificates live in [`crate::live`],
+//! attached, and streamed by [`crate::stream::CorpusStream`] rather
+//! than held. (Full cryptographic certificates live in [`crate::live`],
 //! where the scanning experiments need them.)
-
-use crate::stream::{CorpusFold, CorpusStream};
 
 /// One corpus certificate (the fields §4 reads).
 #[derive(Debug, Clone, PartialEq)]
@@ -56,59 +55,25 @@ impl CorpusStats {
     }
 }
 
-/// The synthetic Censys corpus.
-///
-/// Since the streaming refactor (DESIGN.md §13) this is simply
-/// [`CorpusStream`]'s collect: one generation code path, so batch and
-/// streaming corpora are byte-identical by construction, and the §4
-/// statistics are folded during generation rather than recomputed from
-/// the materialized slice.
-#[derive(Debug, Clone)]
-pub struct Corpus {
-    certs: Vec<CorpusCert>,
-    fold: CorpusFold,
-}
-
-impl Corpus {
-    /// Generate a corpus of `size` certificates with `seed`.
-    pub fn generate(seed: u64, size: usize) -> Corpus {
-        let mut stream = CorpusStream::new(seed, size);
-        let certs: Vec<CorpusCert> = stream.by_ref().collect();
-        Corpus {
-            certs,
-            fold: stream.into_fold(),
-        }
-    }
-
-    /// The certificates.
-    pub fn certs(&self) -> &[CorpusCert] {
-        &self.certs
-    }
-
-    /// The §4 statistics (folded during generation).
-    pub fn stats(&self) -> CorpusStats {
-        self.fold.stats().clone()
-    }
-
-    /// Must-Staple counts per issuer, descending — the §4 CA breakdown
-    /// (folded during generation).
-    pub fn must_staple_by_issuer(&self) -> Vec<(String, usize)> {
-        self.fold.must_staple_by_issuer()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::calibration as cal;
+    use crate::stream::{CorpusFold, CorpusStream};
 
-    fn corpus() -> Corpus {
-        Corpus::generate(1, 200_000)
+    /// The §4 fold over a drained `size`-certificate feed.
+    fn fold(seed: u64, size: usize) -> CorpusFold {
+        let mut stream = CorpusStream::new(seed, size);
+        for _ in stream.by_ref() {}
+        stream.into_fold()
+    }
+
+    fn corpus() -> CorpusFold {
+        fold(1, 200_000)
     }
 
     #[test]
     fn ocsp_fraction_matches_calibration() {
-        let stats = corpus().stats();
+        let stats = corpus().stats().clone();
         assert!(
             (stats.ocsp_fraction() - cal::OCSP_SUPPORT_FRACTION).abs() < 0.01,
             "got {}",
@@ -118,7 +83,7 @@ mod tests {
 
     #[test]
     fn must_staple_is_minuscule_and_lets_encrypt_dominates() {
-        let stats = corpus().stats();
+        let stats = corpus().stats().clone();
         // ~0.02-0.03 % of certs.
         let f = stats.must_staple_fraction();
         assert!(f > 0.000_05 && f < 0.001, "fraction {f}");
@@ -136,19 +101,16 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = Corpus::generate(9, 10_000).stats();
-        let b = Corpus::generate(9, 10_000).stats();
-        let c = Corpus::generate(10, 10_000).stats();
+        let a = fold(9, 10_000);
+        let b = fold(9, 10_000);
+        let c = fold(10, 10_000);
         assert_eq!(a, b);
-        assert!(a != c || a.total == c.total); // counts may coincide, but usually differ
+        assert_ne!(a, c, "different seeds draw different corpora");
     }
 
     #[test]
     fn lets_encrypt_certs_have_no_crl() {
-        let corpus = corpus();
-        assert!(corpus
-            .certs()
-            .iter()
+        assert!(CorpusStream::new(1, 200_000)
             .filter(|c| c.issuer == "Let's Encrypt")
             .all(|c| !c.has_crl));
     }

@@ -19,9 +19,8 @@
 //!   [`netsim::World`] wired with the paper's outage script, scan
 //!   targets, and the revoked-certificate pool for the §5.4 consistency
 //!   study;
-//! * [`stream`] — the pull-based certificate feed: seeded deterministic
-//!   iterators behind [`corpus`]/[`alexa`] (the batch types are now the
-//!   streams' collects) plus mid-campaign churn events, enabling
+//! * [`stream`] — the pull-based certificate feeds: seeded deterministic
+//!   iterators over [`corpus`] and [`alexa`] records, enabling
 //!   bounded-memory ×N scale (DESIGN.md §13).
 //!
 //! Scale is configurable; see [`config::EcosystemConfig`]. Defaults are
@@ -41,12 +40,10 @@ pub mod history;
 pub mod live;
 pub mod stream;
 
-pub use alexa::{AlexaList, AlexaSite};
+pub use alexa::AlexaSite;
 pub use authorities::{ConsistencyFault, OperatorSpec};
-pub use config::{Chunking, EcosystemConfig};
-pub use corpus::{Corpus, CorpusStats};
+pub use config::EcosystemConfig;
+pub use corpus::CorpusStats;
 pub use history::monthly_snapshots;
 pub use live::{LiveEcosystem, ScanTarget};
-pub use stream::{
-    AlexaStream, CertEvent, ChurnConfig, ChurnStream, ChurnSummary, CorpusFold, CorpusStream,
-};
+pub use stream::{AlexaStream, CorpusFold, CorpusStream};

@@ -1,28 +1,17 @@
-//! The streaming certificate feed — pull-based generation at any scale.
+//! The certificate feeds — pull-based generation at any scale.
 //!
-//! The batch [`crate::Corpus`] and [`crate::AlexaList`] materialize
-//! their entire populations up front, which is the first of the two
-//! memory walls blocking ×100 scale (ROADMAP). This module turns both
-//! into seeded, deterministic *iterators*:
+//! The §4 corpus and the Alexa list are never materialized: each is a
+//! seeded, deterministic *iterator*, so a pass over ×N populations
+//! holds one record at a time (DESIGN.md §13):
 //!
-//! * [`CorpusStream`] yields [`CorpusCert`]s on demand, replaying
-//!   exactly the RNG draw sequence `Corpus::generate` used — in fact
-//!   the batch corpus is now implemented as this stream's `collect`, so
-//!   there is a single generation code path and batch ≡ streaming byte
-//!   equality holds by construction. The stream folds the §4 statistics
-//!   ([`CorpusFold`]) as it goes, so consumers that only need the
-//!   numbers never hold a certificate vector.
-//! * [`AlexaStream`] yields [`AlexaSite`]s the same way; the Figure 2 /
-//!   Figure 11 rank folds consume it site by site.
-//! * [`ChurnStream`] is the workload the batch design could never
-//!   express: mid-campaign issuance, expiry, and revocation events
-//!   ([`CertEvent`]), drawn from a churn-salted RNG stream so enabling
-//!   churn never perturbs the base corpus bytes. It is off by default
-//!   ([`crate::EcosystemConfig::churn`]); its summary is exported as
-//!   telemetry gauges, which are excluded from every artifact-equality
-//!   surface.
+//! * [`CorpusStream`] yields [`CorpusCert`]s on demand and folds the §4
+//!   statistics ([`CorpusFold`]) as it goes, so consumers that only
+//!   need the numbers never hold a certificate vector.
+//! * [`AlexaStream`] yields [`AlexaSite`]s in rank order; the Figure 2
+//!   / Figure 11 rank folds consume it site by site.
 //!
-//! See DESIGN.md §13 for the feed lifecycle and accumulator contracts.
+//! Same seed and size, same records, bit for bit: the RNG draw order is
+//! part of the determinism contract.
 
 use crate::alexa::AlexaSite;
 use crate::authorities::{named_operators, OperatorSpec};
@@ -32,26 +21,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-/// RNG stream salt for [`CorpusStream`] — the historical
-/// `Corpus::generate` constant, so streamed corpora replay the batch
-/// bytes seed for seed.
+/// RNG stream salt for [`CorpusStream`]. Changing it changes every
+/// seeded corpus.
 const CORPUS_SALT: u64 = 0xC0_45_05;
 
-/// RNG stream salt for [`AlexaStream`] — the historical
-/// `AlexaList::generate` constant.
+/// RNG stream salt for [`AlexaStream`].
 const ALEXA_SALT: u64 = 0xA1E7A;
 
-/// RNG stream salt for [`ChurnStream`]: a *distinct* stream, so churn
-/// events never consume draws from (and never perturb) the base corpus
-/// sequence.
-const CHURN_SALT: u64 = 0xC4_52_11;
-
-/// Draw one corpus certificate — the single per-certificate RNG
-/// sequence shared by the batch corpus, the streaming corpus, and churn
-/// issuance. The draw order (operator, filler index, OCSP, Must-Staple,
-/// multi-responder — the latter two short-circuited on `has_ocsp`) is
-/// part of the determinism contract: reordering it changes every seeded
-/// corpus.
+/// Draw one corpus certificate. The draw order (operator, filler
+/// index, OCSP, Must-Staple, multi-responder — the latter two
+/// short-circuited on `has_ocsp`) is part of the determinism contract:
+/// reordering it changes every seeded corpus.
 fn draw_cert(rng: &mut StdRng, operators: &[OperatorSpec], named_share: f64) -> CorpusCert {
     let spec = pick_operator(rng, operators, named_share);
     let (issuer, supports_crl, ms_share) = match spec {
@@ -93,8 +73,8 @@ fn pick_operator<'a>(
 
 /// The §4 statistics folded incrementally while certificates stream
 /// past: [`CorpusStats`] plus the per-issuer Must-Staple counts. This
-/// is the *only* state a streaming §4 pass retains — memory is bounded
-/// by the number of distinct issuers, not the corpus size.
+/// is the *only* state the §4 pass retains — memory is bounded by the
+/// number of distinct issuers, not the corpus size.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CorpusFold {
     stats: CorpusStats,
@@ -107,9 +87,7 @@ impl CorpusFold {
         CorpusFold::default()
     }
 
-    /// Fold one certificate in — the same counting rules
-    /// `Corpus::stats` and `Corpus::must_staple_by_issuer` used over
-    /// the materialized slice.
+    /// Fold one certificate in.
     pub fn record(&mut self, cert: &CorpusCert) {
         self.stats.total += 1;
         if cert.has_ocsp {
@@ -136,8 +114,7 @@ impl CorpusFold {
     }
 
     /// Must-Staple counts per issuer, descending — the §4 CA breakdown.
-    /// Ties keep issuer-name (BTreeMap) order, exactly as the batch
-    /// breakdown did.
+    /// Ties keep issuer-name (BTreeMap) order.
     pub fn must_staple_by_issuer(&self) -> Vec<(String, usize)> {
         let mut out: Vec<(String, usize)> = self
             .must_staple_issuers
@@ -150,8 +127,7 @@ impl CorpusFold {
 }
 
 /// A seeded, deterministic certificate feed: yields exactly `size`
-/// [`CorpusCert`]s, folding the §4 statistics as it goes. Replays
-/// `Corpus::generate(seed, size)`'s RNG sequence bit for bit.
+/// [`CorpusCert`]s, folding the §4 statistics as it goes.
 pub struct CorpusStream {
     rng: StdRng,
     operators: Vec<OperatorSpec>,
@@ -208,8 +184,7 @@ impl Iterator for CorpusStream {
 }
 
 /// A seeded, deterministic Alexa feed: yields exactly `size`
-/// [`AlexaSite`]s in rank order, replaying
-/// `AlexaList::generate(seed, size)`'s RNG sequence bit for bit.
+/// [`AlexaSite`]s in rank order.
 pub struct AlexaStream {
     rng: StdRng,
     size: usize,
@@ -284,237 +259,9 @@ impl Iterator for AlexaStream {
     }
 }
 
-/// The churn scenario knob: how many certificates are issued, expired,
-/// and revoked per campaign round. All-zero means no events.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChurnConfig {
-    /// New certificates issued each round.
-    pub issued_per_round: usize,
-    /// Live certificates expiring each round (uniform over the live
-    /// population; capped by its size).
-    pub expired_per_round: usize,
-    /// Live certificates revoked each round (uniform over the live
-    /// population; capped by its size).
-    pub revoked_per_round: usize,
-}
-
-/// One mid-campaign lifecycle event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CertEvent {
-    /// A new certificate entered the population.
-    Issued {
-        /// Scan round the event lands in.
-        round: usize,
-        /// Feed-unique serial.
-        serial: u64,
-        /// The issued certificate.
-        cert: CorpusCert,
-    },
-    /// A live certificate expired out of the population.
-    Expired {
-        /// Scan round the event lands in.
-        round: usize,
-        /// Serial of the expiring certificate.
-        serial: u64,
-    },
-    /// A live certificate was revoked (and left the valid population).
-    Revoked {
-        /// Scan round the event lands in.
-        round: usize,
-        /// Serial of the revoked certificate.
-        serial: u64,
-    },
-}
-
-/// Aggregate churn counts, folded while the event feed streams past.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChurnSummary {
-    /// Certificates issued mid-campaign.
-    pub issued: u64,
-    /// Certificates expired mid-campaign.
-    pub expired: u64,
-    /// Certificates revoked mid-campaign.
-    pub revoked: u64,
-    /// Certificates still live at the end of the feed.
-    pub live: u64,
-}
-
-/// Which phase of a round the churn feed is emitting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChurnPhase {
-    Issue,
-    Expire,
-    Revoke,
-}
-
-/// A deterministic mid-campaign event feed: per round, issuance events
-/// first, then expiries, then revocations (each uniform over the live
-/// population at the moment of the draw). Memory is the live serial
-/// set — `O(live certificates)`, independent of how many events have
-/// streamed past.
-pub struct ChurnStream {
-    rng: StdRng,
-    operators: Vec<OperatorSpec>,
-    named_share: f64,
-    config: ChurnConfig,
-    rounds: usize,
-    round: usize,
-    phase: ChurnPhase,
-    emitted_in_phase: usize,
-    live: Vec<u64>,
-    next_serial: u64,
-    summary: ChurnSummary,
-}
-
-impl ChurnStream {
-    /// An event feed over `rounds` campaign rounds under `seed`. The
-    /// RNG stream is churn-salted: the base corpus draws are untouched
-    /// whether or not churn is enabled.
-    pub fn new(seed: u64, config: ChurnConfig, rounds: usize) -> ChurnStream {
-        let operators = named_operators();
-        let named_share: f64 = operators.iter().map(|o| o.market_share).sum();
-        ChurnStream {
-            rng: StdRng::seed_from_u64(seed ^ CHURN_SALT),
-            operators,
-            named_share,
-            config,
-            rounds,
-            round: 0,
-            phase: ChurnPhase::Issue,
-            emitted_in_phase: 0,
-            live: Vec::new(),
-            next_serial: 0,
-            summary: ChurnSummary::default(),
-        }
-    }
-
-    /// The counts folded over everything yielded so far (`live` tracks
-    /// the current population).
-    pub fn summary(&self) -> ChurnSummary {
-        ChurnSummary {
-            live: self.live.len() as u64,
-            ..self.summary
-        }
-    }
-
-    /// Advance to the next phase (or round), returning `false` when the
-    /// feed is exhausted.
-    fn advance_phase(&mut self) -> bool {
-        self.emitted_in_phase = 0;
-        self.phase = match self.phase {
-            ChurnPhase::Issue => ChurnPhase::Expire,
-            ChurnPhase::Expire => ChurnPhase::Revoke,
-            ChurnPhase::Revoke => {
-                self.round += 1;
-                ChurnPhase::Issue
-            }
-        };
-        self.round < self.rounds
-    }
-
-    /// Remove a uniformly drawn live serial (`swap_remove`, so removal
-    /// is O(1) and the draw order stays a pure function of the seed).
-    fn remove_live(&mut self) -> Option<u64> {
-        if self.live.is_empty() {
-            return None;
-        }
-        let idx = self.rng.gen_range(0..self.live.len());
-        Some(self.live.swap_remove(idx))
-    }
-}
-
-impl Iterator for ChurnStream {
-    type Item = CertEvent;
-
-    fn next(&mut self) -> Option<CertEvent> {
-        loop {
-            if self.round >= self.rounds {
-                return None;
-            }
-            let budget = match self.phase {
-                ChurnPhase::Issue => self.config.issued_per_round,
-                ChurnPhase::Expire => self.config.expired_per_round,
-                ChurnPhase::Revoke => self.config.revoked_per_round,
-            };
-            if self.emitted_in_phase >= budget {
-                if !self.advance_phase() {
-                    return None;
-                }
-                continue;
-            }
-            self.emitted_in_phase += 1;
-            match self.phase {
-                ChurnPhase::Issue => {
-                    let cert = draw_cert(&mut self.rng, &self.operators, self.named_share);
-                    let serial = self.next_serial;
-                    self.next_serial += 1;
-                    self.live.push(serial);
-                    self.summary.issued += 1;
-                    return Some(CertEvent::Issued {
-                        round: self.round,
-                        serial,
-                        cert,
-                    });
-                }
-                ChurnPhase::Expire => {
-                    if let Some(serial) = self.remove_live() {
-                        self.summary.expired += 1;
-                        return Some(CertEvent::Expired {
-                            round: self.round,
-                            serial,
-                        });
-                    }
-                    // Nothing live to expire: the phase budget is moot.
-                    if !self.advance_phase() {
-                        return None;
-                    }
-                }
-                ChurnPhase::Revoke => {
-                    if let Some(serial) = self.remove_live() {
-                        self.summary.revoked += 1;
-                        return Some(CertEvent::Revoked {
-                            round: self.round,
-                            serial,
-                        });
-                    }
-                    if !self.advance_phase() {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alexa::AlexaList;
-    use crate::corpus::Corpus;
-
-    #[test]
-    fn corpus_stream_replays_batch_generation_bit_for_bit() {
-        let batch = Corpus::generate(42, 3_000);
-        let streamed: Vec<CorpusCert> = CorpusStream::new(42, 3_000).collect();
-        assert_eq!(batch.certs().len(), streamed.len());
-        for (a, b) in batch.certs().iter().zip(&streamed) {
-            assert_eq!(a.issuer, b.issuer);
-            assert_eq!(a.has_ocsp, b.has_ocsp);
-            assert_eq!(a.has_must_staple, b.has_must_staple);
-            assert_eq!(a.has_crl, b.has_crl);
-            assert_eq!(a.multi_responder, b.multi_responder);
-        }
-    }
-
-    #[test]
-    fn corpus_fold_matches_batch_statistics() {
-        let batch = Corpus::generate(2018, 50_000);
-        let mut stream = CorpusStream::new(2018, 50_000);
-        for _ in stream.by_ref() {}
-        let fold = stream.into_fold();
-        assert_eq!(fold.stats(), &batch.stats());
-        assert_eq!(fold.must_staple_by_issuer(), batch.must_staple_by_issuer());
-    }
 
     #[test]
     fn partial_fold_reflects_only_whats_yielded() {
@@ -524,85 +271,5 @@ mod tests {
         }
         assert_eq!(stream.fold_so_far().stats().total, 100);
         assert_eq!(stream.size_hint(), (900, Some(900)));
-    }
-
-    #[test]
-    fn alexa_stream_replays_batch_generation_bit_for_bit() {
-        let batch = AlexaList::generate(3, 4_000);
-        let streamed: Vec<AlexaSite> = AlexaStream::new(3, 4_000).collect();
-        assert_eq!(batch.sites().len(), streamed.len());
-        for (a, b) in batch.sites().iter().zip(&streamed) {
-            assert_eq!(a.rank, b.rank);
-            assert_eq!(a.domain, b.domain);
-            assert_eq!(a.https, b.https);
-            assert_eq!(a.ocsp, b.ocsp);
-            assert_eq!(a.staples, b.staples);
-            assert_eq!(a.must_staple, b.must_staple);
-        }
-    }
-
-    #[test]
-    fn churn_feed_is_deterministic_per_seed() {
-        let config = ChurnConfig {
-            issued_per_round: 5,
-            expired_per_round: 2,
-            revoked_per_round: 1,
-        };
-        let a: Vec<CertEvent> = ChurnStream::new(9, config.clone(), 20).collect();
-        let b: Vec<CertEvent> = ChurnStream::new(9, config.clone(), 20).collect();
-        let c: Vec<CertEvent> = ChurnStream::new(10, config, 20).collect();
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        assert_ne!(a, c, "different seeds draw different event streams");
-    }
-
-    #[test]
-    fn churn_summary_balances() {
-        let config = ChurnConfig {
-            issued_per_round: 4,
-            expired_per_round: 2,
-            revoked_per_round: 1,
-        };
-        let mut stream = ChurnStream::new(11, config, 50);
-        let events: Vec<CertEvent> = stream.by_ref().collect();
-        let s = stream.summary();
-        assert_eq!(s.issued, 4 * 50);
-        assert_eq!(s.issued, s.expired + s.revoked + s.live);
-        assert_eq!(events.len() as u64, s.issued + s.expired + s.revoked);
-        // Rounds emit issue → expire → revoke, in order.
-        let rounds: Vec<usize> = events
-            .iter()
-            .map(|e| match e {
-                CertEvent::Issued { round, .. }
-                | CertEvent::Expired { round, .. }
-                | CertEvent::Revoked { round, .. } => *round,
-            })
-            .collect();
-        let mut sorted = rounds.clone();
-        sorted.sort_unstable();
-        assert_eq!(rounds, sorted, "events stream in round order");
-    }
-
-    #[test]
-    fn churn_never_expires_more_than_live() {
-        // Aggressive expiry against slow issuance: the live population
-        // must never go negative, and empty phases terminate cleanly.
-        let config = ChurnConfig {
-            issued_per_round: 1,
-            expired_per_round: 10,
-            revoked_per_round: 10,
-        };
-        let mut stream = ChurnStream::new(3, config, 30);
-        for _ in stream.by_ref() {}
-        let s = stream.summary();
-        assert_eq!(s.issued, 30);
-        assert_eq!(s.issued, s.expired + s.revoked + s.live);
-    }
-
-    #[test]
-    fn zero_churn_is_an_empty_feed() {
-        let mut stream = ChurnStream::new(1, ChurnConfig::default(), 100);
-        assert_eq!(stream.next(), None);
-        assert_eq!(stream.summary(), ChurnSummary::default());
     }
 }

@@ -227,8 +227,8 @@ mod tests {
             let parallel = Alexa1mScan::summarize_with(&dataset, &executor);
             assert_eq!(serial, parallel, "workers={workers}");
             assert_eq!(
-                serial.telemetry.to_csv(),
-                parallel.telemetry.to_csv(),
+                serial.telemetry.to_prometheus(),
+                parallel.telemetry.to_prometheus(),
                 "workers={workers}"
             );
         }

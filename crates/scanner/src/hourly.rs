@@ -191,7 +191,7 @@ pub struct HourlyDataset {
     /// Per-responder health-state timelines, replayed from the stitched
     /// first-target probe logs through the [`opsmon`] state machine in
     /// canonical (responder, round, region) order — byte-stable across
-    /// worker counts and chunkings like every other field.
+    /// worker counts and chunk plans like every other field.
     pub health: HealthReport,
     /// The campaign's operational event stream: health transitions,
     /// outage open/close pairs, and pre-generation window rollovers,
@@ -505,9 +505,22 @@ struct ChunkRecords {
     telemetry: Registry,
 }
 
-// `Chunking` lives in `ecosystem::config` so it can ride on
-// `EcosystemConfig`; re-exported here for existing callers.
-pub use ecosystem::Chunking;
+/// How the hourly campaign splits its probe matrix into executor work
+/// units.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Chunking {
+    /// One work unit per responder: the reference plan the tests hold
+    /// [`Chunking::TimeSliced`] to. A slow responder (many certs, long
+    /// fault paths) straggles behind the rest and caps parallel
+    /// speedup.
+    #[cfg(test)]
+    PerResponder,
+    /// (responder × time-chunk) work units: each responder's rounds are
+    /// cut at cache-safe boundaries ([`chunk_plan`]) so many short
+    /// units keep every worker busy. Byte-identical to
+    /// [`Chunking::PerResponder`] by construction.
+    TimeSliced,
+}
 
 /// Aim for this many time chunks per responder.
 const TARGET_CHUNKS_PER_SHARD: usize = 8;
@@ -653,7 +666,7 @@ fn fold_probe(
     }
 }
 
-/// The one streak pass both chunkings share: replay the per-round
+/// The one streak pass every chunk plan shares: replay the per-round
 /// first-target outcomes in time order and fill the §8 streak fields.
 fn fill_streaks(report: &mut ResponderReport, first_target_ok: &[Vec<bool>; 6]) {
     for (region, outcomes) in first_target_ok.iter().enumerate() {
@@ -697,8 +710,8 @@ impl<'a> HourlyCampaign<'a> {
         self.run_with(&executor)
     }
 
-    /// Run the full campaign on a specific executor with the config's
-    /// [`Chunking`] (by default [`Chunking::TimeSliced`] work units).
+    /// Run the full campaign on a specific executor, in
+    /// (responder × time-chunk) work units.
     ///
     /// Each work unit is one responder over one contiguous round range.
     /// A unit replays *its responder's* exact serial-run probe
@@ -710,10 +723,9 @@ impl<'a> HourlyCampaign<'a> {
     /// [`chunk_plan`]), latency is a pure hash of
     /// `(topology seed, host, time)`, and failure streaks are stitched
     /// from raw per-round logs at merge time — so the assembled dataset
-    /// is byte-identical for every worker count and both chunkings.
+    /// is byte-identical for every worker count and chunk plan.
     pub fn run_with(self, executor: &Executor) -> HourlyDataset {
-        let chunking = self.eco.config.chunking;
-        self.run_with_chunking(executor, chunking)
+        self.run_with_chunking(executor, Chunking::TimeSliced)
     }
 
     /// [`HourlyCampaign::run_with`] with an explicit [`Chunking`] —
@@ -723,7 +735,7 @@ impl<'a> HourlyCampaign<'a> {
     /// Each work unit issues one blocking `World::http_post` per probe
     /// in canonical (round, region, target) order and folds the
     /// classified outcome straight into its records (DESIGN.md §12).
-    pub fn run_with_chunking(self, executor: &Executor, chunking: Chunking) -> HourlyDataset {
+    fn run_with_chunking(self, executor: &Executor, chunking: Chunking) -> HourlyDataset {
         let eco = self.eco;
         let config = &eco.config;
         let bin = config.scan_interval;
@@ -762,6 +774,7 @@ impl<'a> HourlyCampaign<'a> {
             .iter()
             .enumerate()
             .map(|(shard, host)| match chunking {
+                #[cfg(test)]
                 Chunking::PerResponder => vec![(0, rounds)],
                 Chunking::TimeSliced => chunk_plan(
                     rounds,
@@ -1278,9 +1291,9 @@ mod tests {
     fn time_sliced_chunking_matches_per_responder_sharding_exactly() {
         // The §5.2 replication contract for the fine-grained executor:
         // (responder × time-chunk) units must reproduce the coarse
-        // shard-per-responder run byte-for-byte — figures, reports, AND
-        // telemetry (cache and sigcache counters included) — at every
-        // worker count.
+        // shard-per-responder run byte-for-byte — figures, reports,
+        // telemetry (cache and sigcache counters included), the event
+        // bus and the health timelines — at every worker count.
         let eco = LiveEcosystem::generate(EcosystemConfig::tiny());
         let coarse = HourlyCampaign::new(&eco)
             .run_with_chunking(&Executor::serial(), Chunking::PerResponder);
@@ -1291,7 +1304,12 @@ mod tests {
             assert_eq!(coarse.responders, fine.responders, "workers={workers}");
             assert_eq!(coarse.alexa_weights, fine.alexa_weights);
             assert_eq!(coarse.telemetry, fine.telemetry, "workers={workers}");
-            assert_eq!(coarse.telemetry.to_csv(), fine.telemetry.to_csv());
+            assert_eq!(
+                coarse.events.to_jsonl(),
+                fine.events.to_jsonl(),
+                "workers={workers}"
+            );
+            assert_eq!(coarse.health, fine.health, "workers={workers}");
             // The Prometheus exposition is chunking-invariant too (the
             // span tree is not: chunk plans legitimately differ).
             assert_eq!(
@@ -1350,11 +1368,6 @@ mod tests {
                 assert_eq!(serial.responders, parallel.responders, "{label}");
                 assert_eq!(serial.alexa_weights, parallel.alexa_weights, "{label}");
                 assert_eq!(serial.telemetry, parallel.telemetry, "{label}");
-                assert_eq!(
-                    serial.telemetry.to_csv(),
-                    parallel.telemetry.to_csv(),
-                    "{label}"
-                );
                 assert_eq!(
                     serial.telemetry.to_prometheus(),
                     parallel.telemetry.to_prometheus(),

@@ -1318,4 +1318,30 @@ mod tests {
             }
         }
     }
+
+    /// The second carry of a reduction row (`c2`: a pending `extra`
+    /// landing on a word the row's own carry filled to all ones), which
+    /// random operands practically never reach. Under
+    /// `m = 2^(64·N) − δ`, `a = m − δ ≡ −R (mod m)`, so the unreduced
+    /// square `(a² + U·m)/R` is exactly `R = m + δ`: every row's top
+    /// word wraps to zero, and from the second row on the carry out of
+    /// it arrives through `extra`. One limb has no earlier row, so the
+    /// widths start at two.
+    #[test]
+    fn squaring_carries_a_pending_overflow_through_an_all_ones_word() {
+        for delta in [1, 159, (1 << 20) + 1] {
+            let delta = BigUint::from_u64(delta);
+            for limbs in 2..=MAX_LIMBS {
+                let m = BigUint::one().shl(64 * limbs).sub(&delta);
+                let a = m.sub(&delta);
+                // Both ways, a²·R⁻¹ ≡ R ≡ δ (mod m).
+                assert_eq!(
+                    square_both_ways(&m, &a),
+                    Some((delta.clone(), delta.clone())),
+                    "m = 2^{} − {delta:?}",
+                    64 * limbs
+                );
+            }
+        }
+    }
 }

@@ -7,10 +7,9 @@
 //! baseline) or a silent behavior change (fail). This crate is that
 //! gate:
 //!
-//! * [`Snapshot::parse`] loads either exposition format the telemetry
-//!   crate emits — the Prometheus text exposition (`telemetry.prom`)
-//!   or the `kind,metric,label,value` CSV (`telemetry.csv`) — into a
-//!   flat `(metric, label, part)` → value series map;
+//! * [`Snapshot::parse`] loads the Prometheus text exposition the
+//!   telemetry crate emits (`telemetry.prom`) into a flat
+//!   `(metric, label, part)` → value series map;
 //! * [`diff`] aligns two snapshots and classifies every series as
 //!   added, removed, or changed;
 //! * [`Thresholds`] (parsed from `teldiff.toml`, a hand-rolled TOML
@@ -19,12 +18,8 @@
 //!   is within `abs` **or** its relative delta is within `rel`. The
 //!   defaults are zero, so an unconfigured metric must match exactly.
 //!
-//! The `part` component keeps histogram series comparable: a CSV
-//! histogram row contributes `count`/`sum`/`min`/`max` parts, a
-//! Prometheus one contributes `count`/`sum` plus one part per `le`
-//! bucket. When the two snapshots come from *different* formats, the
-//! diff restricts itself to the parts both carry (counters and
-//! histogram `count`/`sum`), so `teldiff a.prom b.csv` is meaningful.
+//! The `part` component keeps histogram series comparable: a histogram
+//! contributes `count`/`sum` plus one part per `le` bucket.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,17 +27,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use telemetry::csv::CsvSnapshot;
 use telemetry::prom::Exposition;
-
-/// Which exposition format a snapshot was parsed from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    /// `kind,metric,label,value` CSV (`Registry::to_csv`).
-    Csv,
-    /// Prometheus text exposition (`Registry::to_prometheus`).
-    Prom,
-}
 
 /// One comparable series: a `(metric, label)` pair plus the `part`
 /// distinguishing the scalar within a histogram family (empty for
@@ -53,8 +38,8 @@ pub struct SeriesId {
     pub metric: String,
     /// Registry label.
     pub label: String,
-    /// `""` for counters; `count`/`sum`/`min`/`max` or `bucket(le=…)`
-    /// for histogram scalars.
+    /// `""` for counters; `count`/`sum` or `bucket(le=…)` for histogram
+    /// scalars.
     pub part: String,
 }
 
@@ -68,46 +53,17 @@ impl fmt::Display for SeriesId {
     }
 }
 
-/// A flattened, format-agnostic view of one run's telemetry.
+/// A flattened view of one run's telemetry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
-    /// The format the snapshot was parsed from.
-    pub format: Format,
     /// Every scalar series, in canonical order.
     pub series: BTreeMap<SeriesId, u64>,
 }
 
-/// The parts both exposition formats carry for a histogram.
-const SHARED_HISTOGRAM_PARTS: [&str; 2] = ["count", "sum"];
-
 impl Snapshot {
-    /// Parse either exposition format, autodetected: input whose first
-    /// line is the `kind,metric,label,value` CSV header parses as CSV,
-    /// anything else as a Prometheus exposition.
+    /// Parse a Prometheus text exposition.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
-        if text.lines().next() == Some("kind,metric,label,value") {
-            Ok(Snapshot::from_csv(&CsvSnapshot::parse(text)?))
-        } else {
-            Ok(Snapshot::from_exposition(&Exposition::parse(text)?))
-        }
-    }
-
-    /// Flatten a parsed CSV snapshot.
-    pub fn from_csv(csv: &CsvSnapshot) -> Snapshot {
-        let mut series = BTreeMap::new();
-        for ((metric, label), &value) in &csv.counters {
-            series.insert(id(metric, label, ""), value);
-        }
-        for ((metric, label), row) in &csv.histograms {
-            series.insert(id(metric, label, "count"), row.count);
-            series.insert(id(metric, label, "sum"), row.sum);
-            series.insert(id(metric, label, "min"), row.min);
-            series.insert(id(metric, label, "max"), row.max);
-        }
-        Snapshot {
-            format: Format::Csv,
-            series,
-        }
+        Ok(Snapshot::from_exposition(&Exposition::parse(text)?))
     }
 
     /// Flatten a parsed Prometheus exposition. The redundant `+Inf`
@@ -134,25 +90,7 @@ impl Snapshot {
                 }
             }
         }
-        Snapshot {
-            format: Format::Prom,
-            series,
-        }
-    }
-
-    /// The series this snapshot can fairly be compared on against a
-    /// snapshot in `other` format: everything when the formats match,
-    /// otherwise only counters and the shared histogram parts.
-    fn comparable(&self, other: Format) -> BTreeMap<&SeriesId, u64> {
-        self.series
-            .iter()
-            .filter(|(series_id, _)| {
-                self.format == other
-                    || series_id.part.is_empty()
-                    || SHARED_HISTOGRAM_PARTS.contains(&series_id.part.as_str())
-            })
-            .map(|(series_id, &v)| (series_id, v))
-            .collect()
+        Snapshot { series }
     }
 }
 
@@ -394,14 +332,12 @@ fn delta_sign(before: u64, after: u64) -> f64 {
     }
 }
 
-/// Align `current` against `baseline` and classify every series. When
-/// the snapshots come from different formats, only the parts both
-/// formats carry participate (see the crate docs).
+/// Align `current` against `baseline` and classify every series.
 pub fn diff(baseline: &Snapshot, current: &Snapshot, thresholds: &Thresholds) -> DiffReport {
-    let before = baseline.comparable(current.format);
-    let after = current.comparable(baseline.format);
+    let before = &baseline.series;
+    let after = &current.series;
     let mut report = DiffReport::default();
-    for (&series_id, &value) in &before {
+    for (series_id, &value) in before {
         match after.get(series_id) {
             None => report.removed.push((series_id.clone(), value)),
             Some(&new_value) if new_value != value => {
@@ -416,7 +352,7 @@ pub fn diff(baseline: &Snapshot, current: &Snapshot, thresholds: &Thresholds) ->
             Some(_) => {}
         }
     }
-    for (&series_id, &value) in &after {
+    for (series_id, &value) in after {
         if !before.contains_key(series_id) {
             report.added.push((series_id.clone(), value));
         }
@@ -440,16 +376,14 @@ mod tests {
     }
 
     #[test]
-    fn identical_snapshots_diff_empty_in_both_formats() {
-        let r = registry();
-        for text in [r.to_prometheus(), r.to_csv()] {
-            let a = Snapshot::parse(&text).expect("parse");
-            let b = Snapshot::parse(&text).expect("parse");
-            let report = diff(&a, &b, &Thresholds::default());
-            assert!(report.is_empty(), "{}", report.render());
-            assert!(!report.has_breach());
-            assert_eq!(report.render(), "no differences\n");
-        }
+    fn identical_snapshots_diff_empty() {
+        let text = registry().to_prometheus();
+        let a = Snapshot::parse(&text).expect("parse");
+        let b = Snapshot::parse(&text).expect("parse");
+        let report = diff(&a, &b, &Thresholds::default());
+        assert!(report.is_empty(), "{}", report.render());
+        assert!(!report.has_breach());
+        assert_eq!(report.render(), "no differences\n");
     }
 
     #[test]
@@ -561,21 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_format_diff_compares_only_shared_parts() {
-        let r = registry();
-        let prom = Snapshot::parse(&r.to_prometheus()).expect("prom");
-        let csv = Snapshot::parse(&r.to_csv()).expect("csv");
-        assert_eq!(prom.format, Format::Prom);
-        assert_eq!(csv.format, Format::Csv);
-        // Same registry through different formats: no differences, even
-        // though CSV has min/max and prom has buckets.
-        let report = diff(&prom, &csv, &Thresholds::default());
-        assert!(report.is_empty(), "{}", report.render());
-        let report = diff(&csv, &prom, &Thresholds::default());
-        assert!(report.is_empty(), "{}", report.render());
-    }
-
-    #[test]
     fn toml_subset_parses_and_rejects() {
         let toml = "# comment\n[default]\nabs = 2\nrel = 0.25  # inline\n\n[\"a.b\"]\nabs = 7\n[plain]\nrel = 1\n";
         let t = Thresholds::parse(toml).expect("parse");
@@ -612,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn format_autodetect_rejects_garbage() {
+    fn parse_rejects_garbage() {
         assert!(Snapshot::parse("kind,metric,label,value\nbogus\n").is_err());
         assert!(Snapshot::parse("# TYPE m gauge\n").is_err());
         // An empty prom exposition is a valid, empty snapshot.

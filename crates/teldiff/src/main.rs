@@ -6,10 +6,10 @@
 //! cargo run -p teldiff -- --quiet A B                  # exit code only
 //! ```
 //!
-//! `BASELINE`/`CURRENT` are telemetry expositions in either format the
-//! telemetry crate writes (`telemetry.prom` or `telemetry.csv`),
-//! autodetected per file. Without `--config`, `./teldiff.toml` is used
-//! when present; otherwise every metric must match exactly.
+//! `BASELINE`/`CURRENT` are Prometheus text expositions as the
+//! telemetry crate writes them (`telemetry.prom`). Without `--config`,
+//! `./teldiff.toml` is used when present; otherwise every metric must
+//! match exactly.
 //!
 //! Exit codes: `0` no differences (or all within thresholds), `1`
 //! usage/IO/parse error, `2` threshold breach.
@@ -40,7 +40,7 @@ fn parse_args() -> Result<Args, String> {
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 println!(
-                    "teldiff: diff two telemetry expositions (prom or csv, autodetected)\n\
+                    "teldiff: diff two telemetry expositions (telemetry.prom)\n\
                      usage: teldiff [--config teldiff.toml] [--quiet] BASELINE CURRENT\n\
                      exit codes: 0 within thresholds, 1 error, 2 breach"
                 );

@@ -70,14 +70,6 @@ fn thresholds_config_blesses_the_same_change() {
 }
 
 #[test]
-fn csv_and_prom_of_the_same_run_agree() {
-    let a = write_temp("cross.prom", &registry().to_prometheus());
-    let b = write_temp("cross.csv", &registry().to_csv());
-    let out = teldiff(&[a.to_str().expect("path"), b.to_str().expect("path")]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-}
-
-#[test]
 fn quiet_suppresses_the_report() {
     let a = write_temp("quiet-a.prom", &registry().to_prometheus());
     let mut r = registry();

@@ -126,17 +126,6 @@ pub const WEBSERVER_PREFETCH: &str = "webserver.prefetch";
 /// server kind.
 pub const WEBSERVER_REFRESH_CLAMPED: &str = "webserver.refresh.clamped";
 
-// --- ecosystem / study: churn gauges (excluded from artifacts) -------
-
-/// Certificates issued over the simulated study window.
-pub const ECOSYSTEM_CHURN_ISSUED: &str = "ecosystem.churn.issued";
-/// Certificates expired over the simulated study window.
-pub const ECOSYSTEM_CHURN_EXPIRED: &str = "ecosystem.churn.expired";
-/// Certificates revoked over the simulated study window.
-pub const ECOSYSTEM_CHURN_REVOKED: &str = "ecosystem.churn.revoked";
-/// Certificates live at the end of the simulated study window.
-pub const ECOSYSTEM_CHURN_LIVE: &str = "ecosystem.churn.live";
-
 // --- opsmon: responder health-state machine --------------------------
 
 /// Health-state transitions observed by the per-responder tracker, by
@@ -233,10 +222,6 @@ mod tests {
             OCSPD_REQUESTS,
             OCSPD_SCRAPES_METRICS,
             OCSPD_SCRAPES_HEALTH,
-            ECOSYSTEM_CHURN_ISSUED,
-            ECOSYSTEM_CHURN_EXPIRED,
-            ECOSYSTEM_CHURN_REVOKED,
-            ECOSYSTEM_CHURN_LIVE,
             MEM_PEAK_BYTES,
             MEM_ALLOC_COUNT,
         ];

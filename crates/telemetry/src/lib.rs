@@ -7,23 +7,25 @@
 //!
 //! * **Deterministic** — [`Registry::incr`] counters and
 //!   [`Registry::observe`] histograms. These depend only on simulated
-//!   events, participate in [`Registry::to_csv`] (the `telemetry.csv`
-//!   artifact) and in equality, and merge by elementwise sum, so
+//!   events, participate in [`Registry::to_prometheus`] (the
+//!   `telemetry.prom` artifact) and in equality, and merge by
+//!   elementwise sum, so
 //!   combining per-shard registries in canonical shard order yields the
 //!   exact registry a serial run would have produced.
 //! * **Wall-clock** — [`Registry::time`] span timers. These measure
 //!   real elapsed time (merge timings, shard durations) and are
-//!   **excluded** from `to_csv` and from `==`; they exist for human
+//!   **excluded** from `to_prometheus` and from `==`; they exist for human
 //!   inspection via [`Registry::wall_report`] only. No wall-clock value
 //!   can ever reach an artifact.
 //! * **Gauges** — [`Registry::set_gauge`] high-watermark gauges
-//!   (peak memory, churn populations, health-state counts, `ocspd`
-//!   scrape counts). Some depend on the run rather than the model —
-//!   peak memory differs between worker counts that produce
-//!   byte-identical artifacts — so gauges are excluded from `to_csv`,
-//!   the Prometheus exposition, and `==` just like wall-clock spans,
-//!   and surface only through [`Registry::gauge_report`] and the
-//!   accessor methods.
+//!   (peak memory, health-state counts, `ocspd` scrape counts). Some
+//!   depend on the run rather than the model — peak memory differs
+//!   between worker counts that produce byte-identical artifacts — so
+//!   gauges are excluded from the equality-gated exposition and `==`
+//!   just like wall-clock spans, and surface only through
+//!   [`Registry::gauge_report`], the operational tail of
+//!   [`Registry::to_prometheus_with_gauges`], and the accessor
+//!   methods.
 //!
 //! Counters and histograms are keyed by a `(metric, label)` pair of
 //! strings, e.g. `("net.failure.tcp", "Virginia")`. Lookups on the hot
@@ -33,7 +35,6 @@
 #![forbid(unsafe_code)]
 
 pub mod catalog;
-pub mod csv;
 pub mod prom;
 pub mod trace;
 
@@ -48,8 +49,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// A log2-bucketed histogram of `u64` samples.
 ///
 /// Exact `count`/`sum`/`min`/`max` are kept alongside the buckets, so
-/// merging histograms (elementwise) loses nothing the CSV artifact
-/// reports.
+/// merging histograms (elementwise) loses no summary statistic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
@@ -189,7 +189,7 @@ struct WallSpan {
 
 /// A high-watermark gauge: last value set, maximum ever set, and how
 /// many times it was set. Introspection only (peak memory and the
-/// like) — excluded from equality, `to_csv`, and the Prometheus
+/// like) — excluded from equality and the equality-gated Prometheus
 /// exposition, exactly like wall-clock spans, because gauge values may
 /// legitimately differ between runs that produce byte-identical
 /// artifacts.
@@ -203,8 +203,8 @@ struct GaugeSpan {
 /// A mergeable set of deterministic counters/histograms plus
 /// non-deterministic wall-clock spans.
 ///
-/// Equality and [`Registry::to_csv`] cover only the deterministic
-/// sections, so `assert_eq!` between a serial and a parallel run's
+/// Equality and [`Registry::to_prometheus`] cover only the
+/// deterministic sections, so `assert_eq!` between a serial and a parallel run's
 /// registries is meaningful even when both also timed their merges.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
@@ -301,7 +301,7 @@ impl Registry {
     /// Time `f` as a wall-clock span named `name`.
     ///
     /// The measurement lands in the wall section only — it can never
-    /// appear in `to_csv` output or influence equality.
+    /// appear in the exposition or influence equality.
     pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let out = f();
@@ -333,7 +333,7 @@ impl Registry {
     /// Set the gauge `name` to `value`, tracking its high watermark.
     ///
     /// Gauges are introspection-only (see [`GaugeSpan`]): they never
-    /// reach `to_csv`, the Prometheus exposition, or equality. Use them
+    /// reach the equality-gated exposition or equality. Use them
     /// for run-dependent values — peak memory, allocation counts,
     /// scrape counts — which are allowed to differ between runs that
     /// produce byte-identical artifacts.
@@ -436,35 +436,6 @@ impl Registry {
                 .iter()
                 .map(move |(label, h)| (metric.as_str(), label.as_str(), h))
         })
-    }
-
-    /// Render the deterministic sections as CSV
-    /// (`kind,metric,label,value`), in canonical order.
-    ///
-    /// Histogram rows pack their summary into the value column as
-    /// `count=..;sum=..;min=..;max=..`. Metric and label fields
-    /// containing commas, quotes, or newlines are quoted with doubled
-    /// inner quotes (the same convention `analysis::Table` uses), so
-    /// [`csv::CsvSnapshot::parse`] round-trips any name byte-exactly.
-    /// Wall-clock spans are *not* rendered: the artifact must be
-    /// byte-identical across runs.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("kind,metric,label,value\n");
-        for (metric, label, v) in self.counters() {
-            csv::write_counter_row(&mut out, metric, label, v);
-        }
-        for (metric, label, h) in self.histograms() {
-            csv::write_histogram_row(
-                &mut out,
-                metric,
-                label,
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-            );
-        }
-        out
     }
 
     /// Render the deterministic sections in the Prometheus text
@@ -595,7 +566,7 @@ mod tests {
         let forward = merged(&[&a, &b, &c]);
         let backward = merged(&[&c, &b, &a]);
         assert_eq!(forward, backward);
-        assert_eq!(forward.to_csv(), backward.to_csv());
+        assert_eq!(forward.to_prometheus(), backward.to_prometheus());
     }
 
     #[test]
@@ -695,7 +666,7 @@ mod tests {
     }
 
     #[test]
-    fn wall_spans_are_excluded_from_equality_and_csv() {
+    fn wall_spans_are_excluded_from_equality_and_exposition() {
         let mut with_wall = sample_a();
         let result = with_wall.time("merge", || 2 + 2);
         assert_eq!(result, 4);
@@ -704,8 +675,8 @@ mod tests {
 
         let without_wall = sample_a();
         assert_eq!(with_wall, without_wall);
-        assert_eq!(with_wall.to_csv(), without_wall.to_csv());
-        assert!(!with_wall.to_csv().contains("merge"));
+        assert_eq!(with_wall.to_prometheus(), without_wall.to_prometheus());
+        assert!(!with_wall.to_prometheus().contains("merge"));
         assert!(with_wall.wall_report().contains("merge count=2"));
     }
 
@@ -737,9 +708,7 @@ mod tests {
 
         let without_gauge = sample_a();
         assert_eq!(with_gauge, without_gauge);
-        assert_eq!(with_gauge.to_csv(), without_gauge.to_csv());
         assert_eq!(with_gauge.to_prometheus(), without_gauge.to_prometheus());
-        assert!(!with_gauge.to_csv().contains("queue.depth"));
         assert!(with_gauge
             .gauge_report()
             .contains("queue.depth last=7 max=12000 sets=2"));
@@ -808,25 +777,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_is_canonically_ordered_and_complete() {
-        let all = merged(&[&sample_a(), &sample_b(), &sample_c()]);
-        let csv = all.to_csv();
-        let expected = "kind,metric,label,value\n\
-                        counter,net.failure.dns,Sydney,1\n\
-                        counter,net.failure.tcp,Oregon,3\n\
-                        counter,net.failure.tcp,Virginia,5\n\
-                        counter,scan.probes,r0,1\n\
-                        counter,scan.probes,r1,1\n\
-                        histogram,latency,Oregon,count=1;sum=7;min=7;max=7\n\
-                        histogram,latency,Virginia,count=3;sum=292;min=12;max=200\n";
-        assert_eq!(csv, expected);
-    }
-
-    #[test]
-    fn empty_registry_renders_header_only() {
+    fn empty_registry_reads_zero() {
         let r = Registry::new();
         assert!(r.is_empty());
-        assert_eq!(r.to_csv(), "kind,metric,label,value\n");
         assert_eq!(r.counter("x", "y"), 0);
         let h = Histogram::new();
         assert_eq!(h.min(), 0);

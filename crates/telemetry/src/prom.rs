@@ -2,10 +2,11 @@
 //! [`Registry::to_prometheus`](crate::Registry::to_prometheus), plus a
 //! parser for exactly the subset we emit.
 //!
-//! The exposition is the `telemetry.prom` artifact: like the CSV it
-//! covers only the *deterministic* registry sections (counters and log2
-//! histograms — wall-clock spans are never rendered), so the bytes are
-//! identical for every worker count and every `run_chunked` chunking.
+//! The exposition is the `telemetry.prom` artifact, the one telemetry
+//! export. It covers only the *deterministic* registry sections
+//! (counters and log2 histograms — wall-clock spans are never
+//! rendered), so the bytes are identical for every worker count and
+//! every `run_chunked` chunking.
 //!
 //! Mapping onto the text format:
 //!
@@ -13,8 +14,8 @@
 //!   metric names admit only `[A-Za-z0-9_:]`. Each metric is sanitized
 //!   into a *family* name (`net_failure_tcp`) and the original spelling
 //!   is preserved on the family's `# HELP` line, so
-//!   [`Exposition::parse`] recovers the exact registry names and
-//!   `teldiff` aligns a `.prom` file against a `.csv` one.
+//!   [`Exposition::parse`] recovers the exact registry names, which
+//!   `teldiff` aligns two runs on.
 //! * The registry label becomes the `label` label:
 //!   `net_failure_tcp{label="Virginia"} 5`.
 //! * A [`Histogram`](crate::Histogram) renders as a native Prometheus
@@ -23,7 +24,7 @@
 //!   … `2^i − 1`, then `+Inf`), plus exact `_sum` and `_count`.
 //! * Families sort by name, samples by label — rendering is canonical,
 //!   and `parse ∘ render` is the identity (pinned by the round-trip
-//!   property test in `tests/roundtrip.rs`).
+//!   unit tests below).
 //!
 //! # The equality-gated / operational split
 //!
@@ -36,7 +37,7 @@
 //!   accepts — `# TYPE … gauge` lines are rejected on purpose.
 //! * [`Registry::to_prometheus_with_gauges`](crate::Registry::to_prometheus_with_gauges)
 //!   — **operational**: the equality-gated bytes as an *exact prefix*,
-//!   then [`GAUGE_SECTION_MARKER`] and the gauges (`mem.*`, churn,
+//!   then [`GAUGE_SECTION_MARKER`] and the gauges (`mem.*`,
 //!   `health.*`, `ocspd.*`) as `gauge` families with
 //!   `stat="last"/"max"/"sets"` samples. Gauges may legitimately differ
 //!   between runs with identical artifacts, so this render is never an

@@ -13,7 +13,7 @@ use mustaple::Study;
 use mustaple_bench::build;
 use mustaple_bench::ensemble::{seeds_for, Ensemble};
 
-const ARTIFACTS: [&str; 4] = ["fig2", "fig5", "fig8", "telemetry"];
+const ARTIFACTS: [&str; 3] = ["fig2", "fig5", "fig8"];
 
 #[test]
 fn ensemble_output_is_invariant_to_replica_scheduling() {
@@ -54,6 +54,11 @@ fn replica_zero_reproduces_a_standalone_study_and_stats_are_sane() {
             "primary artifact `{name}` differs from a standalone run"
         );
     }
+    assert!(
+        ensemble.primary().telemetry.to_prometheus().as_bytes()
+            == standalone.telemetry.to_prometheus().as_bytes(),
+        "primary telemetry.prom differs from a standalone run"
+    );
 
     // Companion shape: every row summarizes all n seeds, the interval
     // contains the mean, and the envelope bounds it.

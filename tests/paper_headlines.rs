@@ -5,7 +5,7 @@
 //! fall), not exact values — the corpus is scaled ~1:1000 and the clock
 //! is simulated.
 
-use mustaple::ecosystem::{Corpus, EcosystemConfig, LiveEcosystem};
+use mustaple::ecosystem::{CorpusStream, EcosystemConfig, LiveEcosystem};
 use mustaple::netsim::Region;
 use mustaple::scanner::consistency::ConsistencyStudy;
 use mustaple::scanner::hourly::HourlyCampaign;
@@ -21,8 +21,10 @@ fn mid_config() -> EcosystemConfig {
 
 #[test]
 fn sec4_shapes_hold_at_scale() {
-    let corpus = Corpus::generate(99, 300_000);
-    let stats = corpus.stats();
+    let mut corpus = CorpusStream::new(99, 300_000);
+    for _ in corpus.by_ref() {}
+    let fold = corpus.into_fold();
+    let stats = fold.stats();
     // 95.4% OCSP.
     assert!(
         (stats.ocsp_fraction() - 0.954).abs() < 0.01,

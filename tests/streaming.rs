@@ -4,12 +4,11 @@
 //! reproduce its retained-vector counterpart *exactly* — quantiles to
 //! the bit, folds to the byte — under arbitrary inputs, arbitrary
 //! chunk splits, and the infinite-mass CDF cases pinned in the Cdf
-//! quantile contract. If any property here fails, the `--streaming`
-//! mode is silently changing artifacts.
+//! quantile contract. If any property here fails, a chunked or
+//! streamed fold is silently changing artifacts.
 
 use analysis::{Cdf, StreamingCdf, TimeSeries, Welford};
 use asn1::Time;
-use ecosystem::{AlexaList, AlexaStream, Corpus, CorpusStream};
 use proptest::prelude::*;
 
 /// Split `samples` into `chunks` contiguous pieces (some possibly
@@ -123,38 +122,6 @@ proptest! {
         prop_assert_eq!(batch.fractions(), merged.fractions());
         prop_assert_eq!(batch.counts(), merged.counts());
         prop_assert_eq!(batch.overall_fraction(), merged.overall_fraction());
-    }
-
-    #[test]
-    fn corpus_stream_fold_matches_batch_for_any_seed(
-        seed in 0u64..1_000,
-        size in 0usize..2_000,
-    ) {
-        let batch = Corpus::generate(seed, size);
-        let mut stream = CorpusStream::new(seed, size);
-        let streamed: Vec<_> = stream.by_ref().collect();
-        prop_assert_eq!(batch.certs(), streamed.as_slice());
-        let fold = stream.into_fold();
-        prop_assert_eq!(&batch.stats(), fold.stats());
-        prop_assert_eq!(batch.must_staple_by_issuer(), fold.must_staple_by_issuer());
-    }
-
-    #[test]
-    fn alexa_stream_matches_batch_for_any_seed(
-        seed in 0u64..1_000,
-        size in 0usize..2_000,
-    ) {
-        let batch = AlexaList::generate(seed, size);
-        let streamed: Vec<_> = AlexaStream::new(seed, size).collect();
-        prop_assert_eq!(batch.sites().len(), streamed.len());
-        for (a, b) in batch.sites().iter().zip(&streamed) {
-            prop_assert_eq!(a.rank, b.rank);
-            prop_assert_eq!(&a.domain, &b.domain);
-            prop_assert_eq!(
-                (a.https, a.ocsp, a.staples, a.must_staple),
-                (b.https, b.ocsp, b.staples, b.must_staple)
-            );
-        }
     }
 }
 
