@@ -246,7 +246,7 @@ fn run_one<F: FnOnce(&mut Bencher)>(
     } else {
         samples.sort_by(|a, b| a.total_cmp(b));
         for &s in &samples {
-            registry.observe("criterion.sample_ns", &name, s as u64);
+            registry.observe(telemetry::catalog::CRITERION_SAMPLE_NS, &name, s as u64);
         }
         let median = samples[samples.len() / 2];
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;

@@ -34,20 +34,6 @@ impl CrateSpec {
     }
 }
 
-/// File paths the metric-catalog closure checks read.
-#[derive(Debug, Clone)]
-pub struct CatalogPolicy {
-    /// The catalog module, relative to the root (its `pub const NAME:
-    /// &str = "…";` items are the metric namespace).
-    pub module: String,
-    /// The committed Prometheus exposition baseline; every family in it
-    /// must be declared in the catalog.
-    pub prom_baseline: String,
-    /// The teldiff tolerance file; every `["metric"]` section must be
-    /// declared in the catalog.
-    pub teldiff: String,
-}
-
 /// Lint configuration for one root directory.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -70,13 +56,6 @@ pub struct Config {
     pub baseline_path: String,
     /// The declared crate DAG. Empty disables the layering pack.
     pub layering: Vec<CrateSpec>,
-    /// Crates whose telemetry call sites must route metric names through
-    /// `telemetry::catalog` constants. Empty disables the call-site
-    /// check.
-    pub metric_crates: Vec<String>,
-    /// Catalog ↔ baseline ↔ tolerance closure policy. `None` disables
-    /// the metric-catalog pack entirely.
-    pub catalog: Option<CatalogPolicy>,
     /// Crates under the float-determinism rule (artifact crates plus the
     /// figure/bench producers). Empty disables the pack.
     pub float_crates: Vec<String>,
@@ -117,23 +96,6 @@ impl Config {
             exclude: vec!["crates/detlint/tests/fixtures".into()],
             baseline_path: "lint-baseline.json".into(),
             layering: Self::workspace_layering(),
-            metric_crates: vec![
-                "netsim".into(),
-                "ocsp".into(),
-                "scanner".into(),
-                "webserver".into(),
-                "ecosystem".into(),
-                "core".into(),
-                "bench".into(),
-                "study".into(),
-                "opsmon".into(),
-                "ocspd".into(),
-            ],
-            catalog: Some(CatalogPolicy {
-                module: "crates/telemetry/src/catalog.rs".into(),
-                prom_baseline: "results/telemetry.prom".into(),
-                teldiff: "teldiff.toml".into(),
-            }),
             float_crates: vec![
                 "scanner".into(),
                 "netsim".into(),
@@ -161,7 +123,7 @@ impl Config {
             CrateSpec::new("asn1", "asn1", 0, &["proptest"]),
             CrateSpec::new("memprof", "memprof", 0, &[]),
             CrateSpec::new("detlint", "detlint", 0, &[]),
-            CrateSpec::new("telemetry", "telemetry", 0, &[]),
+            CrateSpec::new("telemetry", "telemetry", 0, &["proptest"]),
             // Layer 1: primitives over the leaves.
             CrateSpec::new("simcrypto", "simcrypto", 1, &["rand", "proptest"]),
             CrateSpec::new("proptest", "proptest", 1, &["rand"]),
@@ -306,8 +268,6 @@ impl Config {
             exclude: Vec::new(),
             baseline_path: "lint-baseline.json".into(),
             layering: Vec::new(),
-            metric_crates: Vec::new(),
-            catalog: None,
             float_crates: Vec::new(),
         }
     }

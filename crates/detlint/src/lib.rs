@@ -23,9 +23,6 @@
 //!   from non-test code);
 //! * **unused-dep** — declared dependencies no identifier references,
 //!   and normal deps referenced only from test code;
-//! * **metric-catalog** — every telemetry metric name routes through a
-//!   `telemetry::catalog` constant, and the catalog is closed against
-//!   the committed Prometheus baseline and the teldiff tolerances;
 //! * **float-determinism** — `f64` accumulation over `HashMap` order
 //!   outside the blessed order-insensitive helpers.
 //!
@@ -40,7 +37,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod catalog;
 pub mod config;
 pub mod dag;
 pub mod float;
@@ -172,7 +168,7 @@ fn lint_source(
 /// suppression pool (`.rs` comments *and* `Cargo.toml` comments — the
 /// layering findings anchor to manifests). Phase two runs the
 /// workspace-level passes — layering/unused-dep over the manifests and
-/// file models, and the metric-catalog closure — then applies the pool:
+/// file models — then applies the pool:
 /// a suppression silences any same-rule finding on its covered line,
 /// regardless of which pass produced it, and every suppression is
 /// recorded for the `--audit-suppressions` inventory.
@@ -202,18 +198,13 @@ pub fn lint_root(root: &Path, config: &Config) -> io::Result<Report> {
     }
 
     // Phase 2: workspace-level passes over manifests and models.
-    if !config.layering.is_empty() || config.catalog.is_some() {
+    if !config.layering.is_empty() {
         let (ws, manifest_errors, manifest_sups) = dag::load(root)?;
         report.findings.extend(manifest_errors);
         for (file, sups) in manifest_sups {
             pool.entry(file).or_default().extend(sups);
         }
-        if !config.layering.is_empty() {
-            for f in dag::check(config, &ws, &models) {
-                pending.entry(f.file.clone()).or_default().push(f);
-            }
-        }
-        for f in catalog::check(root, config, &models) {
+        for f in dag::check(config, &ws, &models) {
             pending.entry(f.file.clone()).or_default().push(f);
         }
     }

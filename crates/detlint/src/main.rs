@@ -65,8 +65,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "detlint: workspace determinism & hygiene linter\n\
                      rules: wall-clock, unordered-iter, unseeded-rng, forbid-unsafe, \
-                     panic-hygiene,\n       layering, unused-dep, metric-catalog, \
-                     float-determinism\n\
+                     panic-hygiene,\n       layering, unused-dep, float-determinism\n\
                      flags: [--root DIR] [--deny] [--update-baseline] [--json PATH] [--no-json]\n\
                      \x20      [--sarif PATH] [--graph-dot PATH] [--audit-suppressions]"
                 );

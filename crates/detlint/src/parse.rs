@@ -2,58 +2,19 @@
 //! parser" layer the cross-crate rules build on.
 //!
 //! [`lexer`](crate::lexer) gives a flat token stream; the workspace
-//! rules (layering, metric-catalog, float-determinism) need a little
-//! more shape than that — which crates a file mentions, which string
-//! constants it declares, which method calls it makes and with what
-//! first argument, and which line ranges are test-only. This module
-//! extracts exactly that into a [`FileModel`], once per file, so every
-//! workspace pass reads the same pre-digested view instead of re-walking
-//! tokens.
+//! rules (layering, float-determinism) need a little more shape than
+//! that — which crates a file mentions, which items it declares, and
+//! which line ranges are test-only. This module extracts exactly that
+//! into a [`FileModel`], once per file, so every workspace pass reads
+//! the same pre-digested view instead of re-walking tokens.
 //!
 //! It is still not type-aware (no `syn`, no name resolution): the model
 //! is a set of token-level facts chosen so that the rules built on it
-//! are conservative in the right direction — a `use` head is exact, a
-//! call-site classification can say "don't know" (`FirstArg::Other`),
-//! and anything inside `#[cfg(test)]` is attributable as test-only.
+//! are conservative in the right direction — a `use` head is exact, and
+//! anything inside `#[cfg(test)]` is attributable as test-only.
 
 use crate::lexer::{Token, TokenKind};
 use std::collections::BTreeSet;
-
-/// Classification of the first argument at a call site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FirstArg {
-    /// A string literal, decoded (`"net.request"`).
-    Str(String),
-    /// A path expression whose last segment is SCREAMING_CASE — a
-    /// constant reference. Carries the last segment (`NET_REQUEST`).
-    Const(String),
-    /// A `format!(…)` invocation: the value is built at runtime.
-    Dynamic,
-    /// Anything else (variables, expressions, no argument).
-    Other,
-}
-
-/// One `.method(first_arg, …)` call site.
-#[derive(Debug, Clone)]
-pub struct MethodCall {
-    /// The method name.
-    pub method: String,
-    /// 1-based line of the method name token.
-    pub line: u32,
-    /// What the first argument looks like.
-    pub arg: FirstArg,
-}
-
-/// One `const NAME: &str = "value";` declaration.
-#[derive(Debug, Clone)]
-pub struct StrConst {
-    /// The constant's name.
-    pub name: String,
-    /// The decoded string value.
-    pub value: String,
-    /// 1-based line of the declaration.
-    pub line: u32,
-}
 
 /// Kinds of item declarations recorded in the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,10 +59,6 @@ pub struct FileModel {
     pub path_heads: Vec<(String, u32)>,
     /// Item declarations.
     pub items: Vec<Item>,
-    /// `const NAME: &str = "…";` declarations.
-    pub str_consts: Vec<StrConst>,
-    /// Method call sites with classified first arguments.
-    pub calls: Vec<MethodCall>,
     /// Inclusive line ranges under `#[cfg(test)]` / `#[test]`.
     pub test_ranges: Vec<(u32, u32)>,
     /// Every identifier in the file (including test code).
@@ -168,26 +125,6 @@ pub fn model(tokens: &[Token]) -> FileModel {
                     line: tok.line,
                 });
             }
-        }
-
-        // `const NAME: &str = "value";` (also `&'static str`).
-        if tok.is_ident("const") {
-            if let Some(c) = str_const(t, i) {
-                m.str_consts.push(c);
-            }
-        }
-
-        // `.method(first_arg` call sites.
-        if tok.is_punct(".")
-            && i + 2 < t.len()
-            && t[i + 1].kind == TokenKind::Ident
-            && t[i + 2].is_punct("(")
-        {
-            m.calls.push(MethodCall {
-                method: t[i + 1].text.clone(),
-                line: t[i + 1].line,
-                arg: classify_first_arg(t, i + 3),
-            });
         }
 
         i += 1;
@@ -259,131 +196,6 @@ fn use_decl(t: &[Token], start: usize, m: &mut FileModel) -> usize {
         i += 1;
     }
     i
-}
-
-/// Match `const NAME: &str = "…";` (allowing `&'static str`) at `i`
-/// (which holds `const`).
-fn str_const(t: &[Token], i: usize) -> Option<StrConst> {
-    if i + 2 >= t.len() || t[i + 1].kind != TokenKind::Ident || !t[i + 2].is_punct(":") {
-        return None;
-    }
-    // Don't confuse `const fn` or a `::` path position.
-    if is_path_sep(t, i + 2) {
-        return None;
-    }
-    let mut j = i + 3;
-    // Type tokens: `&`, optional `'static`, `str`.
-    if j < t.len() && t[j].is_punct("&") {
-        j += 1;
-    }
-    if j < t.len() && t[j].kind == TokenKind::Lifetime {
-        j += 1;
-    }
-    if !(j < t.len() && t[j].is_ident("str")) {
-        return None;
-    }
-    j += 1;
-    if !(j + 2 < t.len()
-        && t[j].is_punct("=")
-        && t[j + 1].kind == TokenKind::Str
-        && t[j + 2].is_punct(";"))
-    {
-        return None;
-    }
-    Some(StrConst {
-        name: t[i + 1].text.clone(),
-        value: decode_str(&t[j + 1].text),
-        line: t[i].line,
-    })
-}
-
-/// Classify the expression starting at `i` (just inside the call's
-/// opening parenthesis) up to the first top-level `,` or the closing
-/// `)`.
-fn classify_first_arg(t: &[Token], i: usize) -> FirstArg {
-    let mut j = i;
-    // Skip leading borrows.
-    while j < t.len() && (t[j].is_punct("&") || t[j].is_ident("mut")) {
-        j += 1;
-    }
-    if j >= t.len() || t[j].is_punct(")") {
-        return FirstArg::Other;
-    }
-    if t[j].kind == TokenKind::Str {
-        return FirstArg::Str(decode_str(&t[j].text));
-    }
-    if t[j].kind != TokenKind::Ident {
-        return FirstArg::Other;
-    }
-    if j + 1 < t.len() && t[j].is_ident("format") && t[j + 1].is_punct("!") {
-        return FirstArg::Dynamic;
-    }
-    // Walk a plain path: ident (:: ident)*.
-    let mut last = &t[j].text;
-    let mut k = j;
-    while is_path_sep(t, k + 1) && k + 3 < t.len() && t[k + 3].kind == TokenKind::Ident {
-        k += 3;
-        last = &t[k].text;
-    }
-    // A bare path expression ends the argument at `,` or `)`.
-    if k + 1 < t.len() && (t[k + 1].is_punct(",") || t[k + 1].is_punct(")")) && is_screaming(last) {
-        return FirstArg::Const(last.clone());
-    }
-    FirstArg::Other
-}
-
-/// SCREAMING_CASE: at least one uppercase letter, no lowercase.
-fn is_screaming(s: &str) -> bool {
-    s.chars().any(|c| c.is_ascii_uppercase()) && !s.chars().any(|c| c.is_ascii_lowercase())
-}
-
-/// Decode a string-literal token (plain, raw, or byte flavor) to its
-/// value. Unknown escapes are kept verbatim — the rules compare decoded
-/// values only for ASCII metric names, where every escape form below is
-/// already overkill.
-pub fn decode_str(text: &str) -> String {
-    // Strip prefixes: b"…", r"…", br"…", c"…", with any number of hashes.
-    let mut s = text;
-    let mut raw = false;
-    while !s.is_empty() && !s.starts_with('"') && !s.starts_with('#') {
-        raw |= s.starts_with('r');
-        s = &s[1..];
-    }
-    if raw {
-        let hashes = s.len() - s.trim_start_matches('#').len();
-        let body = &s[hashes..];
-        let body = body.strip_prefix('"').unwrap_or(body);
-        let body = body.strip_suffix(&"#".repeat(hashes)).unwrap_or(body);
-        let body = body.strip_suffix('"').unwrap_or(body);
-        return body.to_string();
-    }
-    let inner = s
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .unwrap_or(s);
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('0') => out.push('\0'),
-            Some('\\') => out.push('\\'),
-            Some('"') => out.push('"'),
-            Some('\'') => out.push('\''),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
 }
 
 /// Find `#[cfg(test)]`-gated (and `#[test]`-attributed) item ranges:
@@ -505,62 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn str_consts_decode() {
-        let m = model_of(
-            "pub const NET_REQUEST: &str = \"net.request\";\n\
-             const WITH_STATIC: &'static str = \"a.b\";\n\
-             const NOT_STR: u32 = 4;\n",
-        );
-        assert_eq!(m.str_consts.len(), 2);
-        assert_eq!(m.str_consts[0].name, "NET_REQUEST");
-        assert_eq!(m.str_consts[0].value, "net.request");
-        assert_eq!(m.str_consts[1].value, "a.b");
-    }
-
-    #[test]
-    fn call_args_classified() {
-        let m = model_of(
-            "reg.incr(\"net.request\", \"ok\");\n\
-             reg.incr(catalog::NET_REQUEST, label);\n\
-             reg.incr(&format!(\"net.{}\", kind), \"x\");\n\
-             reg.incr(metric, label);\n",
-        );
-        let incrs: Vec<&FirstArg> = m
-            .calls
-            .iter()
-            .filter(|c| c.method == "incr")
-            .map(|c| &c.arg)
-            .collect();
-        assert_eq!(
-            incrs,
-            vec![
-                &FirstArg::Str("net.request".into()),
-                &FirstArg::Const("NET_REQUEST".into()),
-                &FirstArg::Dynamic,
-                &FirstArg::Other,
-            ]
-        );
-    }
-
-    #[test]
-    fn nested_generics_do_not_derail_calls() {
-        let m = model_of(
-            "let x = foo::<Vec<HashMap<String, Vec<u8>>>>(arg);\n\
-             reg.observe(\"net.latency_ms\", \"all\", v);\n",
-        );
-        assert!(m
-            .calls
-            .iter()
-            .any(|c| c.method == "observe" && c.arg == FirstArg::Str("net.latency_ms".into())));
-    }
-
-    #[test]
-    fn raw_string_args_decode() {
-        let m = model_of("reg.incr(r#\"net.raw\"#, \"l\");\n");
-        assert_eq!(m.calls[0].arg, FirstArg::Str("net.raw".into()));
-    }
-
-    #[test]
     fn test_ranges_cover_cfg_test_mods() {
         let src = "\
 fn live() { reg.incr(\"a.b\", \"l\"); }\n\
@@ -593,13 +349,5 @@ fn after() {}\n";
         let m = model_of("pub struct S; enum E { A } fn f() {} mod m {}\n");
         let names: Vec<&str> = m.items.iter().map(|i| i.name.as_str()).collect();
         assert_eq!(names, vec!["S", "E", "f", "m"]);
-    }
-
-    #[test]
-    fn decode_handles_escapes() {
-        assert_eq!(decode_str("\"a\\\"b\\n\""), "a\"b\n");
-        assert_eq!(decode_str("r\"plain\""), "plain");
-        assert_eq!(decode_str("r##\"x\"y\"##"), "x\"y");
-        assert_eq!(decode_str("b\"bytes\""), "bytes");
     }
 }

@@ -29,10 +29,6 @@ pub enum Rule {
     /// A declared dependency that no code references (or that belongs in
     /// `[dev-dependencies]`).
     UnusedDep,
-    /// A telemetry metric name that does not resolve to a
-    /// `telemetry::catalog` constant, or a catalog/baseline/tolerance
-    /// closure violation.
-    MetricCatalog,
     /// `f64` accumulation over non-canonical iteration outside the
     /// blessed helpers.
     FloatDeterminism,
@@ -50,7 +46,6 @@ impl Rule {
             Rule::Suppression => "suppression",
             Rule::Layering => "layering",
             Rule::UnusedDep => "unused-dep",
-            Rule::MetricCatalog => "metric-catalog",
             Rule::FloatDeterminism => "float-determinism",
         }
     }
@@ -66,7 +61,6 @@ impl Rule {
             Rule::Suppression => "malformed or unused detlint::allow comment",
             Rule::Layering => "crate dependency or use outside the declared workspace DAG",
             Rule::UnusedDep => "declared dependency that no code references",
-            Rule::MetricCatalog => "telemetry metric name not routed through telemetry::catalog",
             Rule::FloatDeterminism => {
                 "f64 accumulation over non-canonical iteration outside blessed helpers"
             }
@@ -84,7 +78,6 @@ impl Rule {
             Rule::Suppression,
             Rule::Layering,
             Rule::UnusedDep,
-            Rule::MetricCatalog,
             Rule::FloatDeterminism,
         ]
     }
@@ -101,7 +94,6 @@ impl Rule {
             "forbid-unsafe" => Some(Rule::ForbidUnsafe),
             "layering" => Some(Rule::Layering),
             "unused-dep" => Some(Rule::UnusedDep),
-            "metric-catalog" => Some(Rule::MetricCatalog),
             "float-determinism" => Some(Rule::FloatDeterminism),
             _ => None,
         }

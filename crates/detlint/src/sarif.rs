@@ -398,11 +398,10 @@ mod tests {
                     severity: Severity::RatchetSlack,
                 },
                 Finding {
-                    rule: Rule::MetricCatalog,
+                    rule: Rule::FloatDeterminism,
                     file: "crates/netsim/src/world.rs".into(),
                     line: 99,
-                    message: "hardcoded metric name \"net.request\"; use \\ escapes \n tab\t"
-                        .into(),
+                    message: "f64 sum over \"hash\" order; use \\ escapes \n tab\t".into(),
                     severity: Severity::Error,
                 },
             ],

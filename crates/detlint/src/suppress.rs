@@ -68,7 +68,7 @@ pub fn parse(rel_path: &str, tokens: &[Token]) -> (Vec<Suppression>, Vec<Finding
             err(format!(
                 "suppression names unknown or unsuppressible rule `{rule_name}` \
                  (suppressible: wall-clock, unordered-iter, unseeded-rng, forbid-unsafe, \
-                 layering, unused-dep, metric-catalog, float-determinism; \
+                 layering, unused-dep, float-determinism; \
                  panic-hygiene is governed by the baseline ratchet)"
             ));
             continue;

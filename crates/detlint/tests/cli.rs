@@ -42,7 +42,6 @@ fn workspace_is_clean_under_deny() {
 fn fixture_roots_exit_two() {
     for name in [
         "layering",
-        "metric_catalog",
         "float_fold",
         "wall_clock",
         "unordered_iter",

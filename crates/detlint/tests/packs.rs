@@ -1,8 +1,8 @@
-//! Fixture trees for the workspace-level rule packs: layering,
-//! metric-catalog, and float-determinism, each through the full
+//! Fixture trees for the workspace-level rule packs: layering and
+//! float-determinism, each through the full
 //! `lint_root` engine (positive, suppressed, and clean cases).
 
-use detlint::config::{CatalogPolicy, CrateSpec};
+use detlint::config::CrateSpec;
 use detlint::{lint_root, Config, Report, Rule, Severity};
 use std::path::PathBuf;
 
@@ -89,42 +89,6 @@ fn layering_detects_inversions_when_layers_are_declared() {
         "expected an inversion finding on a's dependency line\n{}",
         report.render_human()
     );
-}
-
-fn catalog_config() -> Config {
-    let mut config = Config::bare();
-    config.metric_crates = vec!["m".into()];
-    config.catalog = Some(CatalogPolicy {
-        module: "crates/tel/src/catalog.rs".into(),
-        prom_baseline: "telemetry.prom".into(),
-        teldiff: "teldiff.toml".into(),
-    });
-    config
-}
-
-#[test]
-fn metric_catalog_proves_the_three_way_closure() {
-    let report = lint("metric_catalog", &catalog_config());
-    assert_eq!(
-        errors_of(&report, Rule::MetricCatalog),
-        vec![
-            // Hardcoded literal, format!-built name, undeclared constant.
-            ("crates/m/src/emit.rs".to_string(), 6),
-            ("crates/m/src/emit.rs".to_string(), 7),
-            ("crates/m/src/emit.rs".to_string(), 8),
-            // ORPHAN is declared but no call site references it.
-            ("crates/tel/src/catalog.rs".to_string(), 6),
-            // A tolerance section and a baseline family that outlived
-            // their metric.
-            ("teldiff.toml".to_string(), 4),
-            ("telemetry.prom".to_string(), 4),
-        ],
-        "{}",
-        report.render_human()
-    );
-    // The annotated set_gauge literal is silenced.
-    assert_eq!(report.suppressions_used, 1);
-    assert_eq!(errors_of(&report, Rule::Suppression), vec![]);
 }
 
 #[test]

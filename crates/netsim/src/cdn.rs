@@ -98,11 +98,8 @@ impl CdnNode {
                 world
                     .telemetry_mut()
                     .incr(catalog::CDN_EDGE_HIT, self.region.label());
-                // Edge hit: client-to-edge latency is the caller's
-                // concern; edge processing is ~1 ms.
                 return HttpResult {
                     outcome: HttpOutcome::Ok(Arc::clone(&entry.body)),
-                    latency_ms: 1.0,
                 };
             }
             self.cache.remove(&key);
@@ -179,7 +176,6 @@ mod tests {
         assert_eq!(r1.outcome, r2.outcome); // cached body identical
         assert_eq!(cdn.stats().origin_fetches, 1);
         assert_eq!(cdn.stats().cache_hits, 1);
-        assert!(r2.latency_ms < r1.latency_ms);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Latency modeling.
 //!
-//! Request latency = DNS (cached after first lookup) + TCP handshake
-//! (1 RTT) + HTTP request/response (1 RTT + server time), with
-//! deterministic per-sample jitter derived from a hash of the inputs so
-//! the same (client, host, time) always sees the same latency. Zhu et
-//! al.'s 2016 measurement (cited in §3) found a 20 ms median OCSP lookup
-//! because 94 % of requests hit CDN edges; our CDN front reproduces that
-//! by serving from the client's own region.
+//! Request latency = TCP handshake (1 RTT) + HTTP request/response
+//! (1 RTT + server time), with deterministic per-sample jitter derived
+//! from a hash of the inputs so the same (client, host, time) always
+//! sees the same latency. Zhu et al.'s 2016 measurement (cited in §3)
+//! found a 20 ms median OCSP lookup because 94 % of requests hit CDN
+//! edges; our CDN front reproduces that by serving from the client's
+//! own region.
 
 use crate::region::Region;
 use asn1::Time;
@@ -15,28 +15,14 @@ use simcrypto::HmacSha256;
 /// Deterministic jitter in `[0, spread_ms)` for a `(host, region, time)`
 /// triple, drawn from `prf` (HMAC keyed with the topology seed).
 fn jitter_ms(prf: &HmacSha256, host: &str, region: Region, time: Time, spread_ms: f64) -> f64 {
-    let mut msg = Vec::with_capacity(host.len() + 24);
-    msg.extend_from_slice(host.as_bytes());
-    msg.push(region as u8);
-    msg.extend_from_slice(&time.unix().to_be_bytes());
-    let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = prf.mac(&msg);
+    let [b0, b1, b2, b3, b4, b5, b6, b7, ..] =
+        prf.mac_parts(&[host.as_bytes(), &[region as u8], &time.unix().to_be_bytes()]);
     let x = u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
     (x as f64 / u64::MAX as f64) * spread_ms
 }
 
-/// One HTTP exchange's latency, with and without a DNS lookup. Both
-/// share one jitter draw, so they differ by exactly the lookup.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExchangeLatency {
-    /// With a DNS lookup first (the client's first contact with the
-    /// host).
-    pub cold_ms: f64,
-    /// With the host's address already in the client's DNS cache.
-    pub warm_ms: f64,
-}
-
-/// Latency of one HTTP exchange from `client` to a server in
-/// `server_region`, cold and warm DNS.
+/// Latency in milliseconds of one HTTP exchange from `client` to a
+/// server in `server_region`.
 pub fn http_latency_ms(
     prf: &HmacSha256,
     host: &str,
@@ -44,14 +30,10 @@ pub fn http_latency_ms(
     server_region: Region,
     time: Time,
     server_time_ms: f64,
-) -> ExchangeLatency {
+) -> f64 {
     let rtt = client.rtt_ms(server_region);
     let jitter = jitter_ms(prf, host, client, time, rtt * 0.25);
-    let total = |dns: f64| dns + rtt /* TCP */ + rtt /* HTTP */ + server_time_ms + jitter;
-    ExchangeLatency {
-        cold_ms: total(rtt * 0.5),
-        warm_ms: total(0.0),
-    }
+    rtt /* TCP */ + rtt /* HTTP */ + server_time_ms + jitter
 }
 
 #[cfg(test)]
@@ -90,7 +72,7 @@ mod tests {
     #[test]
     fn varies_with_inputs() {
         let latency = |host: &str, time: Time| {
-            http_latency_ms(&prf(), host, Region::Paris, Region::Virginia, time, 5.0).cold_ms
+            http_latency_ms(&prf(), host, Region::Paris, Region::Virginia, time, 5.0)
         };
         let a = latency("a.test", t());
         let b = latency("b.test", t());
@@ -100,18 +82,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_dns_is_faster() {
-        let latency = http_latency_ms(&prf(), "x.test", Region::Seoul, Region::Paris, t(), 5.0);
-        assert!(latency.warm_ms < latency.cold_ms);
-    }
-
-    #[test]
     fn nearby_beats_faraway() {
         // Same-region (CDN-edge-like) exchange ~ a few ms; antipodal ~ 600+.
-        let near =
-            http_latency_ms(&prf(), "x.test", Region::Sydney, Region::Sydney, t(), 1.0).warm_ms;
-        let far =
-            http_latency_ms(&prf(), "x.test", Region::Sydney, Region::SaoPaulo, t(), 1.0).warm_ms;
+        let near = http_latency_ms(&prf(), "x.test", Region::Sydney, Region::Sydney, t(), 1.0);
+        let far = http_latency_ms(&prf(), "x.test", Region::Sydney, Region::SaoPaulo, t(), 1.0);
         assert!(near < 10.0, "near = {near}");
         assert!(far > 500.0, "far = {far}");
     }

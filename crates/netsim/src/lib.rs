@@ -7,9 +7,10 @@
 //!
 //! * [`region`] — the six vantage-point regions plus server-side hosting
 //!   regions, with a realistic RTT matrix;
-//! * [`world`] — the host registry and HTTP dispatch: URL → DNS → outage
-//!   checks → latency → handler. Handlers are plain closures, so any
-//!   crate (OCSP responders, web servers, CRL file servers) can plug in;
+//! * [`world`] — the host registry and HTTP dispatch: URL → route (DNS)
+//!   → outage checks → handler → latency. Handlers are plain closures,
+//!   so any crate (OCSP responders, web servers, CRL file servers) can
+//!   plug in;
 //! * [`outage`] — failure injection: persistent per-region failures (the
 //!   NXDOMAIN / TCP / HTTP-4xx/5xx / bad-certificate taxonomy of §5.2)
 //!   and transient windows, attachable to single hosts or to
@@ -20,8 +21,8 @@
 //!   always succeed).
 //!
 //! Design note: the simulation is *stepped*, not event-queued. Every
-//! interaction takes an explicit `Time` and returns its outcome and
-//! latency synchronously; the measurement schedule (hourly scans) is the
+//! interaction takes an explicit `Time` and returns its outcome
+//! synchronously; the measurement schedule (hourly scans) is the
 //! only driver of time. This follows the smoltcp philosophy of explicit
 //! state machines polled by the caller — no hidden concurrency, perfect
 //! reproducibility.
@@ -39,4 +40,4 @@ pub use asn1::Time;
 pub use cdn::CdnNode;
 pub use outage::{FailureKind, Outage};
 pub use region::Region;
-pub use world::{Handler, HandlerFactory, HttpOutcome, HttpResult, Topology, World};
+pub use world::{Handler, HandlerFactory, HttpOutcome, HttpResult, Route, Topology, World};

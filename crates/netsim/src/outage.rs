@@ -15,7 +15,7 @@
 
 use crate::region::Region;
 use asn1::Time;
-use telemetry::catalog;
+use telemetry::{catalog, Metric};
 
 /// How a request fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,11 +54,8 @@ impl FailureKind {
         }
     }
 
-    /// The catalog constant for this failure's counter — the
-    /// `net.failure.<label>` family, routed through
-    /// [`telemetry::catalog`] so the metric-catalog lint can prove every
-    /// emitted name is declared.
-    pub fn metric_name(self) -> &'static str {
+    /// This failure's counter: the `net.failure.<label>` family.
+    pub fn metric(self) -> Metric {
         match self {
             FailureKind::DnsNxDomain => catalog::NET_FAILURE_DNS,
             FailureKind::TcpConnect => catalog::NET_FAILURE_TCP,

@@ -22,7 +22,7 @@ use asn1::Time;
 use pki::Certificate;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use telemetry::catalog;
+use telemetry::{catalog, Metric};
 
 /// Memo for the stages of validation that do not depend on the call:
 /// parsing the body, and checking its signature under the issuer.
@@ -419,7 +419,7 @@ fn verify_signature_stage(
 /// and cross-checks against per-pipeline figures stay exact.
 pub fn validate_response_with(
     reg: &mut telemetry::Registry,
-    metric: &str,
+    metric: Metric,
     body: &[u8],
     cert_id: &CertId,
     issuer: &Certificate,
@@ -443,7 +443,7 @@ pub fn validate_response_with(
 #[allow(clippy::too_many_arguments)]
 pub fn validate_response_cached(
     reg: &mut telemetry::Registry,
-    metric: &str,
+    metric: Metric,
     cache: &mut SigVerifyCache,
     body: &Arc<[u8]>,
     cert_id: &CertId,
@@ -729,7 +729,7 @@ mod tests {
     fn instrumented_validation_counts_per_variant() {
         let f = fixture(20);
         let mut reg = telemetry::Registry::new();
-        let metric = "scan.test.validate";
+        let metric = catalog::SCAN_CONSISTENCY_VALIDATE;
 
         let ok_body = fetch(&f, ResponderProfile::healthy(), now());
         validate_response_with(
@@ -784,7 +784,7 @@ mod tests {
         let f = fixture(21);
         let mut reg = telemetry::Registry::new();
         let mut cache = SigVerifyCache::new();
-        let metric = "scan.test.validate";
+        let metric = catalog::SCAN_CONSISTENCY_VALIDATE;
 
         // Same signed bytes validated repeatedly: one miss, then hits,
         // with outcomes identical to the uncached path.
@@ -869,7 +869,7 @@ mod tests {
         let mut validate = |body: &Arc<[u8]>, issuer: &Certificate| {
             validate_response_cached(
                 &mut reg,
-                "m",
+                catalog::SCAN_HOURLY_VALIDATE,
                 &mut cache,
                 body,
                 &f.id,
@@ -913,7 +913,7 @@ mod tests {
         let body = fetch(&f, ResponderProfile::healthy().validity(7_200), now());
         validate_response_cached(
             &mut reg,
-            "m",
+            catalog::SCAN_HOURLY_VALIDATE,
             &mut cache,
             &body,
             &f.id,
@@ -926,7 +926,7 @@ mod tests {
         // check must still reject.
         let err = validate_response_cached(
             &mut reg,
-            "m",
+            catalog::SCAN_HOURLY_VALIDATE,
             &mut cache,
             &body,
             &f.id,

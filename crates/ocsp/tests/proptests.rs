@@ -147,7 +147,7 @@ fn check_memo_sequence(
         );
         let cached = validate_response_cached(
             &mut reg,
-            "memo",
+            catalog::SCAN_HOURLY_VALIDATE,
             &mut cache,
             body,
             id,
@@ -167,7 +167,10 @@ fn check_memo_sequence(
     prop_assert_eq!(hits + misses, reaching);
     prop_assert_eq!(misses, distinct.len() as u64);
     prop_assert_eq!(cache.len(), distinct.len());
-    prop_assert_eq!(reg.counter_total("memo"), calls.len() as u64);
+    prop_assert_eq!(
+        reg.counter_total(catalog::SCAN_HOURLY_VALIDATE),
+        calls.len() as u64
+    );
     Ok(())
 }
 

@@ -732,9 +732,10 @@ impl<'a> HourlyCampaign<'a> {
     /// the coarse plan exists so tests can prove the fine-grained one
     /// changes nothing but wall-clock time.
     ///
-    /// Each work unit issues one blocking `World::http_post` per probe
-    /// in canonical (round, region, target) order and folds the
-    /// classified outcome straight into its records (DESIGN.md §12).
+    /// Each work unit resolves its targets' routes once, issues one
+    /// blocking `World::post` per probe in canonical (round, region,
+    /// target) order and folds the classified outcome straight into its
+    /// records (DESIGN.md §12).
     fn run_with_chunking(self, executor: &Executor, chunking: Chunking) -> HourlyDataset {
         let eco = self.eco;
         let config = &eco.config;
@@ -823,21 +824,26 @@ impl<'a> HourlyCampaign<'a> {
                     telemetry: Registry::new(),
                 };
                 let alexa_weight = alexa_weights[shard] as u64;
+                // Resolved and labeled once per unit, not per probe.
+                let url: Arc<str> = Arc::from(host.url.as_str());
+                let routes: Vec<_> = targets_of[shard]
+                    .iter()
+                    .map(|&target_idx| world.resolve(&eco.scan_targets[target_idx].url))
+                    .collect();
                 for round in start_round..end_round {
                     world
                         .telemetry_mut()
-                        .incr(catalog::SCAN_HOURLY_ROUNDS, &host.url);
+                        .incr(catalog::SCAN_HOURLY_ROUNDS, &url);
                     let round_start = config.campaign_start + round as i64 * config.scan_interval;
                     let t = round_start + offsets[shard];
                     for (region_idx, &region) in Region::VANTAGE_POINTS.iter().enumerate() {
-                        for &target_idx in &targets_of[shard] {
+                        for (&target_idx, route) in targets_of[shard].iter().zip(&routes) {
                             let target = &eco.scan_targets[target_idx];
                             records.requests += 1;
                             world
                                 .telemetry_mut()
-                                .incr(catalog::SCAN_HOURLY_PROBES, &host.url);
-                            let result =
-                                world.http_post(region, &target.url, &requests_der[target_idx], t);
+                                .incr(catalog::SCAN_HOURLY_PROBES, &url);
+                            let result = world.post(region, route, &requests_der[target_idx], t);
                             let outcome = match result.outcome {
                                 HttpOutcome::Ok(body) => match validate_response_cached(
                                     world.telemetry_mut(),
@@ -1026,7 +1032,10 @@ mod tests {
         let failures = d.requests - successes;
         let net_failures: u64 = ["dns", "tcp", "http4xx", "http5xx", "tls", "http"]
             .iter()
-            .map(|k| d.telemetry.counter_total(&format!("net.failure.{k}")))
+            .map(|k| {
+                d.telemetry
+                    .counter_total(format!("net.failure.{k}").as_str())
+            })
             .sum();
         assert_eq!(net_failures, failures);
     }

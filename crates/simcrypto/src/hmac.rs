@@ -40,8 +40,16 @@ impl HmacSha256 {
 
     /// The MAC of `data`.
     pub fn mac(&self, data: &[u8]) -> [u8; 32] {
+        self.mac_parts(&[data])
+    }
+
+    /// The MAC of the concatenation of `parts`, absorbed in place, so a
+    /// message built from pieces needs no buffer.
+    pub fn mac_parts(&self, parts: &[&[u8]]) -> [u8; 32] {
         let mut inner = self.inner.clone();
-        inner.update(data);
+        for part in parts {
+            inner.update(part);
+        }
         let mut outer = self.outer.clone();
         outer.update(&inner.finalize());
         outer.finalize()
@@ -141,6 +149,19 @@ mod tests {
             keyed.mac(&[0x5a; 100]);
             assert_eq!(hex(&keyed.mac(&data)), expected);
             assert_eq!(hex(&keyed.mac(&data)), expected);
+        }
+    }
+
+    #[test]
+    fn parts_mac_as_their_concatenation() {
+        // Every split of each case's message, including empty parts and
+        // splits across the 64-byte block boundary, gives its MAC.
+        for (key, data, expected) in rfc4231() {
+            let keyed = HmacSha256::new(&key);
+            for cut in 0..=data.len() {
+                let (head, tail) = data.split_at(cut);
+                assert_eq!(hex(&keyed.mac_parts(&[head, &[], tail])), expected);
+            }
         }
     }
 

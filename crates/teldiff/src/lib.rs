@@ -363,15 +363,18 @@ pub fn diff(baseline: &Snapshot, current: &Snapshot, thresholds: &Thresholds) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::catalog::{
+        NET_FAILURE_DNS, NET_FAILURE_TCP, NET_LATENCY_MS, SCAN_HOURLY_PROBES,
+    };
     use telemetry::Registry;
 
     fn registry() -> Registry {
         let mut r = Registry::new();
-        r.add("scan.probes", "r0", 100);
-        r.add("scan.probes", "r1", 50);
-        r.incr("net.failure.tcp", "Virginia");
-        r.observe("latency", "Virginia", 12);
-        r.observe("latency", "Virginia", 80);
+        r.add(SCAN_HOURLY_PROBES, "r0", 100);
+        r.add(SCAN_HOURLY_PROBES, "r1", 50);
+        r.incr(NET_FAILURE_TCP, "Virginia");
+        r.observe(NET_LATENCY_MS, "Virginia", 12);
+        r.observe(NET_LATENCY_MS, "Virginia", 80);
         r
     }
 
@@ -391,18 +394,21 @@ mod tests {
         use telemetry::prom::Exposition;
         let a = registry();
         let mut b = registry();
-        b.incr("scan.probes", "r0");
+        b.incr(SCAN_HOURLY_PROBES, "r0");
         let baseline =
             Snapshot::from_exposition(&Exposition::from_seeded_registries([(7, &a), (9, &b)]));
         // Same ensemble, but replica 9 gains one more probe on r0.
         let mut b2 = registry();
-        b2.add("scan.probes", "r0", 2);
+        b2.add(SCAN_HOURLY_PROBES, "r0", 2);
         let current =
             Snapshot::from_exposition(&Exposition::from_seeded_registries([(7, &a), (9, &b2)]));
         let report = diff(&baseline, &current, &Thresholds::default());
         assert!(report.has_breach());
         assert_eq!(report.changed.len(), 1);
-        assert_eq!(report.changed[0].id.to_string(), "scan.probes{r0,seed=9}");
+        assert_eq!(
+            report.changed[0].id.to_string(),
+            "scan.hourly.probes{r0,seed=9}"
+        );
         assert_eq!(
             (report.changed[0].before, report.changed[0].after),
             (101, 102)
@@ -413,12 +419,12 @@ mod tests {
     fn perturbed_counter_breaches_exact_default() {
         let baseline = Snapshot::parse(&registry().to_prometheus()).expect("parse");
         let mut r = registry();
-        r.incr("scan.probes", "r0");
+        r.incr(SCAN_HOURLY_PROBES, "r0");
         let current = Snapshot::parse(&r.to_prometheus()).expect("parse");
         let report = diff(&baseline, &current, &Thresholds::default());
         assert!(report.has_breach());
         assert_eq!(report.changed.len(), 1);
-        assert_eq!(report.changed[0].id.to_string(), "scan.probes{r0}");
+        assert_eq!(report.changed[0].id.to_string(), "scan.hourly.probes{r0}");
         assert_eq!(
             (report.changed[0].before, report.changed[0].after),
             (100, 101)
@@ -428,11 +434,11 @@ mod tests {
 
     #[test]
     fn thresholds_bless_small_changes() {
-        let toml = "[default]\nabs = 0\n\n[\"scan.probes\"]\nrel = 0.05\n";
+        let toml = "[default]\nabs = 0\n\n[\"scan.hourly.probes\"]\nrel = 0.05\n";
         let thresholds = Thresholds::parse(toml).expect("parse toml");
         let baseline = Snapshot::parse(&registry().to_prometheus()).expect("parse");
         let mut r = registry();
-        r.add("scan.probes", "r0", 4); // +4 % — within rel = 0.05
+        r.add(SCAN_HOURLY_PROBES, "r0", 4); // +4 % — within rel = 0.05
         let current = Snapshot::parse(&r.to_prometheus()).expect("parse");
         let report = diff(&baseline, &current, &thresholds);
         assert_eq!(report.changed.len(), 1);
@@ -442,7 +448,7 @@ mod tests {
 
         // +10 % is past the blessing.
         let mut r = registry();
-        r.add("scan.probes", "r0", 10);
+        r.add(SCAN_HOURLY_PROBES, "r0", 10);
         let current = Snapshot::parse(&r.to_prometheus()).expect("parse");
         assert!(diff(&baseline, &current, &thresholds).has_breach());
     }
@@ -461,7 +467,7 @@ mod tests {
     fn added_and_removed_series_always_breach() {
         let baseline = Snapshot::parse(&registry().to_prometheus()).expect("parse");
         let mut r = registry();
-        r.incr("brand.new", "x");
+        r.incr(NET_FAILURE_DNS, "x");
         let current = Snapshot::parse(&r.to_prometheus()).expect("parse");
         let generous = Thresholds {
             default: Rule {
@@ -482,16 +488,16 @@ mod tests {
     fn histogram_changes_surface_as_parts() {
         let baseline = Snapshot::parse(&registry().to_prometheus()).expect("parse");
         let mut r = registry();
-        r.observe("latency", "Virginia", 80);
+        r.observe(NET_LATENCY_MS, "Virginia", 80);
         let current = Snapshot::parse(&r.to_prometheus()).expect("parse");
         let report = diff(&baseline, &current, &Thresholds::default());
         let parts: Vec<String> = report.changed.iter().map(|c| c.id.to_string()).collect();
         assert!(
-            parts.contains(&"latency{Virginia}.count".to_string()),
+            parts.contains(&"net.latency_ms{Virginia}.count".to_string()),
             "{parts:?}"
         );
-        assert!(parts.contains(&"latency{Virginia}.sum".to_string()));
-        assert!(parts.contains(&"latency{Virginia}.bucket(le=127)".to_string()));
+        assert!(parts.contains(&"net.latency_ms{Virginia}.sum".to_string()));
+        assert!(parts.contains(&"net.latency_ms{Virginia}.bucket(le=127)".to_string()));
     }
 
     #[test]

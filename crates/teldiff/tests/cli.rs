@@ -3,13 +3,14 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use telemetry::catalog::{NET_FAILURE_DNS, NET_FAILURE_TCP, NET_LATENCY_MS, SCAN_HOURLY_PROBES};
 use telemetry::Registry;
 
 fn registry() -> Registry {
     let mut r = Registry::new();
-    r.add("scan.probes", "r0", 100);
-    r.incr("net.failure.tcp", "Virginia");
-    r.observe("latency", "Virginia", 40);
+    r.add(SCAN_HOURLY_PROBES, "r0", 100);
+    r.incr(NET_FAILURE_TCP, "Virginia");
+    r.observe(NET_LATENCY_MS, "Virginia", 40);
     r
 }
 
@@ -41,12 +42,15 @@ fn identical_runs_exit_zero() {
 fn perturbed_counter_exits_two() {
     let a = write_temp("perturb-a.prom", &registry().to_prometheus());
     let mut r = registry();
-    r.incr("scan.probes", "r0");
+    r.incr(SCAN_HOURLY_PROBES, "r0");
     let b = write_temp("perturb-b.prom", &r.to_prometheus());
     let out = teldiff(&[a.to_str().expect("path"), b.to_str().expect("path")]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("scan.probes{r0} 100 -> 101"), "{stdout}");
+    assert!(
+        stdout.contains("scan.hourly.probes{r0} 100 -> 101"),
+        "{stdout}"
+    );
     assert!(stdout.contains("BREACH"), "{stdout}");
 }
 
@@ -54,9 +58,9 @@ fn perturbed_counter_exits_two() {
 fn thresholds_config_blesses_the_same_change() {
     let a = write_temp("blessed-a.prom", &registry().to_prometheus());
     let mut r = registry();
-    r.incr("scan.probes", "r0");
+    r.incr(SCAN_HOURLY_PROBES, "r0");
     let b = write_temp("blessed-b.prom", &r.to_prometheus());
-    let config = write_temp("blessed.toml", "[\"scan.probes\"]\nrel = 0.05\n");
+    let config = write_temp("blessed.toml", "[\"scan.hourly.probes\"]\nrel = 0.05\n");
     let out = teldiff(&[
         "--config",
         config.to_str().expect("path"),
@@ -73,7 +77,7 @@ fn thresholds_config_blesses_the_same_change() {
 fn quiet_suppresses_the_report() {
     let a = write_temp("quiet-a.prom", &registry().to_prometheus());
     let mut r = registry();
-    r.incr("brand.new", "x");
+    r.incr(NET_FAILURE_DNS, "x");
     let b = write_temp("quiet-b.prom", &r.to_prometheus());
     let out = teldiff(&[
         "--quiet",

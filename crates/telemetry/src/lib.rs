@@ -27,9 +27,15 @@
 //!   [`Registry::to_prometheus_with_gauges`], and the accessor
 //!   methods.
 //!
-//! Counters and histograms are keyed by a `(metric, label)` pair of
-//! strings, e.g. `("net.failure.tcp", "Virginia")`. Lookups on the hot
-//! path borrow the `&str` keys and allocate only on first insertion.
+//! Counters and histograms are keyed by a `(metric, label)` pair, e.g.
+//! `(catalog::NET_FAILURE_TCP, "Virginia")`. The metric is a typed
+//! [`catalog`] handle whose index picks its series directly; the label
+//! is a [`Label`] — a `&'static str` literal or a shared `Arc<str>`,
+//! which the series keeps and later writes match by pointer, so a write
+//! to an existing series neither hashes, compares strings, nor
+//! allocates.
+//! Each metric's series stay sorted by label text, so iteration and
+//! rendering are canonical whatever order the writes came in.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,7 +45,8 @@ pub mod prom;
 pub mod trace;
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Number of log2 buckets in a [`Histogram`]: bucket 0 holds the value
@@ -179,6 +186,197 @@ impl Histogram {
     }
 }
 
+/// A catalog metric: its dotted name and its dense index, the slot its
+/// series occupy in every [`Registry`]. Only [`catalog`] makes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Metric {
+    index: u16,
+    name: &'static str,
+}
+
+impl Metric {
+    /// The dotted name (`net.failure.tcp`).
+    pub const fn name(self) -> &'static str {
+        self.name
+    }
+
+    fn index(self) -> usize {
+        usize::from(self.index)
+    }
+}
+
+/// A metric named for a read: a catalog handle, or its dotted name
+/// (which the accounting tests use to cross-check the catalog's values).
+pub trait MetricRef {
+    /// The catalog entry, if there is one.
+    fn metric(self) -> Option<Metric>;
+}
+
+impl MetricRef for Metric {
+    fn metric(self) -> Option<Metric> {
+        Some(self)
+    }
+}
+
+impl MetricRef for &str {
+    fn metric(self) -> Option<Metric> {
+        catalog::by_name(self)
+    }
+}
+
+/// A series label, as a write passes it.
+///
+/// Closed sets — regions, cache and validation outcomes, fault kinds —
+/// are `&'static str` literals, which a series keeps as they are. An
+/// open label on a hot path — a responder URL, an infrastructure group,
+/// an outage host — is an `Arc<str>` its owner makes once (per work
+/// unit, per topology host) and lends to every write; the series keeps
+/// a clone. A later write of either kind finds its series by pointer
+/// before comparing text, and the text is never copied. Any other text
+/// is borrowed and copied once, when its series is created.
+#[derive(Debug, Clone, Copy)]
+pub enum Label<'a> {
+    /// A literal from a closed set.
+    Static(&'static str),
+    /// An open label the writer shares with the registry.
+    Shared(&'a Arc<str>),
+    /// Any other text, matched by comparison.
+    Borrowed(&'a str),
+}
+
+impl From<&'static str> for Label<'_> {
+    fn from(text: &'static str) -> Self {
+        Label::Static(text)
+    }
+}
+
+impl<'a> From<&'a Arc<str>> for Label<'a> {
+    fn from(text: &'a Arc<str>) -> Self {
+        Label::Shared(text)
+    }
+}
+
+impl<'a> From<&'a String> for Label<'a> {
+    fn from(text: &'a String) -> Self {
+        Label::Borrowed(text)
+    }
+}
+
+impl Label<'_> {
+    fn as_str(&self) -> &str {
+        match self {
+            Label::Static(text) | Label::Borrowed(text) => text,
+            Label::Shared(text) => text,
+        }
+    }
+
+    fn key(self) -> Key {
+        match self {
+            Label::Static(text) => Key::Static(text),
+            Label::Shared(text) => Key::Shared(Arc::clone(text)),
+            Label::Borrowed(text) => Key::Shared(Arc::from(text)),
+        }
+    }
+}
+
+/// A label as a series keeps it. Its text lives as long as the series,
+/// so no other string can occupy its address meanwhile: a write whose
+/// text has the same address and length has the same text.
+#[derive(Debug, Clone)]
+enum Key {
+    Static(&'static str),
+    Shared(Arc<str>),
+}
+
+impl Key {
+    fn as_str(&self) -> &str {
+        match self {
+            Key::Static(text) => text,
+            Key::Shared(text) => text,
+        }
+    }
+}
+
+/// One metric's series, sorted by label text.
+#[derive(Debug, Clone)]
+struct Series<V> {
+    entries: Vec<(Key, V)>,
+}
+
+impl<V> Default for Series<V> {
+    fn default() -> Self {
+        Series {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<V> Series<V> {
+    /// Where `text` is (`Ok`) or belongs (`Err`): a stored key at the
+    /// same address first, then a binary search by text.
+    fn find(&self, text: &str) -> Result<usize, usize> {
+        match self
+            .entries
+            .iter()
+            .position(|(key, _)| std::ptr::eq(key.as_str(), text))
+        {
+            Some(i) => Ok(i),
+            None => self
+                .entries
+                .binary_search_by(|(key, _)| key.as_str().cmp(text)),
+        }
+    }
+
+    fn get(&self, text: &str) -> Option<&V> {
+        let i = self.find(text).ok()?;
+        Some(&self.entries[i].1)
+    }
+
+    /// The value at `label`, created by `init` on first use.
+    fn entry(&mut self, label: Label<'_>, init: impl FnOnce() -> V) -> &mut V {
+        let i = match self.find(label.as_str()) {
+            Ok(i) => i,
+            Err(i) => {
+                self.entries.insert(i, (label.key(), init()));
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+
+    /// Fold `other` in, combining values that share a label.
+    fn absorb(&mut self, other: &Series<V>, combine: impl Fn(&mut V, &V))
+    where
+        V: Clone,
+    {
+        for (key, value) in &other.entries {
+            match self.find(key.as_str()) {
+                Ok(i) => combine(&mut self.entries[i].1, value),
+                Err(i) => self.entries.insert(i, (key.clone(), value.clone())),
+            }
+        }
+    }
+}
+
+/// The series of one metric, indexed by [`Metric`]: empty until the
+/// first write, then one slot per catalog entry.
+fn slot<V>(slots: &mut Vec<Series<V>>, metric: Metric) -> &mut Series<V> {
+    if slots.is_empty() {
+        slots.resize_with(catalog::ALL.len(), Series::default);
+    }
+    &mut slots[metric.index()]
+}
+
+/// `(metric, label, value)` over `slots`, in (name, label) order.
+fn flatten<V>(slots: &[Series<V>]) -> impl Iterator<Item = (&str, &str, &V)> {
+    catalog::ALL.iter().zip(slots).flat_map(|(metric, series)| {
+        series
+            .entries
+            .iter()
+            .map(move |(key, value)| (metric.name, key.as_str(), value))
+    })
+}
+
 /// Aggregated wall-clock time for one span name. Never serialized into
 /// artifacts; see the crate docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -206,23 +404,34 @@ struct GaugeSpan {
 /// Equality and [`Registry::to_prometheus`] cover only the
 /// deterministic sections, so `assert_eq!` between a serial and a parallel run's
 /// registries is meaningful even when both also timed their merges.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Registry {
-    counters: BTreeMap<String, BTreeMap<String, u64>>,
-    histograms: BTreeMap<String, BTreeMap<String, Histogram>>,
-    wall: BTreeMap<String, WallSpan>,
-    gauges: BTreeMap<String, GaugeSpan>,
+    counters: Vec<Series<u64>>,
+    histograms: Vec<Series<Histogram>>,
+    wall: BTreeMap<Metric, WallSpan>,
+    gauges: BTreeMap<Metric, GaugeSpan>,
 }
 
 impl PartialEq for Registry {
     fn eq(&self, other: &Registry) -> bool {
         // Wall-clock spans are intentionally ignored: two runs of the
         // same simulation are equal even if their real durations differ.
-        self.counters == other.counters && self.histograms == other.histograms
+        self.counters().eq(other.counters()) && self.histograms().eq(other.histograms())
     }
 }
 
 impl Eq for Registry {}
+
+impl fmt::Debug for Registry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Registry")
+            .field("counters", &self.counters().collect::<Vec<_>>())
+            .field("histograms", &self.histograms().collect::<Vec<_>>())
+            .field("wall", &self.wall)
+            .field("gauges", &self.gauges)
+            .finish()
+    }
+}
 
 impl Registry {
     /// An empty registry.
@@ -232,126 +441,98 @@ impl Registry {
 
     /// True if no deterministic metric has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
+        self.counters().next().is_none() && self.histograms().next().is_none()
     }
 
     /// Increment the counter `(metric, label)` by one.
-    pub fn incr(&mut self, metric: &str, label: &str) {
+    pub fn incr<'a>(&mut self, metric: Metric, label: impl Into<Label<'a>>) {
         self.add(metric, label, 1);
     }
 
-    /// Increment the counter `(metric, label)` by `n`.
-    pub fn add(&mut self, metric: &str, label: &str, n: u64) {
-        if let Some(labels) = self.counters.get_mut(metric) {
-            if let Some(v) = labels.get_mut(label) {
-                *v += n;
-                return;
-            }
-            labels.insert(label.to_owned(), n);
-            return;
-        }
-        let mut labels = BTreeMap::new();
-        labels.insert(label.to_owned(), n);
-        self.counters.insert(metric.to_owned(), labels);
+    /// Increment the counter `(metric, label)` by `n` (creating it, even
+    /// for `n = 0`).
+    pub fn add<'a>(&mut self, metric: Metric, label: impl Into<Label<'a>>, n: u64) {
+        *slot(&mut self.counters, metric).entry(label.into(), || 0) += n;
     }
 
     /// Current value of the counter `(metric, label)` (0 if never set).
-    pub fn counter(&self, metric: &str, label: &str) -> u64 {
-        self.counters
-            .get(metric)
-            .and_then(|labels| labels.get(label))
+    pub fn counter(&self, metric: impl MetricRef, label: &str) -> u64 {
+        metric
+            .metric()
+            .and_then(|m| self.counters.get(m.index())?.get(label))
             .copied()
             .unwrap_or(0)
     }
 
     /// Sum of all labels under `metric` (0 if never set).
-    pub fn counter_total(&self, metric: &str) -> u64 {
-        self.counters
-            .get(metric)
-            .map(|labels| labels.values().sum())
+    pub fn counter_total(&self, metric: impl MetricRef) -> u64 {
+        metric
+            .metric()
+            .and_then(|m| self.counters.get(m.index()))
+            .map(|series| series.entries.iter().map(|(_, n)| n).sum())
             .unwrap_or(0)
     }
 
     /// Record one sample into the histogram `(metric, label)`.
-    pub fn observe(&mut self, metric: &str, label: &str, value: u64) {
-        if let Some(labels) = self.histograms.get_mut(metric) {
-            if let Some(h) = labels.get_mut(label) {
-                h.record(value);
-                return;
-            }
-            let mut h = Histogram::new();
-            h.record(value);
-            labels.insert(label.to_owned(), h);
-            return;
-        }
-        let mut h = Histogram::new();
-        h.record(value);
-        let mut labels = BTreeMap::new();
-        labels.insert(label.to_owned(), h);
-        self.histograms.insert(metric.to_owned(), labels);
+    pub fn observe<'a>(&mut self, metric: Metric, label: impl Into<Label<'a>>, value: u64) {
+        slot(&mut self.histograms, metric)
+            .entry(label.into(), Histogram::new)
+            .record(value);
     }
 
     /// The histogram at `(metric, label)`, if any sample was recorded.
-    pub fn histogram(&self, metric: &str, label: &str) -> Option<&Histogram> {
-        self.histograms
-            .get(metric)
-            .and_then(|labels| labels.get(label))
+    pub fn histogram(&self, metric: impl MetricRef, label: &str) -> Option<&Histogram> {
+        self.histograms.get(metric.metric()?.index())?.get(label)
     }
 
-    /// Time `f` as a wall-clock span named `name`.
+    /// Time `f` as a wall-clock span under `metric`.
     ///
     /// The measurement lands in the wall section only — it can never
     /// appear in the exposition or influence equality.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
+    pub fn time<R>(&mut self, metric: Metric, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let out = f();
-        self.record_wall(name, start.elapsed().as_nanos());
+        self.record_wall(metric, start.elapsed().as_nanos());
         out
     }
 
     /// Record one wall-clock span observation directly.
-    pub fn record_wall(&mut self, name: &str, nanos: u128) {
-        if let Some(span) = self.wall.get_mut(name) {
-            span.count += 1;
-            span.total_nanos += nanos;
-            return;
-        }
-        self.wall.insert(
-            name.to_owned(),
-            WallSpan {
-                count: 1,
-                total_nanos: nanos,
-            },
-        );
+    pub fn record_wall(&mut self, metric: Metric, nanos: u128) {
+        let span = self.wall.entry(metric).or_default();
+        span.count += 1;
+        span.total_nanos += nanos;
     }
 
-    /// Number of wall-clock observations recorded under `name`.
-    pub fn wall_count(&self, name: &str) -> u64 {
-        self.wall.get(name).map(|s| s.count).unwrap_or(0)
+    /// Number of wall-clock observations recorded under `metric`.
+    pub fn wall_count(&self, metric: impl MetricRef) -> u64 {
+        metric
+            .metric()
+            .and_then(|m| self.wall.get(&m))
+            .map_or(0, |s| s.count)
     }
 
-    /// Set the gauge `name` to `value`, tracking its high watermark.
+    /// Set the gauge `metric` to `value`, tracking its high watermark.
     ///
     /// Gauges are introspection-only (see [`GaugeSpan`]): they never
     /// reach the equality-gated exposition or equality. Use them
     /// for run-dependent values — peak memory, allocation counts,
     /// scrape counts — which are allowed to differ between runs that
     /// produce byte-identical artifacts.
-    pub fn set_gauge(&mut self, name: &str, value: u64) {
-        let g = self.gauges.entry(name.to_owned()).or_default();
+    pub fn set_gauge(&mut self, metric: Metric, value: u64) {
+        let g = self.gauges.entry(metric).or_default();
         g.last = value;
         g.max = g.max.max(value);
         g.sets += 1;
     }
 
-    /// Last value set on gauge `name` (`None` if never set).
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).map(|g| g.last)
+    /// Last value set on gauge `metric` (`None` if never set).
+    pub fn gauge(&self, metric: impl MetricRef) -> Option<u64> {
+        self.gauges.get(&metric.metric()?).map(|g| g.last)
     }
 
-    /// High watermark of gauge `name` (`None` if never set).
-    pub fn gauge_max(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).map(|g| g.max)
+    /// High watermark of gauge `metric` (`None` if never set).
+    pub fn gauge_max(&self, metric: impl MetricRef) -> Option<u64> {
+        self.gauges.get(&metric.metric()?).map(|g| g.max)
     }
 
     /// Render the gauges for human inspection (never an artifact). One
@@ -362,8 +543,15 @@ impl Registry {
             return String::from("(no gauges recorded)\n");
         }
         let mut out = String::new();
-        for (name, g) in &self.gauges {
-            let _ = writeln!(out, "{name} last={} max={} sets={}", g.last, g.max, g.sets);
+        for (metric, g) in &self.gauges {
+            let _ = writeln!(
+                out,
+                "{} last={} max={} sets={}",
+                metric.name(),
+                g.last,
+                g.max,
+                g.sets
+            );
         }
         out
     }
@@ -376,66 +564,42 @@ impl Registry {
     /// other per-shard results merge), which the determinism tests rely
     /// on.
     pub fn merge(&mut self, other: &Registry) {
-        for (metric, labels) in &other.counters {
-            for (label, n) in labels {
-                self.add(metric, label, *n);
+        for (metric, series) in catalog::ALL.iter().zip(&other.counters) {
+            if !series.entries.is_empty() {
+                slot(&mut self.counters, *metric).absorb(series, |mine, n| *mine += n);
             }
         }
-        for (metric, labels) in &other.histograms {
-            for (label, h) in labels {
-                if let Some(mine) = self.histograms.get_mut(metric) {
-                    if let Some(existing) = mine.get_mut(label) {
-                        existing.absorb(h);
-                    } else {
-                        mine.insert(label.to_owned(), h.clone());
-                    }
-                } else {
-                    let mut mine = BTreeMap::new();
-                    mine.insert(label.to_owned(), h.clone());
-                    self.histograms.insert(metric.to_owned(), mine);
-                }
+        for (metric, series) in catalog::ALL.iter().zip(&other.histograms) {
+            if !series.entries.is_empty() {
+                slot(&mut self.histograms, *metric).absorb(series, Histogram::absorb);
             }
         }
-        for (name, span) in &other.wall {
-            if let Some(mine) = self.wall.get_mut(name) {
-                mine.count += span.count;
-                mine.total_nanos += span.total_nanos;
-            } else {
-                self.wall.insert(name.to_owned(), *span);
-            }
+        for (metric, span) in &other.wall {
+            let mine = self.wall.entry(*metric).or_default();
+            mine.count += span.count;
+            mine.total_nanos += span.total_nanos;
         }
         // Gauges combine by elementwise max (and summed set counts), so
         // merging per-chunk registries in any order reports the same
         // campaign-wide high watermark.
-        for (name, gauge) in &other.gauges {
-            if let Some(mine) = self.gauges.get_mut(name) {
-                mine.last = mine.last.max(gauge.last);
-                mine.max = mine.max.max(gauge.max);
-                mine.sets += gauge.sets;
-            } else {
-                self.gauges.insert(name.to_owned(), *gauge);
-            }
+        for (metric, gauge) in &other.gauges {
+            let mine = self.gauges.entry(*metric).or_default();
+            mine.last = mine.last.max(gauge.last);
+            mine.max = mine.max.max(gauge.max);
+            mine.sets += gauge.sets;
         }
     }
 
     /// Iterate all counters as `(metric, label, value)` in canonical
     /// (lexicographic) order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, &str, u64)> {
-        self.counters.iter().flat_map(|(metric, labels)| {
-            labels
-                .iter()
-                .map(move |(label, v)| (metric.as_str(), label.as_str(), *v))
-        })
+        flatten(&self.counters).map(|(metric, label, n)| (metric, label, *n))
     }
 
     /// Iterate all histograms as `(metric, label, histogram)` in
     /// canonical (lexicographic) order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &str, &Histogram)> {
-        self.histograms.iter().flat_map(|(metric, labels)| {
-            labels
-                .iter()
-                .map(move |(label, h)| (metric.as_str(), label.as_str(), h))
-        })
+        flatten(&self.histograms)
     }
 
     /// Render the deterministic sections in the Prometheus text
@@ -467,9 +631,10 @@ impl Registry {
         }
         out.push_str(prom::GAUGE_SECTION_MARKER);
         out.push('\n');
-        for (name, g) in &self.gauges {
+        for (metric, g) in &self.gauges {
+            let name = metric.name();
             let family = prom::sanitize_metric(name);
-            if family != *name {
+            if family != name {
                 let _ = writeln!(out, "# HELP {family} {name}");
             }
             let _ = writeln!(out, "# TYPE {family} gauge");
@@ -490,10 +655,11 @@ impl Registry {
             return String::from("(no wall timings recorded)\n");
         }
         let mut out = String::new();
-        for (name, span) in &self.wall {
+        for (metric, span) in &self.wall {
             let _ = writeln!(
                 out,
-                "{name} count={} total={:.3}ms",
+                "{} count={} total={:.3}ms",
+                metric.name(),
                 span.count,
                 span.total_nanos as f64 / 1e6
             );
@@ -505,29 +671,33 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catalog::{
+        MEM_PEAK_BYTES, NET_FAILURE_DNS, NET_FAILURE_TCP, NET_LATENCY_MS, SCAN_HOURLY_MERGE,
+        SCAN_HOURLY_PROBES,
+    };
 
     fn sample_a() -> Registry {
         let mut r = Registry::new();
-        r.incr("net.failure.tcp", "Virginia");
-        r.add("net.failure.tcp", "Oregon", 3);
-        r.incr("scan.probes", "r0");
-        r.observe("latency", "Virginia", 12);
-        r.observe("latency", "Virginia", 80);
+        r.incr(NET_FAILURE_TCP, "Virginia");
+        r.add(NET_FAILURE_TCP, "Oregon", 3);
+        r.incr(SCAN_HOURLY_PROBES, "r0");
+        r.observe(NET_LATENCY_MS, "Virginia", 12);
+        r.observe(NET_LATENCY_MS, "Virginia", 80);
         r
     }
 
     fn sample_b() -> Registry {
         let mut r = Registry::new();
-        r.add("net.failure.tcp", "Virginia", 4);
-        r.incr("scan.probes", "r1");
-        r.observe("latency", "Oregon", 7);
+        r.add(NET_FAILURE_TCP, "Virginia", 4);
+        r.incr(SCAN_HOURLY_PROBES, "r1");
+        r.observe(NET_LATENCY_MS, "Oregon", 7);
         r
     }
 
     fn sample_c() -> Registry {
         let mut r = Registry::new();
-        r.incr("net.failure.dns", "Sydney");
-        r.observe("latency", "Virginia", 200);
+        r.incr(NET_FAILURE_DNS, "Sydney");
+        r.observe(NET_LATENCY_MS, "Virginia", 200);
         r
     }
 
@@ -583,7 +753,7 @@ mod tests {
     #[test]
     fn histograms_track_summary_stats_and_buckets() {
         let r = sample_a();
-        let h = r.histogram("latency", "Virginia").unwrap();
+        let h = r.histogram(NET_LATENCY_MS, "Virginia").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 92);
         assert_eq!(h.min(), 12);
@@ -591,7 +761,7 @@ mod tests {
         assert!((h.mean() - 46.0).abs() < 1e-9);
         assert_eq!(h.bucket(Histogram::bucket_of(12)), 1);
         assert_eq!(h.bucket(Histogram::bucket_of(80)), 1);
-        assert!(r.histogram("latency", "Sydney").is_none());
+        assert!(r.histogram(NET_LATENCY_MS, "Sydney").is_none());
     }
 
     #[test]
@@ -668,16 +838,18 @@ mod tests {
     #[test]
     fn wall_spans_are_excluded_from_equality_and_exposition() {
         let mut with_wall = sample_a();
-        let result = with_wall.time("merge", || 2 + 2);
+        let result = with_wall.time(SCAN_HOURLY_MERGE, || 2 + 2);
         assert_eq!(result, 4);
-        with_wall.record_wall("merge", 1_000_000);
-        assert_eq!(with_wall.wall_count("merge"), 2);
+        with_wall.record_wall(SCAN_HOURLY_MERGE, 1_000_000);
+        assert_eq!(with_wall.wall_count(SCAN_HOURLY_MERGE), 2);
 
         let without_wall = sample_a();
         assert_eq!(with_wall, without_wall);
         assert_eq!(with_wall.to_prometheus(), without_wall.to_prometheus());
         assert!(!with_wall.to_prometheus().contains("merge"));
-        assert!(with_wall.wall_report().contains("merge count=2"));
+        assert!(with_wall
+            .wall_report()
+            .contains("scan.hourly.merge count=2"));
     }
 
     #[test]
@@ -700,10 +872,10 @@ mod tests {
     #[test]
     fn gauges_are_excluded_from_equality_and_artifacts() {
         let mut with_gauge = sample_a();
-        with_gauge.set_gauge("queue.depth", 12_000);
-        with_gauge.set_gauge("queue.depth", 7);
-        assert_eq!(with_gauge.gauge("queue.depth"), Some(7));
-        assert_eq!(with_gauge.gauge_max("queue.depth"), Some(12_000));
+        with_gauge.set_gauge(MEM_PEAK_BYTES, 12_000);
+        with_gauge.set_gauge(MEM_PEAK_BYTES, 7);
+        assert_eq!(with_gauge.gauge(MEM_PEAK_BYTES), Some(7));
+        assert_eq!(with_gauge.gauge_max(MEM_PEAK_BYTES), Some(12_000));
         assert_eq!(with_gauge.gauge("absent"), None);
 
         let without_gauge = sample_a();
@@ -711,15 +883,15 @@ mod tests {
         assert_eq!(with_gauge.to_prometheus(), without_gauge.to_prometheus());
         assert!(with_gauge
             .gauge_report()
-            .contains("queue.depth last=7 max=12000 sets=2"));
+            .contains("mem.peak_bytes last=7 max=12000 sets=2"));
         assert_eq!(Registry::new().gauge_report(), "(no gauges recorded)\n");
     }
 
     #[test]
     fn gauge_exposition_extends_the_equality_gated_render_as_a_prefix() {
         let mut r = sample_a();
-        r.set_gauge("queue.depth", 12);
-        r.set_gauge("queue.depth", 7);
+        r.set_gauge(MEM_PEAK_BYTES, 12);
+        r.set_gauge(MEM_PEAK_BYTES, 7);
         let gated = r.to_prometheus();
         let operational = r.to_prometheus_with_gauges();
         // The equality-gated bytes are an exact prefix…
@@ -728,11 +900,11 @@ mod tests {
         // stat-labeled gauge families.
         let tail = &operational[gated.len()..];
         assert!(tail.starts_with(prom::GAUGE_SECTION_MARKER));
-        assert!(tail.contains("# TYPE queue_depth gauge"));
-        assert!(tail.contains("# HELP queue_depth queue.depth"));
-        assert!(tail.contains("queue_depth{stat=\"last\"} 7"));
-        assert!(tail.contains("queue_depth{stat=\"max\"} 12"));
-        assert!(tail.contains("queue_depth{stat=\"sets\"} 2"));
+        assert!(tail.contains("# TYPE mem_peak_bytes gauge"));
+        assert!(tail.contains("# HELP mem_peak_bytes mem.peak_bytes"));
+        assert!(tail.contains("mem_peak_bytes{stat=\"last\"} 7"));
+        assert!(tail.contains("mem_peak_bytes{stat=\"max\"} 12"));
+        assert!(tail.contains("mem_peak_bytes{stat=\"sets\"} 2"));
         // Truncating at the marker recovers the gated subset — the
         // live-smoke contract.
         let truncated = &operational[..gated.len()];
@@ -750,17 +922,17 @@ mod tests {
     #[test]
     fn gauges_merge_by_high_watermark_in_any_order() {
         let mut a = Registry::new();
-        a.set_gauge("queue.depth", 10);
+        a.set_gauge(MEM_PEAK_BYTES, 10);
         let mut b = Registry::new();
-        b.set_gauge("queue.depth", 25);
-        b.set_gauge("queue.depth", 3);
+        b.set_gauge(MEM_PEAK_BYTES, 25);
+        b.set_gauge(MEM_PEAK_BYTES, 3);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
         for merged in [&ab, &ba] {
-            assert_eq!(merged.gauge_max("queue.depth"), Some(25));
-            assert_eq!(merged.gauge("queue.depth"), Some(10).max(Some(3)));
+            assert_eq!(merged.gauge_max(MEM_PEAK_BYTES), Some(25));
+            assert_eq!(merged.gauge(MEM_PEAK_BYTES), Some(10).max(Some(3)));
             assert!(merged.gauge_report().contains("sets=3"));
         }
     }
@@ -768,11 +940,11 @@ mod tests {
     #[test]
     fn wall_spans_merge_too() {
         let mut a = Registry::new();
-        a.record_wall("shard", 10);
+        a.record_wall(SCAN_HOURLY_MERGE, 10);
         let mut b = Registry::new();
-        b.record_wall("shard", 30);
+        b.record_wall(SCAN_HOURLY_MERGE, 30);
         a.merge(&b);
-        assert_eq!(a.wall_count("shard"), 2);
+        assert_eq!(a.wall_count(SCAN_HOURLY_MERGE), 2);
         assert!(a.wall_report().contains("total=0.000"));
     }
 

@@ -225,9 +225,10 @@ fn le_of_bucket(index: usize) -> String {
 impl Exposition {
     /// Snapshot the deterministic sections of a registry.
     ///
-    /// Panics if two distinct registry metrics sanitize to the same
-    /// family name — metric names are code-authored, so a collision is
-    /// a programming error, not an input error.
+    /// Panics if one metric holds both counters and histograms — the
+    /// catalog keeps names unique once sanitized, so that is the one
+    /// collision left, and it is a programming error, not an input
+    /// error.
     pub fn from_registry(registry: &Registry) -> Exposition {
         let mut exposition = Exposition::default();
         exposition.absorb(registry, None);
@@ -283,7 +284,8 @@ impl Exposition {
         });
         assert!(
             family.metric == metric && family.kind == kind,
-            "metrics `{}` and `{metric}` collide on family `{name}`",
+            "{:?} `{}` and {kind:?} `{metric}` collide on family `{name}`",
+            family.kind,
             family.metric,
         );
         family
@@ -553,16 +555,17 @@ fn split_sample(line: &str) -> Result<((String, BTreeMap<String, String>), &str)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{NET_FAILURE_TCP, NET_LATENCY_MS, SCAN_HOURLY_PROBES};
 
     fn sample_registry() -> Registry {
         let mut r = Registry::new();
-        r.incr("net.failure.tcp", "Virginia");
-        r.add("net.failure.tcp", "Oregon", 3);
-        r.incr("scan.probes", "r0");
-        r.observe("latency", "Virginia", 0);
-        r.observe("latency", "Virginia", 12);
-        r.observe("latency", "Virginia", 80);
-        r.observe("latency", "Oregon", 7);
+        r.incr(NET_FAILURE_TCP, "Virginia");
+        r.add(NET_FAILURE_TCP, "Oregon", 3);
+        r.incr(SCAN_HOURLY_PROBES, "r0");
+        r.observe(NET_LATENCY_MS, "Virginia", 0);
+        r.observe(NET_LATENCY_MS, "Virginia", 12);
+        r.observe(NET_LATENCY_MS, "Virginia", 80);
+        r.observe(NET_LATENCY_MS, "Oregon", 7);
         r
     }
 
@@ -570,24 +573,25 @@ mod tests {
     fn render_is_canonical_and_complete() {
         let text = sample_registry().to_prometheus();
         let expected = "\
-# TYPE latency histogram
-latency_bucket{label=\"Oregon\",le=\"7\"} 1
-latency_bucket{label=\"Oregon\",le=\"+Inf\"} 1
-latency_sum{label=\"Oregon\"} 7
-latency_count{label=\"Oregon\"} 1
-latency_bucket{label=\"Virginia\",le=\"0\"} 1
-latency_bucket{label=\"Virginia\",le=\"15\"} 2
-latency_bucket{label=\"Virginia\",le=\"127\"} 3
-latency_bucket{label=\"Virginia\",le=\"+Inf\"} 3
-latency_sum{label=\"Virginia\"} 92
-latency_count{label=\"Virginia\"} 3
 # HELP net_failure_tcp net.failure.tcp
 # TYPE net_failure_tcp counter
 net_failure_tcp{label=\"Oregon\"} 3
 net_failure_tcp{label=\"Virginia\"} 1
-# HELP scan_probes scan.probes
-# TYPE scan_probes counter
-scan_probes{label=\"r0\"} 1
+# HELP net_latency_ms net.latency_ms
+# TYPE net_latency_ms histogram
+net_latency_ms_bucket{label=\"Oregon\",le=\"7\"} 1
+net_latency_ms_bucket{label=\"Oregon\",le=\"+Inf\"} 1
+net_latency_ms_sum{label=\"Oregon\"} 7
+net_latency_ms_count{label=\"Oregon\"} 1
+net_latency_ms_bucket{label=\"Virginia\",le=\"0\"} 1
+net_latency_ms_bucket{label=\"Virginia\",le=\"15\"} 2
+net_latency_ms_bucket{label=\"Virginia\",le=\"127\"} 3
+net_latency_ms_bucket{label=\"Virginia\",le=\"+Inf\"} 3
+net_latency_ms_sum{label=\"Virginia\"} 92
+net_latency_ms_count{label=\"Virginia\"} 3
+# HELP scan_hourly_probes scan.hourly.probes
+# TYPE scan_hourly_probes counter
+scan_hourly_probes{label=\"r0\"} 1
 ";
         assert_eq!(text, expected);
     }
@@ -603,8 +607,8 @@ scan_probes{label=\"r0\"} 1
     #[test]
     fn original_metric_names_survive_the_round_trip() {
         let mut r = Registry::new();
-        r.incr("net.failure.tcp", "Virginia");
-        r.observe("ocsp.latency", "x", 9);
+        r.incr(NET_FAILURE_TCP, "Virginia");
+        r.observe(NET_LATENCY_MS, "x", 9);
         let parsed = Exposition::parse(&r.to_prometheus()).expect("parse");
         let counters: Vec<_> = parsed
             .counters()
@@ -615,13 +619,16 @@ scan_probes{label=\"r0\"} 1
             .histograms()
             .map(|(m, k, h)| (m, k.label.as_str(), h.count, h.sum))
             .collect();
-        assert_eq!(histograms, vec![("ocsp.latency", "x", 1, 9)]);
+        assert_eq!(histograms, vec![("net.latency_ms", "x", 1, 9)]);
     }
 
     #[test]
     fn awkward_label_values_escape_and_round_trip() {
         let mut r = Registry::new();
-        r.incr("m", "with \"quotes\" and \\slash\\ and\nnewline");
+        r.incr(
+            SCAN_HOURLY_PROBES,
+            "with \"quotes\" and \\slash\\ and\nnewline",
+        );
         let text = r.to_prometheus();
         assert!(text.contains("\\\"quotes\\\""));
         assert!(text.contains("\\\\slash\\\\"));
@@ -645,10 +652,10 @@ scan_probes{label=\"r0\"} 1
 
     #[test]
     #[should_panic(expected = "collide")]
-    fn family_collisions_are_loud() {
+    fn a_metric_written_as_counter_and_histogram_is_loud() {
         let mut r = Registry::new();
-        r.incr("a.b", "x");
-        r.incr("a_b", "x");
+        r.incr(NET_LATENCY_MS, "x");
+        r.observe(NET_LATENCY_MS, "x", 1);
         let _ = r.to_prometheus();
     }
 
@@ -656,7 +663,7 @@ scan_probes{label=\"r0\"} 1
     fn histogram_buckets_are_cumulative_with_log2_bounds() {
         let mut r = Registry::new();
         for v in [1u64, 1, 2, 3, 1024] {
-            r.observe("h", "l", v);
+            r.observe(NET_LATENCY_MS, "l", v);
         }
         let exposition = Exposition::from_registry(&r);
         let (_, _, series) = exposition.histograms().next().expect("series");
@@ -692,27 +699,28 @@ scan_probes{label=\"r0\"} 1
     #[test]
     fn seeded_ensemble_exposition_round_trips() {
         let mut a = Registry::new();
-        a.incr("net.failure.tcp", "Virginia");
-        a.observe("latency", "Oregon", 7);
+        a.incr(NET_FAILURE_TCP, "Virginia");
+        a.observe(NET_LATENCY_MS, "Oregon", 7);
         let mut b = Registry::new();
-        b.add("net.failure.tcp", "Virginia", 2);
-        b.observe("latency", "Oregon", 9);
+        b.add(NET_FAILURE_TCP, "Virginia", 2);
+        b.observe(NET_LATENCY_MS, "Oregon", 9);
         let exposition = Exposition::from_seeded_registries([(2018, &a), (7, &b)]);
         let text = exposition.render();
         let expected = "\
-# TYPE latency histogram
-latency_bucket{label=\"Oregon\",seed=\"2018\",le=\"7\"} 1
-latency_bucket{label=\"Oregon\",seed=\"2018\",le=\"+Inf\"} 1
-latency_sum{label=\"Oregon\",seed=\"2018\"} 7
-latency_count{label=\"Oregon\",seed=\"2018\"} 1
-latency_bucket{label=\"Oregon\",seed=\"7\",le=\"15\"} 1
-latency_bucket{label=\"Oregon\",seed=\"7\",le=\"+Inf\"} 1
-latency_sum{label=\"Oregon\",seed=\"7\"} 9
-latency_count{label=\"Oregon\",seed=\"7\"} 1
 # HELP net_failure_tcp net.failure.tcp
 # TYPE net_failure_tcp counter
 net_failure_tcp{label=\"Virginia\",seed=\"2018\"} 1
 net_failure_tcp{label=\"Virginia\",seed=\"7\"} 2
+# HELP net_latency_ms net.latency_ms
+# TYPE net_latency_ms histogram
+net_latency_ms_bucket{label=\"Oregon\",seed=\"2018\",le=\"7\"} 1
+net_latency_ms_bucket{label=\"Oregon\",seed=\"2018\",le=\"+Inf\"} 1
+net_latency_ms_sum{label=\"Oregon\",seed=\"2018\"} 7
+net_latency_ms_count{label=\"Oregon\",seed=\"2018\"} 1
+net_latency_ms_bucket{label=\"Oregon\",seed=\"7\",le=\"15\"} 1
+net_latency_ms_bucket{label=\"Oregon\",seed=\"7\",le=\"+Inf\"} 1
+net_latency_ms_sum{label=\"Oregon\",seed=\"7\"} 9
+net_latency_ms_count{label=\"Oregon\",seed=\"7\"} 1
 ";
         assert_eq!(text, expected);
         let parsed = Exposition::parse(&text).expect("parse seeded output");

@@ -14,7 +14,7 @@
 use crate::fetcher::{FetchOutcome, OcspFetcher};
 use crate::server::{CachedStaple, ServerKind, SiteConfig, StaplingServer};
 use asn1::Time;
-use telemetry::{catalog, Registry};
+use telemetry::{catalog, Metric, Registry};
 use tls::ServerFlight;
 
 /// The recommended model.
@@ -50,7 +50,7 @@ impl Ideal {
 
     /// `fetch_metric` distinguishes timer-driven prefetches from the
     /// serve-path safety net in the telemetry.
-    fn refresh(&mut self, now: Time, fetcher: &mut dyn OcspFetcher, fetch_metric: &str) {
+    fn refresh(&mut self, now: Time, fetcher: &mut dyn OcspFetcher, fetch_metric: Metric) {
         if !self.needs_refresh(now) {
             return;
         }

@@ -75,9 +75,9 @@ fn campaign_and_serve_allocations_are_pinned() {
         }
     });
 
-    // Per probe and per query: campaign 9.8, hot 4.1, wide 11.0.
+    // Per probe and per query: campaign 7.4, hot 4.1, wide 11.0.
     assert_eq!(
         (probes, campaign_allocs, hot_allocs, wide_allocs),
-        (1_344, 13_150, 4_130, 11_041)
+        (1_344, 9_975, 4_125, 11_037)
     );
 }
