@@ -6,7 +6,8 @@
 //! * [`cdf`] — cumulative distributions, including samples at +∞
 //!   (Figure 8 plots blank `nextUpdate` validity periods as infinite);
 //! * [`timeseries`] — time-binned aggregation for the availability
-//!   plots (Figures 3–5, 12);
+//!   plots (Figures 3–5, 12), with a dense round-indexed form for
+//!   campaigns whose bins are known up front;
 //! * [`bins`] — Alexa-rank binning (bins of 10 000) for the adoption
 //!   curves (Figures 2 and 11);
 //! * [`table`] — plain-text and CSV rendering used by the `figures`
@@ -34,4 +35,4 @@ pub use cdf::Cdf;
 pub use stats::{Summary, Welford};
 pub use stream::{AlexaAdoption, StreamingCdf};
 pub use table::Table;
-pub use timeseries::TimeSeries;
+pub use timeseries::{DenseBins, TimeSeries};

@@ -139,6 +139,118 @@ impl TimeSeries {
     }
 }
 
+/// The dense form of a [`TimeSeries`] over a span known up front: one
+/// cell per bin, indexed from the bin holding the span's first second.
+///
+/// A campaign that knows its rounds can count into plain arrays instead
+/// of a `BTreeMap`. Every cell is an integer sum — hits, totals, and how
+/// many records landed in the bin — so partial bins add in any order,
+/// and [`DenseBins::to_series`] builds exactly the series the same
+/// `record_bool`/`record_hits` calls would have built. The record count
+/// is what marks a bin as seen: `record_hits(t, 0, 0)` makes a bin with
+/// total 0, which a series keeps.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DenseBins {
+    bin_secs: i64,
+    first_bin: i64,
+    cells: Vec<DenseCell>,
+}
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct DenseCell {
+    hits: u64,
+    total: u64,
+    records: u64,
+}
+
+impl DenseBins {
+    /// Bins `bin_secs` wide covering `[from, until)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bin_secs` is not positive.
+    pub fn new(bin_secs: i64, from: Time, until: Time) -> DenseBins {
+        assert!(bin_secs > 0, "bin width must be positive");
+        let first_bin = from.unix().div_euclid(bin_secs);
+        let len = if until > from {
+            (until.unix() - 1).div_euclid(bin_secs) - first_bin + 1
+        } else {
+            0
+        };
+        DenseBins {
+            bin_secs,
+            first_bin,
+            cells: vec![DenseCell::default(); len as usize],
+        }
+    }
+
+    /// The cell holding `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is outside the span the bins cover.
+    fn cell(&mut self, t: Time) -> &mut DenseCell {
+        let index = t.unix().div_euclid(self.bin_secs) - self.first_bin;
+        usize::try_from(index)
+            .ok()
+            .and_then(|i| self.cells.get_mut(i))
+            .unwrap_or_else(|| panic!("{t} is outside the dense bins' span"))
+    }
+
+    /// Record a boolean observation, as [`TimeSeries::record_bool`].
+    pub fn record_bool(&mut self, t: Time, hit: bool) {
+        let cell = self.cell(t);
+        cell.records += 1;
+        cell.total += 1;
+        cell.hits += u64::from(hit);
+    }
+
+    /// Record `hits` out of `total`, as [`TimeSeries::record_hits`].
+    pub fn record_hits(&mut self, t: Time, hits: u64, total: u64) {
+        let cell = self.cell(t);
+        cell.records += 1;
+        cell.total += total;
+        cell.hits += hits;
+    }
+
+    /// Add another set of bins over the same span, cell by cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two cover different bins.
+    pub fn add(&mut self, other: &DenseBins) {
+        assert!(
+            (self.bin_secs, self.first_bin, self.cells.len())
+                == (other.bin_secs, other.first_bin, other.cells.len()),
+            "cannot add dense bins over different spans"
+        );
+        for (cell, o) in self.cells.iter_mut().zip(&other.cells) {
+            cell.hits += o.hits;
+            cell.total += o.total;
+            cell.records += o.records;
+        }
+    }
+
+    /// The series of every bin that saw a record.
+    pub fn to_series(&self) -> TimeSeries {
+        TimeSeries {
+            bin_secs: self.bin_secs,
+            bins: (self.first_bin..)
+                .zip(&self.cells)
+                .filter(|(_, cell)| cell.records > 0)
+                .map(|(k, cell)| {
+                    let bin = Bin {
+                        hits: cell.hits,
+                        total: cell.total,
+                        sum: 0.0,
+                    };
+                    (k, bin)
+                })
+                .collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +334,43 @@ mod tests {
         assert_eq!(serial.fractions(), a.fractions());
         assert_eq!(serial.counts(), a.counts());
         assert_eq!(serial.bin_count(), a.bin_count());
+    }
+
+    #[test]
+    fn dense_bins_keep_zero_weight_bins() {
+        // A responder with no Alexa domains still has Figure 4 bins.
+        let mut series = TimeSeries::new(3_600);
+        let mut dense = DenseBins::new(3_600, t(0), t(3));
+        for h in [0, 2] {
+            series.record_hits(t(h), 0, 0);
+            dense.record_hits(t(h), 0, 0);
+        }
+        let built = dense.to_series();
+        assert_eq!(built.bin_count(), 2);
+        assert_eq!(built.counts(), series.counts());
+        assert_eq!(built.fractions(), series.fractions());
+    }
+
+    #[test]
+    fn dense_bins_take_a_probe_past_the_last_round_start() {
+        // A span starting mid-bin: a probe staggered past a bin edge
+        // lands one bin later than its round's start.
+        let start = t(0) + 1_800;
+        let mut series = TimeSeries::new(3_600);
+        let mut dense = DenseBins::new(3_600, start, start + 2 * 3_600);
+        for round in 0..2 {
+            let probe = start + round * 3_600 + 2_000;
+            series.record_bool(probe, true);
+            dense.record_bool(probe, true);
+        }
+        assert_eq!(dense.to_series().fractions(), series.fractions());
+        assert_eq!(dense.to_series().bin_count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the dense bins")]
+    fn dense_bins_reject_times_outside_their_span() {
+        DenseBins::new(3_600, t(0), t(2)).record_bool(t(2), true);
     }
 
     #[test]

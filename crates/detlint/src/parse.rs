@@ -3,7 +3,7 @@
 //!
 //! [`lexer`](crate::lexer) gives a flat token stream; the workspace
 //! rules (layering, float-determinism) need a little more shape than
-//! that — which crates a file mentions, which items it declares, and
+//! that — which crates a file mentions, which identifiers it uses, and
 //! which line ranges are test-only. This module extracts exactly that
 //! into a [`FileModel`], once per file, so every workspace pass reads
 //! the same pre-digested view instead of re-walking tokens.
@@ -16,38 +16,6 @@
 use crate::lexer::{Token, TokenKind};
 use std::collections::BTreeSet;
 
-/// Kinds of item declarations recorded in the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemKind {
-    /// `fn`
-    Fn,
-    /// `struct`
-    Struct,
-    /// `enum`
-    Enum,
-    /// `trait`
-    Trait,
-    /// `mod`
-    Mod,
-    /// `const`
-    Const,
-    /// `static`
-    Static,
-    /// `type`
-    TypeAlias,
-}
-
-/// One item declaration (any nesting depth).
-#[derive(Debug, Clone)]
-pub struct Item {
-    /// What kind of item.
-    pub kind: ItemKind,
-    /// Its name.
-    pub name: String,
-    /// 1-based line of the keyword.
-    pub line: u32,
-}
-
 /// The extracted per-file facts.
 #[derive(Debug, Default)]
 pub struct FileModel {
@@ -57,8 +25,6 @@ pub struct FileModel {
     /// Identifiers in path-head position (`X` in `X::y`, not preceded by
     /// `::` or `.`), with the line of each occurrence.
     pub path_heads: Vec<(String, u32)>,
-    /// Item declarations.
-    pub items: Vec<Item>,
     /// Inclusive line ranges under `#[cfg(test)]` / `#[test]`.
     pub test_ranges: Vec<(u32, u32)>,
     /// Every identifier in the file (including test code).
@@ -112,38 +78,9 @@ pub fn model(tokens: &[Token]) -> FileModel {
             m.path_heads.push((tok.text.clone(), tok.line));
         }
 
-        // Item declarations.
-        if let Some(kind) = item_kind(&tok.text) {
-            if tok.kind == TokenKind::Ident
-                && i + 1 < t.len()
-                && t[i + 1].kind == TokenKind::Ident
-                && !(i > 0 && (t[i - 1].is_punct(".") || t[i - 1].is_punct(":")))
-            {
-                m.items.push(Item {
-                    kind,
-                    name: t[i + 1].text.clone(),
-                    line: tok.line,
-                });
-            }
-        }
-
         i += 1;
     }
     m
-}
-
-fn item_kind(kw: &str) -> Option<ItemKind> {
-    Some(match kw {
-        "fn" => ItemKind::Fn,
-        "struct" => ItemKind::Struct,
-        "enum" => ItemKind::Enum,
-        "trait" => ItemKind::Trait,
-        "mod" => ItemKind::Mod,
-        "const" => ItemKind::Const,
-        "static" => ItemKind::Static,
-        "type" => ItemKind::TypeAlias,
-        _ => return None,
-    })
 }
 
 /// Is `tokens[i..]` the path separator `::`?
@@ -342,12 +279,5 @@ fn after() {}\n";
         let m = model_of("#[cfg(test)]\nuse proptest::prelude::*;\nfn f() {}\n");
         assert!(m.in_test_range(2));
         assert!(!m.in_test_range(3));
-    }
-
-    #[test]
-    fn items_recorded() {
-        let m = model_of("pub struct S; enum E { A } fn f() {} mod m {}\n");
-        let names: Vec<&str> = m.items.iter().map(|i| i.name.as_str()).collect();
-        assert_eq!(names, vec!["S", "E", "f", "m"]);
     }
 }

@@ -107,10 +107,16 @@ mod tests {
     use super::*;
 
     // The allocator is NOT installed for lib tests, so the counters
-    // only move when driven directly.
+    // only move when driven directly — by these tests, which the harness
+    // runs on parallel threads. Each holds this lock while it drives the
+    // shared counters, so neither sees the other's bytes.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn counters_track_alloc_and_dealloc() {
+        let _counters = COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let before = stats();
         on_alloc(1_000);
         let mid = stats();
@@ -126,6 +132,9 @@ mod tests {
 
     #[test]
     fn reset_peak_drops_to_current() {
+        let _counters = COUNTERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         on_alloc(10_000);
         on_dealloc(10_000);
         reset_peak();

@@ -43,17 +43,6 @@ impl FailureKind {
         }
     }
 
-    /// Stable short name used in telemetry metric names.
-    pub fn metric_label(self) -> &'static str {
-        match self {
-            FailureKind::DnsNxDomain => "dns",
-            FailureKind::TcpConnect => "tcp",
-            FailureKind::Http4xx => "http4xx",
-            FailureKind::Http5xx => "http5xx",
-            FailureKind::TlsBadCertificate => "tls",
-        }
-    }
-
     /// This failure's counter: the `net.failure.<label>` family.
     pub fn metric(self) -> Metric {
         match self {

@@ -364,16 +364,6 @@ impl World {
             };
         };
         let host = &self.topo.hosts[at];
-        // Every routed request draws its latency, though only a
-        // dispatched one records it.
-        let latency_ms = http_latency_ms(
-            &self.topo.jitter,
-            &host.name,
-            client,
-            host.region,
-            now,
-            host.server_time_ms,
-        );
 
         // Failure injection: host outages first, then group outages.
         let group = host.group.map(|g| &self.topo.groups[g]);
@@ -426,7 +416,16 @@ impl World {
             HttpOutcome::HttpError(status)
         };
         // Simulated latency, per vantage point: model-derived and
-        // hash-jittered, never wall clock.
+        // hash-jittered, never wall clock. Only a dispatched request
+        // draws one.
+        let latency_ms = http_latency_ms(
+            &self.topo.jitter,
+            &host.name,
+            client,
+            host.region,
+            now,
+            host.server_time_ms,
+        );
         self.telemetry
             .observe(catalog::NET_LATENCY_MS, client.label(), latency_ms as u64);
         HttpResult { outcome }

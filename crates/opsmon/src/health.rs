@@ -368,6 +368,32 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
+    /// Absorb the report of a replay over other subjects: the result is
+    /// the report one replay over both logs would give. Rows stay
+    /// sorted by subject and transition totals add. Each subject's
+    /// timeline must replay whole in one of the two, so the subjects
+    /// must be disjoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a subject appears in both reports.
+    pub fn merge(&mut self, other: HealthReport) {
+        for (edge, n) in other.transition_counts {
+            *self.transition_counts.entry(edge).or_default() += n;
+        }
+        for row in other.subjects {
+            let at = self.subjects.partition_point(|s| s.subject < row.subject);
+            assert!(
+                self.subjects
+                    .get(at)
+                    .is_none_or(|s| s.subject != row.subject),
+                "subject {} replayed twice",
+                row.subject
+            );
+            self.subjects.insert(at, row);
+        }
+    }
+
     /// Subjects currently (healthy, degraded, failed).
     pub fn state_counts(&self) -> (u64, u64, u64) {
         let mut counts = (0, 0, 0);

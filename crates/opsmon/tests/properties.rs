@@ -1,10 +1,12 @@
-//! Property tests for the health-state machine: the invariants the
-//! issue pins — backoff monotonicity, recovery after K consecutive
-//! successes, and merge associativity across arbitrary shard/chunk
-//! splits.
+//! Property tests for the health-state machine: backoff monotonicity,
+//! recovery after K consecutive successes, merge associativity across
+//! arbitrary shard/chunk splits, and per-subject replays merging to one
+//! replay.
 
 use asn1::Time;
-use mustaple_opsmon::{EventLog, HealthLog, HealthPolicy, HealthState, HealthTracker};
+use mustaple_opsmon::{
+    EventLog, HealthLog, HealthPolicy, HealthReport, HealthState, HealthTracker,
+};
 use proptest::prelude::*;
 
 fn policy_strategy() -> impl Strategy<Value = HealthPolicy> {
@@ -122,6 +124,37 @@ proptest! {
         prop_assert_eq!(&report_right, &report_whole);
         prop_assert_eq!(ev_left.to_jsonl(), ev_whole.to_jsonl());
         prop_assert_eq!(ev_right.to_jsonl(), ev_whole.to_jsonl());
+    }
+
+    /// Replaying each subject's log on its own, in any order, and
+    /// merging the reports gives the report and the event bytes of one
+    /// replay over every subject.
+    #[test]
+    fn per_subject_replays_merge_to_one_replay(
+        policy in policy_strategy(),
+        outcomes in proptest::collection::vec((0usize..4, any::<bool>()), 0..64),
+        reverse in any::<bool>(),
+    ) {
+        let subjects = ["r2", "r0", "r3", "r1"];
+        let mut whole = HealthLog::new();
+        let mut logs: Vec<HealthLog> = subjects.iter().map(|_| HealthLog::new()).collect();
+        for (i, &(subject, ok)) in outcomes.iter().enumerate() {
+            let at = Time::from_unix(i as i64 * 60);
+            whole.record(subjects[subject], at, ok);
+            logs[subject].record(subjects[subject], at, ok);
+        }
+        if reverse {
+            logs.reverse();
+        }
+        let mut ev_whole = EventLog::new();
+        let report_whole = whole.replay(&policy, &mut ev_whole);
+        let mut ev_parts = EventLog::new();
+        let mut report_parts = HealthReport::default();
+        for log in &logs {
+            report_parts.merge(log.replay(&policy, &mut ev_parts));
+        }
+        prop_assert_eq!(&report_parts, &report_whole);
+        prop_assert_eq!(ev_parts.to_jsonl(), ev_whole.to_jsonl());
     }
 
     /// The events artifact round-trips byte-exactly through its strict

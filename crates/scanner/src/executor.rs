@@ -6,19 +6,25 @@
 //! changing a single output byte**:
 //!
 //! * Work is split into *shards* — one per responder (hourly scan,
-//!   Alexa1M) or one per operator (consistency study). A shard is the
-//!   unit of determinism, not the thread: shard `i` always processes the
+//!   Alexa1M) or one per operator (consistency study) — and each shard
+//!   into one or more time *chunks*. A (shard × chunk) work unit is the
+//!   unit of determinism, not the thread: a unit always processes the
 //!   exact same probe subsequence the serial run would have given it.
-//! * Each shard owns a private RNG seeded by
-//!   [`seed_for_shard`]`(base_seed, shard_id)` — a fixed function of the
-//!   *shard id*, never of the worker that happens to run it. Worker
-//!   count and OS scheduling therefore cannot influence any random
-//!   draw.
-//! * Results come back as `Vec<R>` in shard-id order regardless of
+//! * Each unit owns a private RNG seeded by [`seed_for_shard`] or
+//!   [`seed_for_chunk`] — a fixed function of the *unit id*, never of
+//!   the worker that happens to run it. Worker count and OS scheduling
+//!   therefore cannot influence any random draw.
+//! * Unit results come back per shard in chunk order regardless of
 //!   completion order, so the caller's merge is canonical.
+//! * Each worker may also carry an accumulator through every unit it
+//!   runs (`Executor::run_folded`). A unit folds into it only what
+//!   adds up the same in any order — integer sums — so the campaign
+//!   totals need neither per-unit copies nor an order, and only what is
+//!   order-sensitive waits for the canonical merge.
 //!
-//! A "serial" run is simply `workers = 1` through the identical code
-//! path — there is no second implementation to drift.
+//! A "serial" run is simply `workers = 1` through the identical worker
+//! loop, run on the calling thread — there is no second implementation
+//! to drift.
 //!
 //! Only `std::thread::scope` is used; no thread-pool dependency
 //! (DESIGN.md §6: standard library only).
@@ -52,9 +58,8 @@ pub fn shard_rng(base_seed: u64, shard_id: u64) -> StdRng {
 /// Derive the RNG seed for one *chunk* of a shard: the
 /// [`seed_for_shard`] derivation applied twice, first over the shard id
 /// and then over the chunk index. A shard with a single chunk draws
-/// `seed_for_shard(base, shard)` exactly, so migrating a
-/// [`Executor::run_sharded`] caller to [`Executor::run_chunked`] with
-/// one chunk per shard changes no random stream.
+/// `seed_for_shard(base, shard)` instead (see [`Executor::run_chunked`]),
+/// so cutting a shard into one chunk changes no random stream.
 pub fn seed_for_chunk(base_seed: u64, shard_id: u64, chunk: u64) -> u64 {
     seed_for_shard(seed_for_shard(base_seed, shard_id), chunk)
 }
@@ -95,55 +100,6 @@ impl Executor {
         self.workers.get()
     }
 
-    /// Run `shard_count` shards of `job` and return their results in
-    /// shard-id order.
-    ///
-    /// `job(shard_id, rng)` receives a private RNG derived from
-    /// `(base_seed, shard_id)` via [`seed_for_shard`]. Shards are pulled
-    /// from a shared atomic queue, so long shards don't serialize behind
-    /// a static partition; the result vector is ordered by shard id, so
-    /// callers observe nothing about scheduling.
-    pub fn run_sharded<R, F>(&self, base_seed: u64, shard_count: usize, job: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut StdRng) -> R + Sync,
-    {
-        let workers = self.workers.get().min(shard_count.max(1));
-        if workers <= 1 {
-            return (0..shard_count)
-                .map(|shard| {
-                    let mut rng = shard_rng(base_seed, shard as u64);
-                    job(shard, &mut rng)
-                })
-                .collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = (0..shard_count).map(|_| Mutex::new(None)).collect();
-        let job = &job;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let shard = next.fetch_add(1, Ordering::Relaxed);
-                    if shard >= shard_count {
-                        break;
-                    }
-                    let mut rng = shard_rng(base_seed, shard as u64);
-                    let result = job(shard, &mut rng);
-                    *slots[shard].lock().unwrap() = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("every shard index below shard_count was claimed exactly once")
-            })
-            .collect()
-    }
-
     /// Run `job` over (shard × chunk) work units, returning per-shard
     /// result vectors in chunk order.
     ///
@@ -153,12 +109,11 @@ impl Executor {
     /// `s`; all units feed one shared atomic queue.
     ///
     /// RNG rule: a shard with exactly one chunk draws
-    /// [`seed_for_shard`]`(base, shard)` — byte-for-byte what
-    /// [`Executor::run_sharded`] would give it — while multi-chunk
-    /// shards draw [`seed_for_chunk`]`(base, shard, chunk)` per chunk.
-    /// Both depend only on indices, never on worker count, so output
-    /// is identical for every worker count; callers must additionally
-    /// pick the *chunk plan* as a pure function of configuration.
+    /// [`seed_for_shard`]`(base, shard)` while multi-chunk shards draw
+    /// [`seed_for_chunk`]`(base, shard, chunk)` per chunk. Both depend
+    /// only on indices, never on worker count, so output is identical
+    /// for every worker count; callers must additionally pick the
+    /// *chunk plan* as a pure function of configuration.
     pub fn run_chunked<R, F>(
         &self,
         base_seed: u64,
@@ -169,58 +124,13 @@ impl Executor {
         R: Send,
         F: Fn(usize, usize, &mut StdRng) -> R + Sync,
     {
-        fn unit_rng(base_seed: u64, shard: usize, chunk: usize, chunks_in_shard: usize) -> StdRng {
-            if chunks_in_shard == 1 {
-                shard_rng(base_seed, shard as u64)
-            } else {
-                chunk_rng(base_seed, shard as u64, chunk as u64)
-            }
-        }
-
-        let units: Vec<(usize, usize)> = chunks_per_shard
-            .iter()
-            .enumerate()
-            .flat_map(|(shard, &chunks)| (0..chunks).map(move |chunk| (shard, chunk)))
-            .collect();
-        let workers = self.workers.get().min(units.len().max(1));
-        if workers <= 1 {
-            let mut out: Vec<Vec<R>> = chunks_per_shard
-                .iter()
-                .map(|&c| Vec::with_capacity(c))
-                .collect();
-            for (shard, chunk) in units {
-                let mut rng = unit_rng(base_seed, shard, chunk, chunks_per_shard[shard]);
-                out[shard].push(job(shard, chunk, &mut rng));
-            }
-            return out;
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = (0..units.len()).map(|_| Mutex::new(None)).collect();
-        let job = &job;
-        let units = &units;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= units.len() {
-                        break;
-                    }
-                    let (shard, chunk) = units[i];
-                    let mut rng = unit_rng(base_seed, shard, chunk, chunks_per_shard[shard]);
-                    *slots[i].lock().unwrap() = Some(job(shard, chunk, &mut rng));
-                });
-            }
-        });
-        let mut results = slots.into_iter().map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every unit index was claimed exactly once")
-        });
-        chunks_per_shard
-            .iter()
-            .map(|&c| (&mut results).take(c).collect())
-            .collect()
+        let (_, per_shard) = self.run_folded(
+            base_seed,
+            chunks_per_shard,
+            || (),
+            |(), shard, chunk, rng| job(shard, chunk, rng),
+        );
+        per_shard
     }
 
     /// [`Executor::run_chunked`], with a deterministic trace span per
@@ -244,20 +154,126 @@ impl Executor {
         F: Fn(usize, usize, &mut StdRng) -> (R, Span) + Sync,
         N: Fn(usize) -> String,
     {
-        let per_shard = self.run_chunked(base_seed, chunks_per_shard, job);
+        let (_, results, spans) = self.run_folded_traced(
+            base_seed,
+            chunks_per_shard,
+            || (),
+            shard_name,
+            |(), shard, chunk, rng| job(shard, chunk, rng),
+        );
+        (results, spans)
+    }
+
+    /// [`Executor::run_folded`], with a deterministic trace span per
+    /// chunk aggregated into one span per shard, as in
+    /// [`Executor::run_chunked_traced`].
+    pub(crate) fn run_folded_traced<A, R, I, F, N>(
+        &self,
+        base_seed: u64,
+        chunks_per_shard: &[usize],
+        init: I,
+        shard_name: N,
+        job: F,
+    ) -> (Vec<A>, Vec<Vec<R>>, Vec<Span>)
+    where
+        A: Send,
+        R: Send,
+        I: Fn() -> A + Sync,
+        F: Fn(&mut A, usize, usize, &mut StdRng) -> (R, Span) + Sync,
+        N: Fn(usize) -> String,
+    {
+        let (accumulators, per_shard) = self.run_folded(base_seed, chunks_per_shard, init, job);
         let mut results = Vec::with_capacity(per_shard.len());
         let mut spans = Vec::with_capacity(per_shard.len());
         for (shard, pairs) in per_shard.into_iter().enumerate() {
-            let mut shard_results = Vec::with_capacity(pairs.len());
-            let mut chunk_spans = Vec::with_capacity(pairs.len());
-            for (result, span) in pairs {
-                shard_results.push(result);
-                chunk_spans.push(span);
-            }
+            let (shard_results, chunk_spans): (Vec<R>, Vec<Span>) = pairs.into_iter().unzip();
             results.push(shard_results);
             spans.push(Span::aggregate(shard_name(shard), chunk_spans));
         }
-        (results, spans)
+        (accumulators, results, spans)
+    }
+
+    /// The one worker loop: run `job` over (shard × chunk) work units,
+    /// folding each into the accumulator of the worker that runs it.
+    ///
+    /// Every worker starts from `init()` and lends its accumulator to
+    /// each unit it claims from the shared queue. Which worker claims
+    /// which unit depends on scheduling, so a unit may fold into the
+    /// accumulator only what adds up the same in any order (integer
+    /// sums, say), and the caller may only add the returned
+    /// accumulators together — one per worker, at least one. Whatever
+    /// depends on order a unit returns as its result; the results come
+    /// back per shard in chunk order, and each unit draws its RNG, as
+    /// in [`Executor::run_chunked`].
+    ///
+    /// With one worker (or at most one unit) the loop runs on the
+    /// calling thread; otherwise each worker is a scoped thread.
+    pub(crate) fn run_folded<A, R, I, F>(
+        &self,
+        base_seed: u64,
+        chunks_per_shard: &[usize],
+        init: I,
+        job: F,
+    ) -> (Vec<A>, Vec<Vec<R>>)
+    where
+        A: Send,
+        R: Send,
+        I: Fn() -> A + Sync,
+        F: Fn(&mut A, usize, usize, &mut StdRng) -> R + Sync,
+    {
+        let units: Vec<(usize, usize)> = chunks_per_shard
+            .iter()
+            .enumerate()
+            .flat_map(|(shard, &chunks)| (0..chunks).map(move |chunk| (shard, chunk)))
+            .collect();
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<R>>> = (0..units.len()).map(|_| Mutex::new(None)).collect();
+        let worker = || {
+            let mut acc = init();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&(shard, chunk)) = units.get(i) else {
+                    return acc;
+                };
+                let mut rng = if chunks_per_shard[shard] == 1 {
+                    shard_rng(base_seed, shard as u64)
+                } else {
+                    chunk_rng(base_seed, shard as u64, chunk as u64)
+                };
+                let result = job(&mut acc, shard, chunk, &mut rng);
+                *slots[i]
+                    .lock()
+                    .expect("a slot's lock is held only to store its result") = Some(result);
+            }
+        };
+
+        let workers = self.workers.get().min(units.len().max(1));
+        let accumulators = if workers == 1 {
+            vec![worker()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+                handles
+                    .into_iter()
+                    .map(|handle| {
+                        handle
+                            .join()
+                            .unwrap_or_else(|e| std::panic::resume_unwind(e))
+                    })
+                    .collect()
+            })
+        };
+
+        let mut results = slots.into_iter().map(|slot| {
+            slot.into_inner()
+                .expect("a slot's lock is held only to store its result")
+                .expect("every unit index was claimed exactly once")
+        });
+        let per_shard = chunks_per_shard
+            .iter()
+            .map(|&c| (&mut results).take(c).collect())
+            .collect();
+        (accumulators, per_shard)
     }
 }
 
@@ -310,51 +326,37 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_affect_any_shard_stream() {
-        // Each shard samples from its RNG; results must be identical for
-        // every worker count, in shard order.
-        let job = |shard: usize, rng: &mut StdRng| -> (usize, Vec<u64>) {
-            // Uneven work per shard, to force interleaved completion.
-            let n = 1 + (shard * 7) % 13;
-            (shard, (0..n).map(|_| rng.next_u64()).collect())
-        };
-        let serial = Executor::serial().run_sharded(42, 29, job);
-        for workers in [2usize, 3, 4, 8] {
-            let parallel = Executor::new(NonZeroUsize::new(workers)).run_sharded(42, 29, job);
-            assert_eq!(serial, parallel, "workers={workers} diverged from serial");
-        }
-    }
-
-    #[test]
     fn results_come_back_in_shard_order() {
-        let out = Executor::new(NonZeroUsize::new(4)).run_sharded(0, 100, |shard, _| shard);
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
+        let out =
+            Executor::new(NonZeroUsize::new(4)).run_chunked(0, &[1; 100], |shard, _, _| shard);
+        let expected: Vec<Vec<usize>> = (0..100).map(|shard| vec![shard]).collect();
+        assert_eq!(out, expected);
     }
 
     #[test]
     fn zero_shards_is_fine() {
-        let out = Executor::new(NonZeroUsize::new(4)).run_sharded(0, 0, |shard, _| shard);
+        let out = Executor::new(NonZeroUsize::new(4)).run_chunked(0, &[], |_, _, _| ());
         assert!(out.is_empty());
     }
 
     #[test]
-    fn single_chunk_shards_reproduce_run_sharded_exactly() {
-        let sharded_job = |shard: usize, rng: &mut StdRng| -> (usize, Vec<u64>) {
-            (shard, (0..6).map(|_| rng.next_u64()).collect())
-        };
-        let chunked_job = |shard: usize, chunk: usize, rng: &mut StdRng| -> (usize, Vec<u64>) {
+    fn single_chunk_shards_draw_the_shard_stream() {
+        // The compatibility rule: a shard cut into one chunk draws
+        // exactly the stream `shard_rng` gives it, at any worker count.
+        let job = |_: usize, chunk: usize, rng: &mut StdRng| -> Vec<u64> {
             assert_eq!(chunk, 0);
-            (shard, (0..6).map(|_| rng.next_u64()).collect())
+            (0..6).map(|_| rng.next_u64()).collect()
         };
-        let sharded = Executor::serial().run_sharded(2018, 9, sharded_job);
-        let chunked = Executor::serial().run_chunked(2018, &[1; 9], chunked_job);
-        assert_eq!(
-            sharded,
-            chunked
-                .into_iter()
-                .map(|mut v| v.remove(0))
-                .collect::<Vec<_>>()
-        );
+        for workers in [1usize, 3] {
+            let chunked = Executor::new(NonZeroUsize::new(workers)).run_chunked(2018, &[1; 9], job);
+            for (shard, results) in chunked.iter().enumerate() {
+                assert_eq!(
+                    results,
+                    &vec![stream(2018, shard as u64, 6)],
+                    "shard {shard}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -441,6 +443,53 @@ mod tests {
             );
             assert_eq!(spans, parallel_spans, "workers={workers} trace diverged");
         }
+    }
+
+    #[test]
+    fn folded_sums_and_results_are_worker_count_invariant() {
+        // Each unit adds its draws into the worker's accumulator and
+        // returns its (shard, chunk) id: the accumulators must sum to the
+        // same totals, and the results match `run_chunked`'s, for every
+        // worker count.
+        let chunks = [3usize, 1, 7, 2, 1, 5, 4];
+        let job = |acc: &mut (u64, u64), shard: usize, chunk: usize, rng: &mut StdRng| {
+            let draw = rng.next_u64() >> 8;
+            acc.0 += draw;
+            acc.1 += 1;
+            (shard, chunk, draw)
+        };
+        let sum = |accs: &[(u64, u64)]| {
+            accs.iter()
+                .fold((0u64, 0u64), |(a, n), &(b, m)| (a + b, n + m))
+        };
+        let (serial_accs, serial) = Executor::serial().run_folded(42, &chunks, || (0, 0), job);
+        assert_eq!(serial_accs.len(), 1);
+        let units: usize = chunks.iter().sum();
+        let draws: u64 = serial.iter().flatten().map(|r| r.2).sum();
+        assert_eq!(
+            sum(&serial_accs),
+            (draws, units as u64),
+            "each unit folds once"
+        );
+        let plain = Executor::serial().run_chunked(42, &chunks, |shard, chunk, rng| {
+            (shard, chunk, rng.next_u64() >> 8)
+        });
+        assert_eq!(serial, plain, "folding must not perturb results");
+        for workers in [2usize, 3, 4, 8, 64] {
+            let (accs, parallel) =
+                Executor::new(NonZeroUsize::new(workers)).run_folded(42, &chunks, || (0, 0), job);
+            assert!(!accs.is_empty() && accs.len() <= workers.min(units));
+            assert_eq!(sum(&accs), sum(&serial_accs), "workers={workers}");
+            assert_eq!(parallel, serial, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn no_units_still_yield_one_accumulator() {
+        let (accs, out) =
+            Executor::new(NonZeroUsize::new(4)).run_folded(0, &[0, 0], || 7u32, |_, _, _, _| ());
+        assert_eq!(accs, vec![7]);
+        assert_eq!(out, vec![Vec::<()>::new(), Vec::new()]);
     }
 
     #[test]

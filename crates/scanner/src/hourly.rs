@@ -14,7 +14,7 @@
 
 use crate::executor::Executor;
 use crate::records::{classify_validation_error, ErrorClass, ProbeOutcome};
-use analysis::{Cdf, TimeSeries};
+use analysis::{Cdf, DenseBins, TimeSeries};
 use asn1::Time;
 use ecosystem::LiveEcosystem;
 use netsim::{HttpOutcome, Region, Topology, World};
@@ -181,8 +181,9 @@ pub struct HourlyDataset {
     pub alexa_weights: Vec<usize>,
     /// Campaign telemetry: per-responder probe/round counters, the
     /// `scan.hourly.validate` error-taxonomy counters, and everything
-    /// the per-shard worlds recorded (net failures, responder faults),
-    /// merged in canonical shard order.
+    /// the units' worlds recorded (net failures, responder faults) —
+    /// counter and histogram sums, the same whichever worker's
+    /// registry a unit wrote into.
     pub telemetry: Registry,
     /// Deterministic self-profile: one `scan.hourly` span over one
     /// responder span per shard over one span per time chunk, stamped
@@ -484,25 +485,140 @@ fn region_index(region: Region) -> usize {
         .expect("vantage point")
 }
 
-/// One work unit's partial campaign results: everything one responder
-/// contributes over one contiguous round range. Chunks merge in
-/// (shard, chunk) order — time order within each responder — so the
-/// assembled [`HourlyDataset`] is identical for every worker count and
-/// every chunk plan.
-struct ChunkRecords {
+/// One worker's campaign totals. Every unit the worker runs folds into
+/// them as it probes, and every cell is an integer sum, so the workers'
+/// totals add up to the campaign's in any order — whichever worker ran
+/// whichever unit.
+struct CampaignSums {
     requests: u64,
-    /// Accumulators for this round range only; the streak fields stay
-    /// zero here and are recomputed at merge time from
-    /// `first_target_ok`, so a chunk boundary can never split a streak.
-    report: ResponderReport,
-    /// Per-region, per-round first-target HTTP success — the §8 streak
-    /// signal, logged raw so the merge can stitch streaks across chunk
-    /// boundaries with the one serial pass both paths share.
-    first_target_ok: [Vec<bool>; 6],
-    per_region_success: Vec<TimeSeries>,
-    class_series: Vec<TimeSeries>,
-    alexa_unreachable: Vec<TimeSeries>,
+    /// Round-indexed Figure 3, 5 and 4 bins.
+    per_region_success: [DenseBins; 6],
+    class_series: [DenseBins; 3],
+    alexa_unreachable: [DenseBins; 6],
+    /// Lent to each unit's [`World`] while the unit runs, so every
+    /// counter the unit writes lands here directly.
     telemetry: Registry,
+    /// Per responder, indexed like `eco.responders`.
+    reports: Vec<ReportSums>,
+}
+
+impl CampaignSums {
+    fn new(bins: &DenseBins, responders: usize) -> CampaignSums {
+        CampaignSums {
+            requests: 0,
+            per_region_success: std::array::from_fn(|_| bins.clone()),
+            class_series: std::array::from_fn(|_| bins.clone()),
+            alexa_unreachable: std::array::from_fn(|_| bins.clone()),
+            telemetry: Registry::new(),
+            reports: vec![ReportSums::default(); responders],
+        }
+    }
+
+    fn add(&mut self, other: &CampaignSums) {
+        fn add_bins(mine: &mut [DenseBins], theirs: &[DenseBins]) {
+            for (mine, theirs) in mine.iter_mut().zip(theirs) {
+                mine.add(theirs);
+            }
+        }
+        self.requests += other.requests;
+        add_bins(&mut self.per_region_success, &other.per_region_success);
+        add_bins(&mut self.class_series, &other.class_series);
+        add_bins(&mut self.alexa_unreachable, &other.alexa_unreachable);
+        self.telemetry.merge(&other.telemetry);
+        for (mine, theirs) in self.reports.iter_mut().zip(&other.reports) {
+            mine.add(theirs);
+        }
+    }
+}
+
+/// The order-free part of a [`ResponderReport`]: its integer sums.
+/// Freshness and the streak fields depend on probe order, so they come
+/// from the unit logs instead.
+#[derive(Debug, Clone, Copy, Default)]
+struct ReportSums {
+    attempts: [u64; 6],
+    successes: [u64; 6],
+    valid: u64,
+    /// Indexed like [`ErrorClass::ALL`].
+    unusable: [u64; 3],
+    other_invalid: u64,
+    cert_count_sum: u64,
+    quality_samples: u64,
+    serial_count_sum: u64,
+    validity_sum: i64,
+    validity_samples: u64,
+    blank_next_update: u64,
+    margin_sum: i64,
+}
+
+impl ReportSums {
+    fn add(&mut self, other: &ReportSums) {
+        for i in 0..6 {
+            self.attempts[i] += other.attempts[i];
+            self.successes[i] += other.successes[i];
+        }
+        self.valid += other.valid;
+        for (mine, theirs) in self.unusable.iter_mut().zip(other.unusable) {
+            *mine += theirs;
+        }
+        self.other_invalid += other.other_invalid;
+        self.cert_count_sum += other.cert_count_sum;
+        self.quality_samples += other.quality_samples;
+        self.serial_count_sum += other.serial_count_sum;
+        self.validity_sum += other.validity_sum;
+        self.validity_samples += other.validity_samples;
+        self.blank_next_update += other.blank_next_update;
+        self.margin_sum += other.margin_sum;
+    }
+
+    /// The responder's report: these sums, its stitched freshness, and
+    /// the streak fields replayed from its stitched first-target log.
+    fn into_report(
+        self,
+        url: &str,
+        operator: &str,
+        freshness: FreshnessAccumulator,
+        first_target_ok: &[Vec<bool>; 6],
+    ) -> ResponderReport {
+        let mut report = ResponderReport {
+            attempts: self.attempts,
+            successes: self.successes,
+            valid: self.valid,
+            // As the per-probe `entry().or_default()` would have it: a
+            // class appears once it has been seen.
+            unusable: ErrorClass::ALL
+                .into_iter()
+                .zip(self.unusable)
+                .filter(|&(_, n)| n > 0)
+                .collect(),
+            other_invalid: self.other_invalid,
+            cert_count_sum: self.cert_count_sum,
+            quality_samples: self.quality_samples,
+            serial_count_sum: self.serial_count_sum,
+            validity_sum: self.validity_sum,
+            validity_samples: self.validity_samples,
+            blank_next_update: self.blank_next_update,
+            margin_sum: self.margin_sum,
+            freshness,
+            ..ResponderReport::new(url, operator)
+        };
+        fill_streaks(&mut report, first_target_ok);
+        report
+    }
+}
+
+/// What one work unit returns: the order-sensitive part of its
+/// responder's results over its round range. Units merge in (shard,
+/// chunk) order — time order within each responder — so the stitched
+/// logs replay the serial probe sequence for every worker count and
+/// every chunk plan.
+struct UnitLog {
+    /// Per-region, per-round first-target HTTP success — the §8 streak
+    /// and health signal, logged raw so the merge can stitch it across
+    /// chunk boundaries with the one serial pass both paths share.
+    first_target_ok: [Vec<bool>; 6],
+    /// The Virginia `producedAt` samples of this round range.
+    freshness: FreshnessAccumulator,
 }
 
 /// How the hourly campaign splits its probe matrix into executor work
@@ -571,37 +687,16 @@ fn chunk_plan(
         .collect()
 }
 
-/// Fold one chunk's accumulators into the responder-wide report.
-/// Streak fields are deliberately untouched — they come from the
-/// stitched `first_target_ok` logs.
-fn absorb_report(into: &mut ResponderReport, chunk: ResponderReport) {
-    for i in 0..6 {
-        into.attempts[i] += chunk.attempts[i];
-        into.successes[i] += chunk.successes[i];
-    }
-    into.valid += chunk.valid;
-    for (class, n) in chunk.unusable {
-        *into.unusable.entry(class).or_default() += n;
-    }
-    into.other_invalid += chunk.other_invalid;
-    into.cert_count_sum += chunk.cert_count_sum;
-    into.quality_samples += chunk.quality_samples;
-    into.serial_count_sum += chunk.serial_count_sum;
-    into.validity_sum += chunk.validity_sum;
-    into.validity_samples += chunk.validity_samples;
-    into.blank_next_update += chunk.blank_next_update;
-    into.margin_sum += chunk.margin_sum;
-    into.freshness.merge(&chunk.freshness);
-}
-
-/// Fold one classified probe into the chunk's accumulators — the one
-/// place record state mutates per probe. Work units call it right
-/// after each probe, in canonical (round, region, target) order, so
-/// the order-sensitive fields (streak logs, `producedAt` samples, time
-/// series) see the serial probe sequence.
+/// Fold one classified probe into the worker's sums and the unit's log
+/// — the one place record state mutates per probe. Work units call it
+/// right after each probe, in canonical (round, region, target) order,
+/// so the order-sensitive log (streaks, `producedAt` samples) sees the
+/// serial probe sequence.
 #[allow(clippy::too_many_arguments)]
 fn fold_probe(
-    records: &mut ChunkRecords,
+    sums: &mut CampaignSums,
+    log: &mut UnitLog,
+    shard: usize,
     region_idx: usize,
     region: Region,
     is_first_target: bool,
@@ -609,23 +704,23 @@ fn fold_probe(
     t: Time,
     outcome: &ProbeOutcome,
 ) {
-    let report = &mut records.report;
+    let report = &mut sums.reports[shard];
     report.attempts[region_idx] += 1;
     let probe_ok = outcome.http_success();
     if is_first_target {
-        records.first_target_ok[region_idx].push(probe_ok);
+        log.first_target_ok[region_idx].push(probe_ok);
     }
     if probe_ok {
         report.successes[region_idx] += 1;
     }
-    records.per_region_success[region_idx].record_bool(t, probe_ok);
+    sums.per_region_success[region_idx].record_bool(t, probe_ok);
     if is_first_target {
         let down = if probe_ok { 0 } else { alexa_weight };
-        records.alexa_unreachable[region_idx].record_hits(t, down, alexa_weight);
+        sums.alexa_unreachable[region_idx].record_hits(t, down, alexa_weight);
     }
     if probe_ok {
         for (class_idx, class) in ErrorClass::ALL.iter().enumerate() {
-            records.class_series[class_idx].record_bool(t, outcome.error_class() == Some(*class));
+            sums.class_series[class_idx].record_bool(t, outcome.error_class() == Some(*class));
         }
     }
     match outcome {
@@ -646,12 +741,10 @@ fn fold_probe(
             // tracked certificates; multiple samples per window are what
             // expose the footnote 17 multi-instance regressions.
             if region == Region::Virginia {
-                report.freshness.record(t, v.produced_at);
+                log.freshness.record(t, v.produced_at);
             }
         }
-        ProbeOutcome::Unusable(class) => {
-            *report.unusable.entry(*class).or_default() += 1;
-        }
+        ProbeOutcome::Unusable(class) => report.unusable[class.index()] += 1,
         ProbeOutcome::OtherInvalid(err) => {
             report.other_invalid += 1;
             // Future-dated thisUpdate responders show up here; keep
@@ -721,9 +814,11 @@ impl<'a> HourlyCampaign<'a> {
     /// functions of the request and its generation window, chunk
     /// boundaries fall only where no cached state crosses them (see
     /// [`chunk_plan`]), latency is a pure hash of
-    /// `(topology seed, host, time)`, and failure streaks are stitched
-    /// from raw per-round logs at merge time — so the assembled dataset
-    /// is byte-identical for every worker count and chunk plan.
+    /// `(topology seed, host, time)`, every order-free total is an
+    /// integer sum its worker folds as the unit runs, and failure
+    /// streaks, freshness and health are stitched from per-unit logs at
+    /// merge time — so the assembled dataset is byte-identical for every
+    /// worker count and chunk plan.
     pub fn run_with(self, executor: &Executor) -> HourlyDataset {
         self.run_with_chunking(executor, Chunking::TimeSliced)
     }
@@ -735,7 +830,7 @@ impl<'a> HourlyCampaign<'a> {
     /// Each work unit resolves its targets' routes once, issues one
     /// blocking `World::post` per probe in canonical (round, region,
     /// target) order and folds the classified outcome straight into its
-    /// records (DESIGN.md §12).
+    /// worker's [`CampaignSums`] and its own [`UnitLog`] (DESIGN.md §12).
     fn run_with_chunking(self, executor: &Executor, chunking: Chunking) -> HourlyDataset {
         let eco = self.eco;
         let config = &eco.config;
@@ -788,61 +883,71 @@ impl<'a> HourlyCampaign<'a> {
             .collect();
         let chunk_counts: Vec<usize> = plans.iter().map(Vec::len).collect();
 
+        // One label per responder, shared by all of its units: the lent
+        // registry then finds each responder's series by address.
+        let urls: Vec<Arc<str>> = eco
+            .responders
+            .iter()
+            .map(|host| Arc::from(host.url.as_str()))
+            .collect();
+        // Every probe of the campaign falls in these bins: round r's
+        // probes are staggered into [start + r·interval, start + (r+1)·interval).
+        let campaign_bins = DenseBins::new(
+            bin,
+            config.campaign_start,
+            config.campaign_start + rounds as i64 * bin,
+        );
+
         let topo = &self.topo;
         let requests_der = &requests_der;
         let first_target_of = &first_target_of;
         let targets_of = &targets_of;
         let offsets = &offsets;
         let plans = &plans;
+        let urls = &urls;
 
         // The campaign draws no randomness of its own (probe times are
         // FNV-staggered, latency is a pure hash) — the unit RNG is part
         // of the executor contract but unused here.
-        let (shards, shard_spans) = executor.run_chunked_traced(
+        let (worker_sums, unit_logs, shard_spans) = executor.run_folded_traced(
             config.seed,
             &chunk_counts,
+            || CampaignSums::new(&campaign_bins, eco.responders.len()),
             |shard| eco.responders[shard].hostname.clone(),
-            |shard, chunk, _rng| {
+            |sums, shard, chunk, _rng| {
                 let (start_round, end_round) = plans[shard][chunk];
-                let host = &eco.responders[shard];
                 let mut world = World::from_topology(topo.clone());
+                // Lend the worker's registry to this unit's world, and
+                // take it back when the unit is done.
+                std::mem::swap(world.telemetry_mut(), &mut sums.telemetry);
                 // Signature verification is memoized per work unit; entries
                 // never outlive the generation window that produced their
                 // bytes, so per-chunk caches count exactly like a
                 // per-responder one.
                 let mut sigcache = SigVerifyCache::new();
-                let mut records = ChunkRecords {
-                    requests: 0,
-                    report: ResponderReport::new(&host.url, &eco.operators[host.operator].name),
-                    first_target_ok: std::array::from_fn(|_| Vec::new()),
-                    per_region_success: (0..6).map(|_| TimeSeries::new(bin)).collect(),
-                    class_series: ErrorClass::ALL
-                        .iter()
-                        .map(|_| TimeSeries::new(bin))
-                        .collect(),
-                    alexa_unreachable: (0..6).map(|_| TimeSeries::new(bin)).collect(),
-                    telemetry: Registry::new(),
+                let mut log = UnitLog {
+                    first_target_ok: std::array::from_fn(|_| {
+                        Vec::with_capacity(end_round - start_round)
+                    }),
+                    freshness: FreshnessAccumulator::new(),
                 };
+                let requests_before = sums.requests;
                 let alexa_weight = alexa_weights[shard] as u64;
-                // Resolved and labeled once per unit, not per probe.
-                let url: Arc<str> = Arc::from(host.url.as_str());
+                let url = &urls[shard];
+                // Resolved once per unit, not per probe.
                 let routes: Vec<_> = targets_of[shard]
                     .iter()
                     .map(|&target_idx| world.resolve(&eco.scan_targets[target_idx].url))
                     .collect();
                 for round in start_round..end_round {
-                    world
-                        .telemetry_mut()
-                        .incr(catalog::SCAN_HOURLY_ROUNDS, &url);
+                    world.telemetry_mut().incr(catalog::SCAN_HOURLY_ROUNDS, url);
                     let round_start = config.campaign_start + round as i64 * config.scan_interval;
                     let t = round_start + offsets[shard];
                     for (region_idx, &region) in Region::VANTAGE_POINTS.iter().enumerate() {
                         for (&target_idx, route) in targets_of[shard].iter().zip(&routes) {
                             let target = &eco.scan_targets[target_idx];
-                            records.requests += 1;
-                            world
-                                .telemetry_mut()
-                                .incr(catalog::SCAN_HOURLY_PROBES, &url);
+                            sums.requests += 1;
+                            world.telemetry_mut().incr(catalog::SCAN_HOURLY_PROBES, url);
                             let result = world.post(region, route, &requests_der[target_idx], t);
                             let outcome = match result.outcome {
                                 HttpOutcome::Ok(body) => match validate_response_cached(
@@ -861,7 +966,9 @@ impl<'a> HourlyCampaign<'a> {
                                 other => ProbeOutcome::TransportFailure(other),
                             };
                             fold_probe(
-                                &mut records,
+                                sums,
+                                &mut log,
+                                shard,
                                 region_idx,
                                 region,
                                 first_target_of[shard] == Some(target_idx),
@@ -872,86 +979,86 @@ impl<'a> HourlyCampaign<'a> {
                         }
                     }
                 }
-                records.telemetry = world.take_telemetry();
+                sums.telemetry = world.take_telemetry();
                 // Chunk span: the simulated hour range this round slice
                 // covers, with one unit per probe sent.
                 let span = Span::leaf(
                     format!("chunk {chunk}"),
                     (start_round as i64 * config.scan_interval / 3_600) as u64,
                     (end_round as i64 * config.scan_interval / 3_600) as u64,
-                    records.requests,
+                    sums.requests - requests_before,
                 );
-                (records, span)
+                (log, span)
             },
         );
 
-        // Canonical merge: shard-id order == responder order; within a
-        // shard, chunk order == time order, so concatenated logs replay
-        // the serial probe sequence exactly.
-        let mut requests = 0u64;
-        let mut telemetry = Registry::new();
         // detlint::allow(wall-clock): merge wall timing feeds a telemetry span, which is excluded from artifact equality
         let merge_started = Instant::now();
-        let mut per_region: Vec<(Region, TimeSeries)> = Region::VANTAGE_POINTS
-            .iter()
-            .map(|&r| (r, TimeSeries::new(bin)))
-            .collect();
-        let mut class_series: Vec<(ErrorClass, TimeSeries)> = ErrorClass::ALL
-            .iter()
-            .map(|&c| (c, TimeSeries::new(bin)))
-            .collect();
-        let mut alexa_unreachable: Vec<(Region, TimeSeries)> = Region::VANTAGE_POINTS
-            .iter()
-            .map(|&r| (r, TimeSeries::new(bin)))
-            .collect();
-        let mut responders = Vec::with_capacity(shards.len());
-        let mut health_log = HealthLog::new();
-        for (shard_idx, chunks) in shards.into_iter().enumerate() {
+        // The workers' sums add up in any order.
+        let mut worker_sums = worker_sums.into_iter();
+        let mut sums = worker_sums
+            .next()
+            .unwrap_or_else(|| CampaignSums::new(&campaign_bins, eco.responders.len()));
+        for other in worker_sums {
+            sums.add(&other);
+        }
+        let CampaignSums {
+            requests,
+            per_region_success,
+            class_series,
+            alexa_unreachable,
+            mut telemetry,
+            reports,
+        } = sums;
+        fn series<K: Copy>(keys: &[K], bins: &[DenseBins]) -> Vec<(K, TimeSeries)> {
+            keys.iter()
+                .copied()
+                .zip(bins.iter().map(DenseBins::to_series))
+                .collect()
+        }
+        let per_region = series(&Region::VANTAGE_POINTS, &per_region_success);
+        let class_series = series(&ErrorClass::ALL, &class_series);
+        let alexa_unreachable = series(&Region::VANTAGE_POINTS, &alexa_unreachable);
+
+        // Canonical stitch: shard-id order == responder order; within a
+        // shard, chunk order == time order, so concatenated logs replay
+        // the serial probe sequence exactly.
+        let mut responders = Vec::with_capacity(unit_logs.len());
+        // Each responder's stitched rounds replay through the
+        // health-state machine on their own — it keeps one tracker per
+        // subject, and responder URLs are distinct — so no campaign-wide
+        // log is ever held. Window rollovers for pre-generated responders
+        // ride the same event bus.
+        let policy = HealthPolicy::default();
+        let mut health = HealthReport::default();
+        let mut events = EventLog::new();
+        for ((shard_idx, chunks), report_sums) in unit_logs.into_iter().enumerate().zip(reports) {
             let host = &eco.responders[shard_idx];
-            let mut report = ResponderReport::new(&host.url, &eco.operators[host.operator].name);
             let mut first_target_ok: [Vec<bool>; 6] = std::array::from_fn(|_| Vec::new());
-            // Chunks arrive in time order, so merging each chunk's
-            // probe-outcome log into the campaign log replays the serial
-            // (round, region) sequence — the associativity the opsmon
-            // property tests pin is exactly what makes this split safe.
-            let mut rounds_done = 0usize;
+            let mut freshness = FreshnessAccumulator::new();
             for chunk in chunks {
-                requests += chunk.requests;
-                for (i, series) in chunk.per_region_success.iter().enumerate() {
-                    per_region[i].1.merge(series);
-                }
-                for (i, series) in chunk.class_series.iter().enumerate() {
-                    class_series[i].1.merge(series);
-                }
-                for (i, series) in chunk.alexa_unreachable.iter().enumerate() {
-                    alexa_unreachable[i].1.merge(series);
-                }
-                telemetry.merge(&chunk.telemetry);
-                let chunk_rounds = chunk.first_target_ok[0].len();
-                let mut chunk_health = HealthLog::new();
-                for round in 0..chunk_rounds {
-                    let t = config.campaign_start
-                        + (rounds_done + round) as i64 * config.scan_interval
-                        + offsets[shard_idx];
-                    for region_log in &chunk.first_target_ok {
-                        chunk_health.record(&host.url, t, region_log[round]);
-                    }
-                }
-                rounds_done += chunk_rounds;
-                health_log.merge(chunk_health);
-                for (into, log) in first_target_ok.iter_mut().zip(chunk.first_target_ok.iter()) {
+                for (into, log) in first_target_ok.iter_mut().zip(&chunk.first_target_ok) {
                     into.extend_from_slice(log);
                 }
-                absorb_report(&mut report, chunk.report);
+                freshness.merge(&chunk.freshness);
             }
-            fill_streaks(&mut report, &first_target_ok);
-            responders.push(report);
+            let mut health_log = HealthLog::new();
+            for round in 0..first_target_ok[0].len() {
+                let t = config.campaign_start
+                    + round as i64 * config.scan_interval
+                    + offsets[shard_idx];
+                for region_log in &first_target_ok {
+                    health_log.record(&host.url, t, region_log[round]);
+                }
+            }
+            health.merge(health_log.replay(&policy, &mut events));
+            responders.push(report_sums.into_report(
+                &host.url,
+                &eco.operators[host.operator].name,
+                freshness,
+                &first_target_ok,
+            ));
         }
-        // Replay the stitched probe logs through the health-state
-        // machine and export the resulting gauges/counters; window
-        // rollovers for pre-generated responders ride the same bus.
-        let mut events = EventLog::new();
-        let health = health_log.replay(&HealthPolicy::default(), &mut events);
         health.export(&mut telemetry);
         if rounds > 0 {
             for (shard_idx, host) in eco.responders.iter().enumerate() {

@@ -25,6 +25,15 @@ impl ErrorClass {
         }
     }
 
+    /// This class's position in [`ErrorClass::ALL`].
+    pub(crate) fn index(self) -> usize {
+        match self {
+            ErrorClass::Asn1Unparseable => 0,
+            ErrorClass::SerialUnmatch => 1,
+            ErrorClass::Signature => 2,
+        }
+    }
+
     /// All classes, in the figure's legend order.
     pub const ALL: [ErrorClass; 3] = [
         ErrorClass::Asn1Unparseable,
@@ -118,5 +127,12 @@ mod tests {
     fn labels() {
         assert_eq!(ErrorClass::ALL.len(), 3);
         assert_eq!(ErrorClass::Asn1Unparseable.label(), "ASN.1 Unparseable");
+    }
+
+    #[test]
+    fn each_class_indexes_its_place_in_all() {
+        for (i, class) in ErrorClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i, "{class:?}");
+        }
     }
 }

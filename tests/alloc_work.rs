@@ -1,13 +1,14 @@
-//! Heap allocations per campaign probe and per `ocspd` query, pinned
-//! exactly.
+//! Heap allocations per campaign probe and per `ocspd` query, and the
+//! campaign's peak live bytes, pinned exactly.
 //!
 //! This binary installs `memprof::CountingAlloc` as its global
 //! allocator, and it holds a single test, so while that test measures
 //! nothing else in the process allocates: the harness's main thread only
 //! waits for it. `Executor::serial()` runs every campaign work unit
 //! inline, so each count below is the same on every run and every host.
-//! A change that adds or removes allocations on these paths moves a
-//! count; update the pin along with the change that moved it.
+//! A change that adds or removes allocations on these paths, or holds
+//! more or less state at once, moves a count; update the pin along with
+//! the change that moved it.
 
 use ecosystem::{EcosystemConfig, LiveEcosystem};
 use netsim::Region;
@@ -38,7 +39,12 @@ fn campaign_and_serve_allocations_are_pinned() {
     let probes =
         (eco.config.scan_rounds() * Region::VANTAGE_POINTS.len() * eco.scan_targets.len()) as u64;
     let campaign = HourlyCampaign::new(&eco);
+    // The campaign's peak: the high watermark while it runs, above the
+    // bytes live when it starts.
+    memprof::reset_peak();
+    let live_before = memprof::stats().current_bytes;
     let (dataset, campaign_allocs) = allocations(|| campaign.run_with(&Executor::serial()));
+    let campaign_peak = memprof::stats().peak_bytes - live_before;
     assert_eq!(dataset.requests, probes);
 
     // The serve paths behind `ocspd`'s `POST /ocsp`: the canonical
@@ -78,6 +84,7 @@ fn campaign_and_serve_allocations_are_pinned() {
     // Per probe and per query: campaign 7.4, hot 4.1, wide 11.0.
     assert_eq!(
         (probes, campaign_allocs, hot_allocs, wide_allocs),
-        (1_344, 9_975, 4_125, 11_037)
+        (1_344, 7_526, 4_125, 11_037)
     );
+    assert_eq!(campaign_peak, 79_329);
 }
