@@ -32,10 +32,13 @@ pub struct StudyResults {
     /// site by site off the feed (DESIGN.md §13).
     pub alexa: AlexaAdoption,
     /// §5: the Hourly campaign aggregation (Figures 3, 5–9, freshness).
+    /// Its event log is moved into [`StudyResults::events`] and left
+    /// empty here.
     pub hourly: HourlyDataset,
     /// §5.2 / Figure 4: the Alexa-impact summary.
     pub alexa1m: Alexa1mSummary,
-    /// §5.4 / Table 1 / Figure 10: the consistency study.
+    /// §5.4 / Table 1 / Figure 10: the consistency study. Its event
+    /// log, too, is moved into [`StudyResults::events`].
     pub consistency: ConsistencySummary,
     /// §5.2: the CDN-perspective study.
     pub cdn: CdnSummary,
@@ -90,9 +93,9 @@ impl Study {
         // count produces bit-identical results.
         let executor = Executor::new(self.config.parallelism);
         let eco = LiveEcosystem::generate(self.config.clone());
-        let hourly = HourlyCampaign::new(&eco).run_with(&executor);
+        let mut hourly = HourlyCampaign::new(&eco).run_with(&executor);
         let alexa1m = Alexa1mScan::summarize_with(&hourly, &executor);
-        let consistency = ConsistencyStudy::run_with(
+        let mut consistency = ConsistencyStudy::run_with(
             &eco,
             self.config.campaign_start + 6 * 86_400, // the paper: May 1st
             Region::Virginia,
@@ -122,10 +125,11 @@ impl Study {
             telemetry.merge(&row.telemetry);
         }
 
-        // The event bus: both probing pipelines feed one stream. The
-        // merge order is irrelevant — `to_jsonl` sorts canonically.
-        let mut events = hourly.events.clone();
-        events.merge(consistency.events.clone());
+        // The event bus: both probing pipelines feed one stream, their
+        // logs moved (not copied) out of their results. The merge order
+        // is irrelevant — `to_jsonl` sorts canonically.
+        let mut events = std::mem::take(&mut hourly.events);
+        events.merge(std::mem::take(&mut consistency.events));
 
         // One root over the four pipelines, in the fixed merge order.
         let trace = telemetry::trace::Span::aggregate(

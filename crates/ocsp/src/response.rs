@@ -208,13 +208,18 @@ impl OcspResponse {
         enc.finish()
     }
 
-    /// Decode from DER.
+    /// Decode from DER. A status other than `successful` that still
+    /// carries `responseBytes` is refused (`ValueOutOfRange`): RFC 6960
+    /// §4.2.1 sends them only with `successful`.
     pub fn from_der(der: &[u8]) -> Result<OcspResponse> {
         let mut dec = Decoder::new(der);
         let mut outer = dec.sequence()?;
         let status = ResponseStatus::from_code(outer.enumerated()?)?;
         let mut basic = None;
         if let Some(mut wrapper) = outer.optional_explicit(0)? {
+            if status != ResponseStatus::Successful {
+                return Err(Error::ValueOutOfRange);
+            }
             let mut rb = wrapper.sequence()?;
             let rtype = rb.oid()?;
             if rtype != Oid::OCSP_BASIC {
@@ -523,6 +528,32 @@ mod tests {
             let back = OcspResponse::from_der(&resp.to_der()).unwrap();
             assert_eq!(back.status, status);
             assert!(back.basic.is_none());
+        }
+    }
+
+    /// RFC 6960 §4.2.1 sends `responseBytes` only with `successful`: an
+    /// error status that still carries a signed basic response is
+    /// refused, not read as that error status.
+    #[test]
+    fn error_status_with_response_bytes_is_refused() {
+        let kp = key();
+        let signed = OcspResponse::successful(&kp, t(1), vec![single(7, CertStatus::Good)], vec![]);
+        for status in [
+            ResponseStatus::MalformedRequest,
+            ResponseStatus::InternalError,
+            ResponseStatus::TryLater,
+            ResponseStatus::SigRequired,
+            ResponseStatus::Unauthorized,
+        ] {
+            let forged = OcspResponse {
+                status,
+                basic: signed.basic.clone(),
+            };
+            assert_eq!(
+                OcspResponse::from_der(&forged.to_der()),
+                Err(Error::ValueOutOfRange),
+                "{status:?}"
+            );
         }
     }
 

@@ -155,9 +155,11 @@ pub struct ValidationConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResponseError {
     /// Body is not parseable OCSP DER (Figure 5's dominant class —
-    /// includes the `"0"`, empty, and JavaScript bodies).
+    /// includes the `"0"`, empty, and JavaScript bodies), or carries
+    /// `responseBytes` under a status other than `successful`.
     MalformedStructure,
-    /// Outer status was not `successful`.
+    /// Outer status was not `successful` (and no `responseBytes` came
+    /// with it).
     ErrorStatus(ResponseStatus),
     /// The response was `successful` but carried no basic response.
     MissingPayload,
@@ -554,6 +556,23 @@ mod tests {
             .unwrap_err();
             assert_eq!(err, ResponseError::MalformedStructure, "{mode:?}");
         }
+    }
+
+    /// A healthy body with its status byte edited from `successful` (0)
+    /// to `malformedRequest` (1) still carries its `responseBytes`,
+    /// which RFC 6960 sends only with `successful`: it is malformed, not
+    /// an error status.
+    #[test]
+    fn error_status_with_response_bytes_is_malformed() {
+        let f = fixture(3);
+        let mut body = fetch(&f, ResponderProfile::healthy(), now()).to_vec();
+        // SEQUENCE header (long-form length), then ENUMERATED 0.
+        let at = usize::from(body[1] & 0x7f) + 2;
+        assert_eq!(body[at..at + 3], [0x0a, 0x01, 0x00]);
+        body[at + 2] = 0x01;
+        let err = validate_response(&body, &f.id, f.ca.certificate(), now(), Default::default())
+            .unwrap_err();
+        assert_eq!(err, ResponseError::MalformedStructure);
     }
 
     #[test]

@@ -550,17 +550,40 @@ impl MontgomeryCtx {
 
     /// `base ^ exp mod m`, the same function as [`BigUint::modpow`].
     pub(crate) fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        count_modpow();
-        if exp.is_zero() {
-            return BigUint::one();
-        }
-        with_width!(self.limbs, N => self.pow_n::<N>(base, exp))
+        unpack(&self.pow_words(&base.limbs, exp)[..self.limbs])
     }
 
-    fn pow_n<const N: usize>(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let kernel = self.kernel::<N>();
-        let acc = kernel.pow(kernel.to_mont(&base.limbs), exp);
-        unpack(&kernel.out_of_mont(&acc))
+    /// [`MontgomeryCtx::pow`] without a `BigUint` either side: the base
+    /// is given by its little-endian `u32` limbs, of any width, and the
+    /// result comes back as `u64` limbs, zero from `m`'s width up.
+    pub(crate) fn pow_words(&self, base: &[u32], exp: &BigUint) -> [u64; MAX_LIMBS] {
+        count_modpow();
+        let mut out = [0; MAX_LIMBS];
+        if exp.is_zero() {
+            out[0] = 1;
+            return out;
+        }
+        with_width!(self.limbs, N => {
+            let kernel = self.kernel::<N>();
+            let acc = kernel.pow(kernel.to_mont(base), exp);
+            out[..N].copy_from_slice(&kernel.out_of_mont(&acc));
+        });
+        out
+    }
+
+    /// True if the value of little-endian `u32` limbs `words` is below
+    /// `m`, compared on their packed `u64` limbs.
+    pub(crate) fn below_modulus(&self, words: &[u32]) -> bool {
+        let (low, high) = words.split_at(words.len().min(2 * self.limbs));
+        if high.iter().any(|&w| w != 0) {
+            return false;
+        }
+        let mut packed = [0; MAX_LIMBS];
+        pack(low, &mut packed);
+        packed[..self.limbs]
+            .iter()
+            .rev()
+            .lt(self.m[..self.limbs].iter().rev())
     }
 
     /// The kernel for this modulus at its width `N`.
@@ -676,11 +699,8 @@ impl CrtCtx {
             "message wider than the modulus"
         );
         let (kp, kq) = (self.p.kernel::<N>(), self.q.kernel::<N>());
-        let mut words = [0u32; 4 * MAX_LIMBS];
-        for (i, &byte) in em.iter().rev().enumerate() {
-            words[i / 4] |= u32::from(byte) << (8 * (i % 4));
-        }
-        let words = &words[..em.len().div_ceil(4)];
+        let mut words = [0; 4 * MAX_LIMBS];
+        let words = be_words(em, &mut words);
         let (s1, s2) = pow_pair(
             &kp,
             kp.to_mont(words),
@@ -691,14 +711,19 @@ impl CrtCtx {
         );
         // Garner: h = (s1 − s2)·qinv mod p, then s = s2 + q·h. s1 stays
         // in Montgomery form, since its product with plain qinv takes the
-        // R back out; s2 < q is below R, which is all the product needs
-        // of its first factor, and meets qinv·R.
+        // R back out; s2 < q is below R, which is all a product needs of
+        // a factor, and meets qinv·R.
         let s2 = kq.out_of_mont(&s2);
         let mut plain = [0; N];
         plain.copy_from_slice(&qinv[..N]);
         let mut mont = [0; N];
         mont.copy_from_slice(&qinv_r[..N]);
-        let h = kp.sub(&kp.mul(&s1, &plain), &kp.mul(&s2, &mont));
+        // Each product has a factor below p, so it ends below 2p, and
+        // one subtraction brings it below p for `sub`.
+        let h = kp.sub(
+            &kp.reduce_once(kp.mul(&s1, &plain), false),
+            &kp.reduce_once(kp.mul(&s2, &mont), false),
+        );
         // s ≤ (q − 1) + q·(p − 1) < pq fits in 2N words.
         let mut halves = [[0u64; N]; 2];
         let s = halves.as_flattened_mut();
@@ -718,9 +743,7 @@ impl CrtCtx {
             *sj = x;
             carry = c1 | c2;
         }
-        for (i, byte) in out.iter_mut().rev().enumerate() {
-            *byte = (s[i / 8] >> (8 * (i % 8))) as u8;
-        }
+        write_be(s, out);
     }
 }
 
@@ -768,7 +791,10 @@ fn pow_pair<const N: usize>(
 }
 
 /// The CIOS kernel at a width of `N` 64-bit limbs. Values are `N`
-/// limbs, least-significant first, and below `m` unless noted.
+/// limbs, least-significant first. Products take and return values
+/// below `R = 2^(64·N)`, only congruent to the result mod `m`, so an
+/// exponentiation never compares against `m`; a value is brought below
+/// `m` once, where it leaves the chain of products.
 struct Kernel<const N: usize> {
     m: [u64; N],
     /// `R² mod m`.
@@ -778,10 +804,14 @@ struct Kernel<const N: usize> {
 }
 
 impl<const N: usize> Kernel<N> {
-    /// `a·b·R⁻¹ mod m`, for any `a` and `b < m`. Each word of `a` is
-    /// multiplied in and one word reduced away, so the running sum
-    /// stays within `N + 2` words (`t`, `top`, `over`) and ends below
-    /// `2m`.
+    /// A value below `R` congruent to `a·b·R⁻¹` mod `m`, for any `a`
+    /// and `b` below `R`. Each word of `a` is multiplied in and one
+    /// word reduced away, so the running sum stays within `N + 2` words
+    /// (`t`, `top`, `over`) and ends below `b + m`: below `R + m`, and
+    /// below `2m` when `b < m` (or `a < m`). The carry word alone then
+    /// decides the correction (see [`Kernel::drop_carry`]), so the
+    /// result need not be below `m`; [`Kernel::reduce_once`] makes it
+    /// so where a value leaves a chain of products.
     ///
     /// Always inlined: an exponentiation is a loop of these products,
     /// and an out-of-line call would pass every result back through
@@ -813,15 +843,16 @@ impl<const N: usize> Kernel<N> {
             t[N - 1] = word;
             top = u64::from(over) + u64::from(over_again);
         }
-        self.reduce_once(t, top != 0)
+        self.drop_carry(t, top)
     }
 
-    /// `a·a·R⁻¹ mod m` for `a < m`, the same value as `mul(a, a)` with
-    /// fewer products: the square is built in `2N` words with each cross
-    /// product `a_i·a_j` (`i < j`) computed once and doubled, then
-    /// reduced a word at a time (separated operand scanning): `N(N+1)/2`
-    /// word products for the square where `mul` spends `N²`, and the
-    /// same `N²` for the reduction.
+    /// The same value as `mul(a, a)` for `a` below `R` (below `R` and
+    /// congruent to `a·a·R⁻¹` mod `m`) with fewer products: the square
+    /// is built in `2N` words with each cross product `a_i·a_j`
+    /// (`i < j`) computed once and doubled, then reduced a word at a
+    /// time (separated operand scanning): `N(N+1)/2` word products for
+    /// the square where `mul` spends `N²`, and the same `N²` for the
+    /// reduction.
     ///
     /// Always inlined, like [`Kernel::mul`].
     #[inline(always)]
@@ -860,7 +891,7 @@ impl<const N: usize> Kernel<N> {
         // Reduce: add u·m at word i so word i cancels, for each of the
         // low N words. Each row's carry out of word i + N is added one
         // word up with the next row's, and the last one is bit 64·N of
-        // the result, which ends below 2m.
+        // the result, which ends below (R² + R·m)/R = R + m.
         let mut extra = false;
         for i in 0..N {
             let u = t[i].wrapping_mul(self.n0);
@@ -878,10 +909,11 @@ impl<const N: usize> Kernel<N> {
             t[i + N] = word;
             extra = c1 | c2;
         }
-        self.reduce_once(halves[1], extra)
+        self.drop_carry(halves[1], u64::from(extra))
     }
 
-    /// `a − b mod m`.
+    /// `a − b mod m`, for `a` and `b` below `m`: `m` masked by the
+    /// borrow is added back.
     fn sub(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
         let mut d = [0; N];
         let mut borrow = false;
@@ -891,19 +923,18 @@ impl<const N: usize> Kernel<N> {
             *dj = x;
             borrow = b1 | b2;
         }
-        if borrow {
-            let mut carry = false;
-            for (dj, &mj) in d.iter_mut().zip(&self.m) {
-                let (x, c1) = dj.overflowing_add(mj);
-                let (x, c2) = x.overflowing_add(u64::from(carry));
-                *dj = x;
-                carry = c1 | c2;
-            }
+        let mask = u64::from(borrow).wrapping_neg();
+        let mut carry = false;
+        for (dj, &mj) in d.iter_mut().zip(&self.m) {
+            let (x, c1) = dj.overflowing_add(mj & mask);
+            let (x, c2) = x.overflowing_add(u64::from(carry));
+            *dj = x;
+            carry = c1 | c2;
         }
         d
     }
 
-    /// `a + b mod m`.
+    /// `a + b mod m`, for `a` and `b` below `m`.
     fn add(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
         let mut s = [0; N];
         let mut carry = false;
@@ -916,23 +947,52 @@ impl<const N: usize> Kernel<N> {
         self.reduce_once(s, carry)
     }
 
-    /// `t mod m` for `t < 2m`, where `carry` is `t`'s bit `64·N`.
-    fn reduce_once(&self, mut t: [u64; N], carry: bool) -> [u64; N] {
-        if carry || !t.iter().rev().lt(self.m.iter().rev()) {
-            let mut borrow = false;
-            for (tj, &mj) in t.iter_mut().zip(&self.m) {
-                let (d, b1) = tj.overflowing_sub(mj);
-                let (d, b2) = d.overflowing_sub(u64::from(borrow));
-                *tj = d;
-                borrow = b1 | b2;
-            }
+    /// The carry-only correction that ends every product: `t − m` if
+    /// `carry` (0 or 1, bit `64·N` of the value `t` stands for) is set,
+    /// else `t`. A product ends below `R + m`, so either way the result
+    /// is below `R`. The subtrahend is `m` masked by the carry, where a
+    /// comparison against `m` would branch on the data after every
+    /// product and mispredict about as often as it subtracts.
+    #[inline(always)]
+    fn drop_carry(&self, mut t: [u64; N], carry: u64) -> [u64; N] {
+        let mask = carry.wrapping_neg();
+        let mut borrow = false;
+        for (tj, &mj) in t.iter_mut().zip(&self.m) {
+            let (d, b1) = tj.overflowing_sub(mj & mask);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            *tj = d;
+            borrow = b1 | b2;
         }
         t
     }
 
-    /// `base·R mod m` for a base of any width, given its `u32` limbs:
-    /// Horner's rule over its `N`-limb digits, most significant first,
-    /// in Montgomery form (`acc ← acc·R + digit`), so no division.
+    /// `t mod m` for `t < 2m`, where `carry` is `t`'s bit `64·N`: `t − m`
+    /// unless that borrows past the carry, picked by a mask rather than
+    /// a branch. This is where a value leaves a chain of products and
+    /// must be below `m`: the inputs of [`Kernel::add`] and
+    /// [`Kernel::sub`], and [`Kernel::out_of_mont`].
+    fn reduce_once(&self, t: [u64; N], carry: bool) -> [u64; N] {
+        let mut d = [0; N];
+        let mut borrow = false;
+        for ((dj, &tj), &mj) in d.iter_mut().zip(&t).zip(&self.m) {
+            let (x, b1) = tj.overflowing_sub(mj);
+            let (x, b2) = x.overflowing_sub(u64::from(borrow));
+            *dj = x;
+            borrow = b1 | b2;
+        }
+        let keep = u64::from(borrow & !carry).wrapping_neg();
+        for (dj, &tj) in d.iter_mut().zip(&t) {
+            *dj = tj & keep | *dj & !keep;
+        }
+        d
+    }
+
+    /// `base·R` mod `m`, below `R`, for a base of any width given its
+    /// `u32` limbs: Horner's rule over its `N`-limb digits, most
+    /// significant first, in Montgomery form (`acc ← acc·R + digit`), so
+    /// no division. Each product has the factor `R² mod m < m`, so it
+    /// ends below `2m`, and one subtraction brings it below `m` where
+    /// [`Kernel::add`] takes it.
     fn to_mont(&self, base: &[u32]) -> [u64; N] {
         let mut acc = [0; N];
         for (i, chunk) in base.chunks(2 * N).rev().enumerate() {
@@ -942,17 +1002,21 @@ impl<const N: usize> Kernel<N> {
             acc = if i == 0 {
                 digit
             } else {
-                self.add(&self.mul(&acc, &self.r2), &digit)
+                let shifted = self.mul(&acc, &self.r2);
+                self.add(
+                    &self.reduce_once(shifted, false),
+                    &self.reduce_once(digit, false),
+                )
             };
         }
         acc
     }
 
-    /// `x^exp` in Montgomery form for nonzero `exp`, left to right in
-    /// windows of `width` bits. Exponents of 32 bits or fewer — a public
-    /// exponent such as 65537 — use plain square-and-multiply (width 1),
-    /// where a 16-entry table would cost more products than it saves;
-    /// longer ones use 4-bit windows.
+    /// `x^exp` in Montgomery form (below `R`) for nonzero `exp`, left to
+    /// right in windows of `width` bits. Exponents of 32 bits or fewer —
+    /// a public exponent such as 65537 — use plain square-and-multiply
+    /// (width 1), where a 16-entry table would cost more products than
+    /// it saves; longer ones use 4-bit windows.
     fn pow(&self, x: [u64; N], exp: &BigUint) -> [u64; N] {
         let bits = exp.bit_len();
         let width = if bits <= 32 { 1 } else { 4 };
@@ -983,18 +1047,41 @@ impl<const N: usize> Kernel<N> {
         table
     }
 
-    /// One in Montgomery form, `R mod m`.
+    /// One in Montgomery form, `R mod m`: the product of `R² mod m` and
+    /// plain 1 ends at most `m`, and is not `m`, since `R` is prime to
+    /// `m`.
     fn one(&self) -> [u64; N] {
         let mut one = [0; N];
         one[0] = 1;
         self.mul(&self.r2, &one)
     }
 
-    /// `a·R⁻¹ mod m`: out of Montgomery form, by a product with plain 1.
+    /// `a·R⁻¹ mod m` for `a` below `R`: out of Montgomery form, by a
+    /// product with plain 1, which ends at most `m`, and one
+    /// subtraction.
     fn out_of_mont(&self, a: &[u64; N]) -> [u64; N] {
         let mut one = [0; N];
         one[0] = 1;
-        self.mul(a, &one)
+        self.reduce_once(self.mul(a, &one), false)
+    }
+}
+
+/// Big-endian `bytes` as little-endian `u32` limbs, written into the
+/// zeroed `words`, which must have room for them: a message
+/// representative or a signature enters the kernel this way without a
+/// `BigUint`.
+pub(crate) fn be_words<'a>(bytes: &[u8], words: &'a mut [u32; 4 * MAX_LIMBS]) -> &'a [u32] {
+    for (i, &byte) in bytes.iter().rev().enumerate() {
+        words[i / 4] |= u32::from(byte) << (8 * (i % 4));
+    }
+    &words[..bytes.len().div_ceil(4)]
+}
+
+/// Little-endian `u64` limbs written big-endian over the whole of
+/// `out`, whose length the value must fit.
+pub(crate) fn write_be(limbs: &[u64], out: &mut [u8]) {
+    for (i, byte) in out.iter_mut().rev().enumerate() {
+        *byte = (limbs[i / 8] >> (8 * (i % 8))) as u8;
     }
 }
 
@@ -1221,6 +1308,20 @@ mod tests {
         assert_eq!(n(9).modpow_schoolbook(&n(0), &n(7)), n(1));
     }
 
+    /// `below_modulus` compares the whole value: `m − 1` and zero-padded
+    /// small values are below `m`; `m`, and a value with a word set
+    /// above `m`'s width, are not.
+    #[test]
+    fn below_modulus_reads_every_word() {
+        let m = n(0xFFFF_FFFF_FFFF_FFC5);
+        let below = |words: &[u32]| MontgomeryCtx::new(&m).map(|ctx| ctx.below_modulus(words));
+        assert_eq!(below(&[0xFFFF_FFC4, 0xFFFF_FFFF]), Some(true));
+        assert_eq!(below(&[0xFFFF_FFC5, 0xFFFF_FFFF]), Some(false));
+        assert_eq!(below(&[5, 0, 0, 0]), Some(true));
+        assert_eq!(below(&[5, 0, 1]), Some(false));
+        assert_eq!(below(&[]), Some(true));
+    }
+
     #[test]
     fn modinv_basics() {
         // 3 * 4 = 12 ≡ 1 mod 11
@@ -1271,20 +1372,73 @@ mod tests {
         }
     }
 
-    /// `(sqr(a), mul(a, a))` under the kernel for `m`, at its width;
-    /// `None` if the kernel does not take `m`.
-    fn square_both_ways(m: &BigUint, a: &BigUint) -> Option<(BigUint, BigUint)> {
+    /// `(mul(a, b), sqr(a))` under the kernel for `m`, at its width, for
+    /// `a` and `b` below `R`; `None` if the kernel does not take `m`.
+    fn products(m: &BigUint, a: &BigUint, b: &BigUint) -> Option<(BigUint, BigUint)> {
         let ctx = MontgomeryCtx::new(m)?;
         Some(with_width!(ctx.limbs, N => {
             let kernel = ctx.kernel::<N>();
-            let mut x = [0; N];
+            let (mut x, mut y) = ([0; N], [0; N]);
             pack(&a.limbs, &mut x);
-            (unpack(&kernel.sqr(&x)), unpack(&kernel.mul(&x, &x)))
+            pack(&b.limbs, &mut y);
+            (unpack(&kernel.mul(&x, &y)), unpack(&kernel.sqr(&x)))
         }))
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Products take any values below `R` and return values below
+        /// `R` congruent to `a·b·R⁻¹` mod `m`, with the squaring equal
+        /// to the product, at every kernel width: on random odd moduli,
+        /// moduli just under `R`, and the smallest odd modulus of the
+        /// width, `2^(64(N−1)) + 1` (3 at one limb), where values below
+        /// `R` run furthest above `m` and the carry word is set most
+        /// often. The operands are random values below `R` and `R − 1`.
+        #[test]
+        fn products_below_r_are_congruent_at_every_width(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 48..49),
+            gap in 0u64..1 << 20,
+        ) {
+            let limb = |w: &u64| [*w as u32, (*w >> 32) as u32];
+            let value = |w: &[u64]| {
+                let mut v = BigUint { limbs: w.iter().flat_map(limb).collect() };
+                v.normalize();
+                v
+            };
+            for limbs in 1..=MAX_LIMBS {
+                let r = BigUint::one().shl(64 * limbs);
+                let mut random: Vec<u32> = words[..limbs].iter().flat_map(limb).collect();
+                random[0] |= 1;
+                random[2 * limbs - 1] |= 1 << 31;
+                let top = r.sub(&BigUint::from_u64(2 * gap + 1));
+                let smallest = if limbs == 1 {
+                    BigUint::from_u64(3)
+                } else {
+                    BigUint::one().shl(64 * (limbs - 1)).add(&BigUint::one())
+                };
+                let all_ones = r.sub(&BigUint::one());
+                let (a, b) = (value(&words[16..16 + limbs]), value(&words[32..32 + limbs]));
+                for m in [BigUint { limbs: random.clone() }, top, smallest] {
+                    // R is prime to odd m, so R⁻¹ exists.
+                    let r_inv = r.rem(&m).modinv(&m);
+                    proptest::prop_assert!(r_inv.is_some(), "m={:?}", m);
+                    for (a, b) in [(&a, &b), (&all_ones, &all_ones), (&a, &all_ones)] {
+                        let got = products(&m, a, b);
+                        proptest::prop_assert_eq!(
+                            got.as_ref().map(|(product, _)| product.rem(&m)),
+                            r_inv.as_ref().map(|r_inv| a.mul(b).mul(r_inv).rem(&m)),
+                            "m={:?} a={:?} b={:?}", m, a, b
+                        );
+                        proptest::prop_assert_eq!(
+                            got.map(|(_, square)| square),
+                            products(&m, a, a).map(|(product, _)| product),
+                            "m={:?} a={:?}", m, a
+                        );
+                    }
+                }
+            }
+        }
 
         /// The dedicated squaring equals the product of a value with
         /// itself at every kernel width, on random odd moduli and on
@@ -1308,9 +1462,9 @@ mod tests {
                     let mut below = below.rem(&m);
                     below.normalize();
                     for a in [below, m.sub(&BigUint::one())] {
-                        let squares = square_both_ways(&m, &a);
+                        let squares = products(&m, &a, &a);
                         proptest::prop_assert!(
-                            squares.as_ref().is_some_and(|(sqr, mul)| sqr == mul),
+                            squares.as_ref().is_some_and(|(mul, sqr)| sqr == mul),
                             "m={:?} a={:?}: {:?}", m, a, squares
                         );
                     }
@@ -1336,7 +1490,7 @@ mod tests {
                 let a = m.sub(&delta);
                 // Both ways, a²·R⁻¹ ≡ R ≡ δ (mod m).
                 assert_eq!(
-                    square_both_ways(&m, &a),
+                    products(&m, &a, &a),
                     Some((delta.clone(), delta.clone())),
                     "m = 2^{} − {delta:?}",
                     64 * limbs

@@ -10,7 +10,7 @@
 //! encodings look realistic, small enough that a measurement campaign can
 //! sign millions of responses in seconds.
 
-use crate::bigint::{BigUint, CrtCtx, MontgomeryCtx, MAX_LIMBS};
+use crate::bigint::{be_words, write_be, BigUint, CrtCtx, MontgomeryCtx, MAX_LIMBS};
 use crate::prime::generate_prime;
 use crate::sha256;
 use rand::Rng;
@@ -94,20 +94,46 @@ impl PublicKey {
     }
 
     /// Verify `signature` over `message`.
+    ///
+    /// Where the Montgomery kernel takes `n` (odd, at most 1024 bits:
+    /// every key the study generates), nothing is allocated: the
+    /// signature's limbs, the recovered encoding and the expected one
+    /// are fixed arrays on the stack, and `s < n` is checked on the
+    /// packed limbs.
     pub fn verify(&self, message: &[u8], signature: &[u8]) -> Result<(), SignatureError> {
         let k = self.modulus_len();
         if signature.len() != k {
             return Err(SignatureError::Malformed);
         }
+        let Some(ctx) = self.mont.get_or_init(|| MontgomeryCtx::new(&self.n)) else {
+            return self.verify_schoolbook(message, signature);
+        };
+        let mut words = [0; 4 * MAX_LIMBS];
+        let s = be_words(signature, &mut words);
+        if !ctx.below_modulus(s) {
+            return Err(SignatureError::Malformed);
+        }
+        // n fits the kernel, so k ≤ 8·MAX_LIMBS bytes.
+        let mut em = [0; 8 * MAX_LIMBS];
+        write_be(&ctx.pow_words(s, &self.e), &mut em[..k]);
+        let mut expected = [0; 8 * MAX_LIMBS];
+        encode_em_into(message, &mut expected[..k]).ok_or(SignatureError::Malformed)?;
+        if em[..k] == expected[..k] {
+            Ok(())
+        } else {
+            Err(SignatureError::Invalid)
+        }
+    }
+
+    /// [`PublicKey::verify`] for a modulus the kernel does not take
+    /// (even, one, or wider than 1024 bits), through `BigUint`.
+    fn verify_schoolbook(&self, message: &[u8], signature: &[u8]) -> Result<(), SignatureError> {
+        let k = signature.len();
         let s = BigUint::from_be_bytes(signature);
         if s.cmp_to(&self.n) != core::cmp::Ordering::Less {
             return Err(SignatureError::Malformed);
         }
-        let em = match self.mont.get_or_init(|| MontgomeryCtx::new(&self.n)) {
-            Some(ctx) => ctx.pow(&s, &self.e),
-            None => s.modpow(&self.e, &self.n),
-        };
-        let em = em.to_be_bytes_padded(k);
+        let em = s.modpow(&self.e, &self.n).to_be_bytes_padded(k);
         let expected = encode_em(message, k).ok_or(SignatureError::Malformed)?;
         if em == expected {
             Ok(())
@@ -320,6 +346,38 @@ mod tests {
             kp.public().verify(b"m", &long),
             Err(SignatureError::Malformed)
         );
+    }
+
+    /// A signature of the right length is still malformed unless its
+    /// value is below `n`: equal to `n`, one above it, or all `0xff`.
+    /// Zero is below `n` and recovers an encoding that does not match.
+    /// Both on the kernel's path and, under an even modulus, on the
+    /// schoolbook one.
+    #[test]
+    fn out_of_range_signatures_are_malformed() {
+        let kp = keypair();
+        let even = PublicKey::new(
+            kp.public().modulus().add(&BigUint::one()),
+            public_exponent(),
+        );
+        for key in [kp.public(), &even] {
+            let (n, k) = (key.modulus(), key.modulus_len());
+            for (value, expected) in [
+                (n.to_be_bytes_padded(k), SignatureError::Malformed),
+                (
+                    n.add(&BigUint::one()).to_be_bytes_padded(k),
+                    SignatureError::Malformed,
+                ),
+                (vec![0xff; k], SignatureError::Malformed),
+                (vec![0; k], SignatureError::Invalid),
+            ] {
+                assert_eq!(
+                    key.verify(b"m", &value),
+                    Err(expected),
+                    "n={n:?} {value:02x?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,10 +17,13 @@ fn from_words(words: &[u32]) -> BigUint {
     big(&bytes)
 }
 
-/// `base ^ exp mod m` through `modpow` equals the schoolbook oracle.
+/// `base ^ exp mod m` through `modpow` is below `m` and equals the
+/// schoolbook oracle.
 fn check_modpow(base: &BigUint, exp: &BigUint, m: &BigUint) {
+    let got = base.modpow(exp, m);
+    assert!(got < *m, "base={base:?} exp={exp:?} m={m:?}: {got:?}");
     assert_eq!(
-        base.modpow(exp, m),
+        got,
         base.modpow_schoolbook(exp, m),
         "base={base:?} exp={exp:?} m={m:?}"
     );
@@ -40,8 +43,13 @@ fn edge_bases(m: &BigUint, k: &BigUint, r: &BigUint) -> [BigUint; 5] {
 }
 
 /// The edge moduli at every kernel width `k` (in `u64` limbs):
-/// 2^(64k) − 1, all ones, and 2^(64k−1) + 1, the smallest odd value of
-/// full width. Then one modulus wider than the kernel, 2^1024 + 1, which
+/// 2^(64k) − 1, all ones; 2^(64k−1) + 1, the smallest odd value with the
+/// top bit set; and 2^(64(k−1)) + 1 (3 at one limb), the smallest odd
+/// value of the width, where the kernel's intermediate values, which
+/// only stay below R = 2^(64k), run furthest above `m`. The exponents
+/// include all-ones values, which multiply after every window: 32 bits,
+/// the longest square-and-multiply exponent, and the modulus' full
+/// width. Then one modulus wider than the kernel, 2^1024 + 1, which
 /// takes the schoolbook fallback.
 #[test]
 fn montgomery_edge_moduli_and_fallback() {
@@ -51,9 +59,21 @@ fn montgomery_edge_moduli_and_fallback() {
     for limbs in 1..=16 {
         let all_ones = one.shl(64 * limbs).sub(&one);
         let low = one.shl(64 * limbs - 1).add(&one);
-        for m in [all_ones, low] {
+        let smallest = if limbs == 1 {
+            BigUint::from_u64(3)
+        } else {
+            one.shl(64 * (limbs - 1)).add(&one)
+        };
+        for m in [all_ones, low, smallest] {
             let full_exp = m.sub(&BigUint::from_u64(2));
-            for exp in [one.clone(), BigUint::from_u64(65_537), full_exp] {
+            let exps = [
+                one.clone(),
+                BigUint::from_u64(65_537),
+                BigUint::from_u64(u64::from(u32::MAX)),
+                one.shl(64 * limbs).sub(&one),
+                full_exp,
+            ];
+            for exp in exps {
                 for base in edge_bases(&m, &k, &r) {
                     check_modpow(&base, &exp, &m);
                 }

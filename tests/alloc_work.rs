@@ -1,5 +1,6 @@
-//! Heap allocations per campaign probe and per `ocspd` query, and the
-//! campaign's peak live bytes, pinned exactly.
+//! Heap allocations per campaign probe, per `ocspd` query and per
+//! signature verification, and the campaign's peak live bytes, pinned
+//! exactly.
 //!
 //! This binary installs `memprof::CountingAlloc` as its global
 //! allocator, and it holds a single test, so while that test measures
@@ -17,6 +18,7 @@ use ocspd::{HttpRequest, OcspService};
 use pki::Serial;
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 use scanner::{Executor, HourlyCampaign};
+use simcrypto::{KeyPair, SignatureError};
 
 #[global_allocator]
 static ALLOC: memprof::CountingAlloc = memprof::CountingAlloc;
@@ -81,10 +83,28 @@ fn campaign_and_serve_allocations_are_pinned() {
         }
     });
 
-    // Per probe and per query: campaign 7.4, hot 4.1, wide 11.0.
+    // One RSA verification, valid or not, once the key has made its
+    // Montgomery constants (its first verification makes them): the
+    // signature's limbs and both encodings live on the stack.
+    let key = KeyPair::generate(&mut StdRng::seed_from_u64(0x7e51), 384);
+    let message = b"tbsResponseData";
+    let signature = key.sign(message);
+    let mut forged = signature.clone();
+    forged[40] ^= 1;
+    assert_eq!(key.public().verify(message, &signature), Ok(()));
+    let (outcomes, verify_allocs) = allocations(|| {
+        [
+            key.public().verify(message, &signature),
+            key.public().verify(message, &forged),
+        ]
+    });
+    assert_eq!(outcomes, [Ok(()), Err(SignatureError::Invalid)]);
+
+    // Per probe and per query: campaign 5.0, hot 4.1, wide 11.0.
     assert_eq!(
         (probes, campaign_allocs, hot_allocs, wide_allocs),
-        (1_344, 7_526, 4_125, 11_037)
+        (1_344, 6_686, 4_125, 11_037)
     );
     assert_eq!(campaign_peak, 79_329);
+    assert_eq!(verify_allocs, 0);
 }
