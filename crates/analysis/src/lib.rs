@@ -21,7 +21,7 @@
 //!   (DESIGN.md §13).
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod bins;
 pub mod cdf;

@@ -199,10 +199,7 @@ impl Welford {
 /// Sum `f64`s in a canonical order regardless of the input order:
 /// collect, sort by IEEE total order, then fold left-to-right. Float
 /// addition is not associative, so folding a `HashMap`'s iteration
-/// order directly would make the result depend on hasher state; this
-/// helper is one of the blessed order-insensitive accumulators the
-/// float-determinism lint accepts (with [`Welford`] and
-/// `StreamingCdf`).
+/// order directly would make the result depend on hasher state.
 pub fn sum_sorted(values: impl IntoIterator<Item = f64>) -> f64 {
     let mut sorted: Vec<f64> = values.into_iter().collect();
     sorted.sort_by(f64::total_cmp);

@@ -20,6 +20,9 @@
 //! [`crate::stats::Welford`]; together with this module they replace
 //! every retained-vector analysis path (DESIGN.md §13).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::bins::RankBins;
 use crate::cdf::Cdf;
 use std::cmp::Ordering;

@@ -88,7 +88,8 @@ fn bench_rsa(c: &mut Criterion) {
 
 /// The modexp ablation behind the scan hot path: LSB-first schoolbook
 /// square-and-multiply vs the Montgomery (CIOS) kernel. Every RSA
-/// sign/verify in the study funnels through `modpow`.
+/// sign/verify in the study funnels through `modpow`. Each shape cycles
+/// through 256 bases, for the reason `bench_rsa` cycles its messages.
 fn bench_modexp(c: &mut Criterion) {
     let rand_int = |rng: &mut StdRng, bytes: usize| {
         let mut buf = vec![0u8; bytes];
@@ -102,32 +103,42 @@ fn bench_modexp(c: &mut Criterion) {
         m_bytes[bytes - 1] |= 0x01; // odd: the Montgomery-eligible case
         BigUint::from_be_bytes(&m_bytes)
     };
-    let mut shapes = Vec::new();
-    for bits in [384usize, 512, 768] {
-        let mut rng = StdRng::seed_from_u64(0xE0D * bits as u64);
-        let bytes = bits / 8;
-        let base = rand_int(&mut rng, bytes);
-        let exp = rand_int(&mut rng, bytes);
-        shapes.push((bits.to_string(), base, exp, odd_modulus(&mut rng, bytes)));
-    }
-    // The two shapes the study runs: one CRT half of a 384-bit signature
-    // (a 384-bit encoded message, a 192-bit exponent, a 192-bit prime-
-    // sized modulus) and a 384-bit verify (e = 65537).
-    let mut rng = StdRng::seed_from_u64(0xC27);
-    let em = rand_int(&mut rng, 48);
-    let exp = rand_int(&mut rng, 24);
-    shapes.push(("crt-half-192".into(), em, exp, odd_modulus(&mut rng, 24)));
-    let sig = rand_int(&mut rng, 47);
-    let e = BigUint::from_u64(65537);
-    shapes.push(("e65537-384".into(), sig, e, odd_modulus(&mut rng, 48)));
-
+    // (name, seed, modulus bytes, base bytes, fixed exponent): three
+    // full-width shapes with drawn exponents, then the two the study
+    // runs, one CRT half of a 384-bit signature and a 384-bit verify.
+    // Bases as wide as the modulus are drawn below it; a CRT half takes
+    // the whole 48-byte encoded message unreduced, as signing does.
+    let shapes = [
+        ("384", 0xE0D * 384, 48, 48, None),
+        ("512", 0xE0D * 512, 64, 64, None),
+        ("768", 0xE0D * 768, 96, 96, None),
+        ("crt-half-192", 0xC27, 24, 48, None),
+        ("e65537-384", 0x10001, 48, 48, Some(65537)),
+    ];
     let mut group = c.benchmark_group("modexp");
-    for (name, base, exp, m) in &shapes {
+    for (name, seed, bytes, base_bytes, exp) in shapes {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let exp = exp.map_or_else(|| rand_int(&mut rng, bytes), BigUint::from_u64);
+        let m = odd_modulus(&mut rng, bytes);
+        let bases: Vec<BigUint> = (0..256)
+            .map(|_| match rand_int(&mut rng, base_bytes) {
+                base if base_bytes > bytes => base,
+                base => base.div_rem(&m).1,
+            })
+            .collect();
+        let mut last = 0;
+        let mut pick = move || {
+            last = (last + 1) % 256;
+            last
+        };
         group.bench_function(format!("schoolbook-{name}"), |b| {
-            b.iter(|| std::hint::black_box(base).modpow_schoolbook(std::hint::black_box(exp), m))
+            b.iter(|| {
+                std::hint::black_box(&bases[pick()])
+                    .modpow_schoolbook(std::hint::black_box(&exp), &m)
+            })
         });
         group.bench_function(format!("montgomery-{name}"), |b| {
-            b.iter(|| std::hint::black_box(base).modpow(std::hint::black_box(exp), m))
+            b.iter(|| std::hint::black_box(&bases[pick()]).modpow(std::hint::black_box(&exp), &m))
         });
     }
     group.finish();

@@ -46,8 +46,6 @@
 //! wall timings summarized on stdout. Diff two runs' expositions with
 //! `cargo run -p teldiff`.
 
-#![forbid(unsafe_code)]
-
 use ecosystem::EcosystemConfig;
 use mustaple::{Study, StudyResults};
 use mustaple_bench::ensemble::{parse_seed_list, seeds_for, Ensemble};
@@ -203,6 +201,7 @@ fn main() {
     } else {
         eprintln!("no requested artifact reads the study's results; skipping the study");
     }
+    #[expect(clippy::disallowed_methods, reason = "stderr reports the wall time")]
     let started = std::time::Instant::now();
     let ensemble = seeds
         .as_deref()

@@ -6,7 +6,7 @@
 //! `figures` binary drives these; EXPERIMENTS.md quotes their output.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod ablations;
 pub mod ensemble;
@@ -666,6 +666,7 @@ pub fn bench_scan(config: &EcosystemConfig) -> Artifact {
     let [baseline, parallel] =
         [("serial", &serial_exec), ("parallel", &parallel_exec)].map(|(mode, executor)| {
             let mem_before = mem_leg_start();
+            #[expect(clippy::disallowed_methods, reason = "bench-scan reports wall time")]
             let started = std::time::Instant::now();
             let dataset = HourlyCampaign::new(&eco).run_with(executor);
             let wall = started.elapsed();

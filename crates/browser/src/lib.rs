@@ -17,7 +17,7 @@
 //! Table 2.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod client;
 pub mod profile;

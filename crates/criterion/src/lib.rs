@@ -10,7 +10,7 @@
 //! per-iteration cost, but does no statistical outlier analysis, HTML
 //! reports, or baseline comparison.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 use std::time::{Duration, Instant};
 
@@ -36,26 +36,32 @@ pub struct Bencher<'a> {
     time_budget: Duration,
 }
 
+/// Benchmarks are timed on the wall clock, read only here.
+#[expect(clippy::disallowed_methods, reason = "benches run on wall time")]
+fn now() -> Instant {
+    Instant::now()
+}
+
 impl Bencher<'_> {
     /// Benchmark `routine`, timing batches of calls.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         // One untimed call to estimate cost and warm caches.
-        let est_start = Instant::now();
+        let est_start = now();
         black_box(routine());
         let est = est_start.elapsed().max(Duration::from_nanos(1));
 
         // Batch fast routines so each sample is at least ~1ms of work.
         let per_sample = (Duration::from_millis(1).as_nanos() / est.as_nanos()).max(1) as u64;
-        let deadline = Instant::now() + self.time_budget;
+        let deadline = now() + self.time_budget;
         for _ in 0..self.sample_count {
-            let start = Instant::now();
+            let start = now();
             for _ in 0..per_sample {
                 black_box(routine());
             }
             let elapsed = start.elapsed();
             self.samples
                 .push(elapsed.as_nanos() as f64 / per_sample as f64);
-            if Instant::now() > deadline {
+            if now() > deadline {
                 break;
             }
         }
@@ -68,13 +74,13 @@ impl Bencher<'_> {
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
-        let deadline = Instant::now() + self.time_budget;
+        let deadline = now() + self.time_budget;
         for _ in 0..self.sample_count {
             let input = setup();
-            let start = Instant::now();
+            let start = now();
             black_box(routine(input));
             self.samples.push(start.elapsed().as_nanos() as f64);
-            if Instant::now() > deadline {
+            if now() > deadline {
                 break;
             }
         }

@@ -169,9 +169,10 @@ mod tests {
         }
     }
 
-    // The assertions are constant on purpose: the test exists to re-check
-    // the calibration numbers whenever someone edits them.
-    #[allow(clippy::assertions_on_constants)]
+    #[allow(
+        clippy::assertions_on_constants,
+        reason = "the test re-checks the calibration constants whenever they are edited"
+    )]
     #[test]
     fn ordering_sanity() {
         assert!(ALEXA_HTTPS_TOP > ALEXA_HTTPS_TAIL);

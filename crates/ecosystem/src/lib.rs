@@ -29,7 +29,7 @@
 //! preserving every distribution shape.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod alexa;
 pub mod authorities;

@@ -13,6 +13,9 @@
 //! Same seed and size, same records, bit for bit: the RNG draw order is
 //! part of the determinism contract.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::alexa::AlexaSite;
 use crate::authorities::{named_operators, OperatorSpec};
 use crate::calibration as cal;

@@ -1,4 +1,7 @@
-#![deny(missing_docs)] // detlint::allow(forbid-unsafe): a GlobalAlloc impl is necessarily unsafe
+#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 //! A counting global allocator for peak-memory instrumentation.
 //!
@@ -69,6 +72,7 @@ fn on_dealloc(size: u64) {
 /// call. Install with `#[global_allocator]`.
 pub struct CountingAlloc;
 
+#[expect(unsafe_code, reason = "a GlobalAlloc impl is unsafe by definition")]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);

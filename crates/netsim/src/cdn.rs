@@ -8,6 +8,9 @@
 //! lifetimes supplied by the caller (who knows the response's
 //! `nextUpdate`).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::region::Region;
 use crate::world::{HttpOutcome, HttpResult, World};
 use asn1::Time;

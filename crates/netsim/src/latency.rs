@@ -8,6 +8,9 @@
 //! edges; our CDN front reproduces that by serving from the client's
 //! own region.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::region::Region;
 use asn1::Time;
 use simcrypto::HmacSha256;

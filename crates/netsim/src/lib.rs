@@ -28,7 +28,7 @@
 //! reproducibility.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod cdn;
 pub mod latency;

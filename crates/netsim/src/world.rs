@@ -24,6 +24,9 @@
 //! back via [`World::take_telemetry`] so pipelines can merge them in
 //! canonical shard order.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::latency::http_latency_ms;
 use crate::outage::{first_active, FailureKind, Outage};
 use crate::region::Region;
@@ -206,6 +209,7 @@ impl Topology {
     ///
     /// Panics if the host is unknown (scenario-script bug).
     pub fn add_outage(&mut self, hostname: &str, outage: Outage) {
+        #[expect(clippy::panic, reason = "an unknown host is a scenario-script bug")]
         let at = *self
             .index
             .get(hostname)
@@ -285,6 +289,7 @@ impl World {
         &self.topo
     }
 
+    #[expect(clippy::expect_used, reason = "mutators run before the Arc is shared")]
     fn topo_mut(&mut self) -> &mut Topology {
         Arc::get_mut(&mut self.topo)
             .expect("cannot mutate a World whose Topology is shared with other worlds")
@@ -385,6 +390,7 @@ impl World {
             let outcome = match kind {
                 FailureKind::DnsNxDomain => HttpOutcome::DnsFailure,
                 FailureKind::TcpConnect => HttpOutcome::ConnectFailure,
+                #[expect(clippy::unwrap_used, reason = "both HTTP kinds carry a status")]
                 FailureKind::Http4xx | FailureKind::Http5xx => {
                     HttpOutcome::HttpError(kind.http_status().unwrap())
                 }
@@ -402,6 +408,7 @@ impl World {
             self.handlers.resize_with(self.topo.hosts.len(), || None);
         }
         let handler = self.handlers[at].get_or_insert_with(|| {
+            #[expect(clippy::panic, reason = "hosts without a factory have a handler")]
             let factory = host.factory.as_ref().unwrap_or_else(|| {
                 panic!("host {} has neither a handler nor a factory", host.name)
             });

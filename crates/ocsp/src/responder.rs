@@ -6,6 +6,9 @@
 //! `id-kp-OCSPSigning` certificate included in the response — "OCSP
 //! Signature Authority Delegation" in the paper's §2.2).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::certid::CertId;
 use crate::profile::{GenerationMode, MalformMode, ResponderProfile};
 use crate::request::OcspRequest;

@@ -16,6 +16,9 @@
 //! in [`ValidatedResponse::blank_next_update`], since the paper flags it
 //! as a caching hazard.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::certid::CertId;
 use crate::response::{BasicResponse, CertStatus, OcspResponse, ResponseStatus, SingleResponse};
 use asn1::Time;
@@ -442,7 +445,7 @@ pub fn validate_response_with(
 /// cross-checks are unaffected), and `ocsp.validate.sigcache.{hit,miss}`
 /// records the signature memo's effectiveness separately. `body` is the
 /// shared buffer the transport delivered, which the memo keeps.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "uncached arguments and a memo")]
 pub fn validate_response_cached(
     reg: &mut telemetry::Registry,
     metric: Metric,

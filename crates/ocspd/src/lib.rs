@@ -25,7 +25,7 @@
 //! all.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod http;
 pub mod server;

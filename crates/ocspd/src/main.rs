@@ -13,8 +13,6 @@
 //! `ocspd serve --help`-style documentation lives in the README's
 //! "Running the live service" section.
 
-#![forbid(unsafe_code)]
-
 use mustaple_ocspd::{client, serve, HttpWebhookSink, OcspService, RequestPlan};
 use opsmon::{Notifier, WebhookNotifier};
 use std::net::TcpListener;

@@ -1,0 +1,111 @@
+//! Property tests for the daemon's HTTP framing: both readers return a
+//! request or response, or a typed error, on any input, and never
+//! panic. Inputs are arbitrary bytes, single-byte edits of valid
+//! messages and every truncation of them. Valid messages round-trip.
+
+use mustaple_ocspd::{HttpRequest, HttpResponse};
+use proptest::prelude::*;
+use std::io::BufReader;
+
+fn read_request(wire: &[u8]) -> Result<HttpRequest, String> {
+    HttpRequest::read_from(&mut BufReader::new(wire))
+}
+
+fn read_response(wire: &[u8]) -> Result<HttpResponse, String> {
+    HttpResponse::read_from(&mut BufReader::new(wire))
+}
+
+/// A request as a client writes it: request line, headers, then the
+/// `Content-Length` header and the body.
+fn request_wire(method: &str, path: &str, headers: &[(String, String)], body: &[u8]) -> Vec<u8> {
+    let mut wire = format!("{method} {path} HTTP/1.1\r\n");
+    for (name, value) in headers {
+        wire.push_str(&format!("{name}: {value}\r\n"));
+    }
+    wire.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+    let mut wire = wire.into_bytes();
+    wire.extend_from_slice(body);
+    wire
+}
+
+/// Feed both readers `wire`; each must return, not panic.
+fn read_both(wire: &[u8]) {
+    let _ = read_request(wire);
+    let _ = read_response(wire);
+}
+
+/// Both readers on one edit of every byte of `wire`, and on every
+/// proper prefix of it.
+fn edits_and_truncations(wire: &[u8], xor: u8) {
+    let mut edited = wire.to_vec();
+    for i in 0..wire.len() {
+        edited[i] ^= xor;
+        read_both(&edited);
+        edited[i] ^= xor;
+    }
+    for cut in 0..wire.len() {
+        read_both(&wire[..cut]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        head in proptest::collection::vec(any::<u8>(), 0..64),
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        read_both(&bytes);
+        // Behind a valid start line, the garbage reaches the header and
+        // body parsers.
+        for start in [&b"POST /ocsp HTTP/1.1\r\n"[..], b"HTTP/1.1 200 OK\r\n"] {
+            let mut wire = start.to_vec();
+            wire.extend_from_slice(&head);
+            wire.extend_from_slice(b"\r\n");
+            wire.extend_from_slice(&bytes);
+            read_both(&wire);
+        }
+    }
+
+    #[test]
+    fn requests_round_trip_and_survive_edits(
+        method in "[A-Z]{1,7}",
+        path in "/[a-z0-9/._-]{0,24}",
+        headers in proptest::collection::vec(("X-[A-Za-z-]{1,12}", "[!-~]{0,24}"), 0..6),
+        body in proptest::collection::vec(any::<u8>(), 0..96),
+        xor in 1u8..=255,
+    ) {
+        let wire = request_wire(&method, &path, &headers, &body);
+        let request = read_request(&wire).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(&request.method, &method);
+        prop_assert_eq!(&request.path, &path);
+        let mut expected: Vec<(String, String)> = headers
+            .iter()
+            .map(|(name, value)| (name.to_ascii_lowercase(), value.clone()))
+            .collect();
+        expected.push(("content-length".into(), body.len().to_string()));
+        prop_assert_eq!(&request.headers, &expected);
+        prop_assert_eq!(&request.body, &body);
+        edits_and_truncations(&wire, xor);
+    }
+
+    #[test]
+    fn responses_round_trip_and_survive_edits(
+        status in prop_oneof![Just(200u16), Just(400), Just(404), Just(405), Just(500)],
+        body in proptest::collection::vec(any::<u8>(), 0..96),
+        xor in 1u8..=255,
+    ) {
+        let response = HttpResponse {
+            status,
+            content_type: "application/ocsp-response",
+            body,
+        };
+        let mut wire = Vec::new();
+        response.write_to(&mut wire).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let back = read_response(&wire).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(back.status, response.status);
+        prop_assert_eq!(&back.body, &response.body);
+        edits_and_truncations(&wire, xor);
+    }
+}

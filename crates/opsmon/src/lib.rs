@@ -26,7 +26,7 @@
 //! the live tier ever attaches these types to a wall clock.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod event;
 pub mod health;

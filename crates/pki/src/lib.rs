@@ -27,7 +27,7 @@
 //! depends on.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod ca;
 pub mod cert;

@@ -15,7 +15,7 @@
 //! failing case index instead of a minimized input. Determinism means a
 //! failure reproduces exactly by re-running the same test binary.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};

@@ -14,7 +14,7 @@
 //! `simcrypto` and never draws from this crate for secrecy.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 use std::ops::{Range, RangeInclusive};
 

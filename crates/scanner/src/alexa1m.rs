@@ -11,6 +11,9 @@
 //! The analysis performs no network I/O of its own: it folds a
 //! completed [`HourlyDataset`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::executor::Executor;
 use crate::hourly::HourlyDataset;
 use asn1::Time;
@@ -74,6 +77,7 @@ impl Alexa1mScan {
             .collect();
 
         // Persistently dark from São Paulo but fine elsewhere.
+        #[expect(clippy::expect_used, reason = "São Paulo is a vantage point")]
         let sp = Region::VANTAGE_POINTS
             .iter()
             .position(|&r| r == Region::SaoPaulo)
@@ -124,7 +128,7 @@ impl Alexa1mScan {
         );
 
         let mut telemetry = Registry::new();
-        // detlint::allow(wall-clock): merge wall timing feeds a telemetry span, which is excluded from artifact equality
+        #[expect(clippy::disallowed_methods, reason = "a wall span, not an artifact")]
         let merge_started = Instant::now();
         let mut sao_paulo_persistent = 0u64;
         for (contribution, shard_telemetry) in contributions.iter().flatten() {
@@ -150,6 +154,7 @@ impl Alexa1mScan {
 
 impl Alexa1mSummary {
     /// The single largest event across all regions.
+    #[expect(clippy::expect_used, reason = "one peak per vantage point")]
     pub fn global_peak(&self) -> (Region, Time, u64) {
         *self
             .peaks
@@ -159,6 +164,7 @@ impl Alexa1mSummary {
     }
 
     /// The series for one region.
+    #[expect(clippy::expect_used, reason = "one series per vantage point")]
     pub fn region_series(&self, region: Region) -> &[(Time, u64)] {
         &self
             .series

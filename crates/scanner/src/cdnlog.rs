@@ -7,6 +7,9 @@
 //! through [`netsim::CdnNode`] edges and reports the same three
 //! observations.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::executor::Executor;
 use asn1::Time;
 use ecosystem::LiveEcosystem;
@@ -80,6 +83,7 @@ impl CdnStudy {
                 (summary, span)
             },
         );
+        #[expect(clippy::expect_used, reason = "the plan is one work unit")]
         let mut summary = out
             .pop()
             .and_then(|mut chunks| chunks.pop())

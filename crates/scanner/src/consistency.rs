@@ -12,6 +12,9 @@
 //! * **reason code** — 15 % differ, 99.99 % of those because the CRL
 //!   carries a code and OCSP none.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::executor::Executor;
 use analysis::{Cdf, StreamingCdf};
 use asn1::Time;
@@ -234,7 +237,7 @@ impl ConsistencyStudy {
                 }
 
                 let mut partial = ShardSummary {
-                    // detlint::allow(unordered-iter): a count over all values is order-insensitive
+                    #[expect(clippy::disallowed_methods, reason = "counting is order-insensitive")]
                     crls_fetched: crls.values().filter(|c| c.is_some()).count(),
                     responses_collected: 0,
                     requests: 0,
@@ -262,10 +265,12 @@ impl ConsistencyStudy {
                      idx: usize,
                      validated: &ValidatedResponse| {
                         let target = &eco.revoked[idx];
+                        #[expect(clippy::expect_used, reason = "only probed with a parsed CRL")]
                         let crl = crls
                             .get(&target.crl_url)
                             .and_then(Option::as_ref)
                             .expect("only probed with a parsed CRL");
+                        #[expect(clippy::expect_used, reason = "only probed for a listed serial")]
                         let crl_entry = crl
                             .find(&target.serial)
                             .expect("only probed when the CRL lists the serial");
@@ -377,7 +382,7 @@ impl ConsistencyStudy {
             health: HealthReport::default(),
             events: EventLog::new(),
         };
-        // detlint::allow(wall-clock): merge wall timing feeds a telemetry span, which is excluded from artifact equality
+        #[expect(clippy::disallowed_methods, reason = "a wall span, not an artifact")]
         let merge_started = Instant::now();
         let mut health_log = HealthLog::new();
         for partial in shards.into_iter().flatten() {

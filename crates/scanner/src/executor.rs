@@ -29,6 +29,9 @@
 //! Only `std::thread::scope` is used; no thread-pool dependency
 //! (DESIGN.md §6: standard library only).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::num::NonZeroUsize;
@@ -228,6 +231,7 @@ impl Executor {
             .collect();
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..units.len()).map(|_| Mutex::new(None)).collect();
+        #[expect(clippy::expect_used, reason = "a slot's lock only guards a store")]
         let worker = || {
             let mut acc = init();
             loop {
@@ -264,6 +268,7 @@ impl Executor {
             })
         };
 
+        #[expect(clippy::expect_used, reason = "every unit stored exactly one result")]
         let mut results = slots.into_iter().map(|slot| {
             slot.into_inner()
                 .expect("a slot's lock is held only to store its result")
@@ -398,11 +403,8 @@ mod tests {
 
     #[test]
     fn zero_chunks_everywhere_is_fine() {
-        let out = Executor::new(NonZeroUsize::new(4)).run_chunked(
-            0,
-            &[0, 0, 0],
-            |_, _, _| unreachable!(),
-        );
+        let out = Executor::new(NonZeroUsize::new(4))
+            .run_chunked(0, &[0, 0, 0], |_, _, _| panic!("zero chunks run no job"));
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(Vec::<()>::is_empty));
     }

@@ -12,6 +12,9 @@
 //!   (on-demand vs pre-generated, non-overlapping windows, multi-
 //!   instance `producedAt` regressions).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::executor::Executor;
 use crate::records::{classify_validation_error, ErrorClass, ProbeOutcome};
 use analysis::{Cdf, DenseBins, TimeSeries};
@@ -478,6 +481,7 @@ fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
+#[expect(clippy::expect_used, reason = "probes run from vantage points only")]
 fn region_index(region: Region) -> usize {
     Region::VANTAGE_POINTS
         .iter()
@@ -676,6 +680,7 @@ fn chunk_plan(
                 (t_prev + scan_interval).div_euclid(interval) != t_prev.div_euclid(interval)
             }
         };
+        #[expect(clippy::unwrap_used, reason = "starts holds round 0 and only grows")]
         if safe && r - starts.last().unwrap() >= target {
             starts.push(r);
         }
@@ -692,7 +697,7 @@ fn chunk_plan(
 /// right after each probe, in canonical (round, region, target) order,
 /// so the order-sensitive log (streaks, `producedAt` samples) sees the
 /// serial probe sequence.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "state and probe passed apart")]
 fn fold_probe(
     sums: &mut CampaignSums,
     log: &mut UnitLog,
@@ -992,7 +997,7 @@ impl<'a> HourlyCampaign<'a> {
             },
         );
 
-        // detlint::allow(wall-clock): merge wall timing feeds a telemetry span, which is excluded from artifact equality
+        #[expect(clippy::disallowed_methods, reason = "a wall span, not an artifact")]
         let merge_started = Instant::now();
         // The workers' sums add up in any order.
         let mut worker_sums = worker_sums.into_iter();

@@ -9,6 +9,9 @@
 //! ([`modpow_calls`]), like SHA-256 compressions, so the signing and
 //! verifying a piece of code does is a work count tests can pin.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use core::cmp::Ordering;
 use core::fmt;
 use std::cell::Cell;
@@ -313,6 +316,7 @@ impl BigUint {
         // division). Normalize so the divisor's top limb has its high bit
         // set, estimate each quotient digit from the top two remainder
         // limbs, and correct with at most two fix-ups.
+        #[expect(clippy::unwrap_used, reason = "a nonzero divisor has a top limb")]
         let shift = divisor.limbs.last().unwrap().leading_zeros() as usize;
         let v = divisor.shl(shift).limbs;
         let u_big = self.shl(shift);

@@ -4,6 +4,9 @@
 //! PRF: per-sample randomness is derived as `HMAC(seed, label)`, which
 //! keeps every simulation run reproducible.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::sha256::Sha256;
 
 const BLOCK: usize = 64;

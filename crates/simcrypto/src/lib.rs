@@ -1,4 +1,3 @@
-#![deny(unsafe_code)] // detlint::allow(forbid-unsafe): SHA-NI needs one CPU-checked unsafe call
 //! Simulation-grade cryptography for the Must-Staple study.
 //!
 //! The study needs signatures on certificates, CRLs, and OCSP responses to
@@ -29,6 +28,7 @@
 //! precisely so these keys can never be confused with production RSA.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod bigint;
 pub mod hmac;

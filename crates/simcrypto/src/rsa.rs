@@ -10,6 +10,9 @@
 //! encodings look realistic, small enough that a measurement campaign can
 //! sign millions of responses in seconds.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::bigint::{be_words, write_be, BigUint, CrtCtx, MontgomeryCtx, MAX_LIMBS};
 use crate::prime::generate_prime;
 use crate::sha256;
@@ -248,6 +251,7 @@ impl KeyPair {
         let k = self.public.modulus_len();
         let mut em = [0; 16 * MAX_LIMBS];
         let em = &mut em[..k];
+        #[expect(clippy::expect_used, reason = "generation checked the modulus length")]
         encode_em_into(message, em).expect("modulus checked at generation");
         let mut signature = vec![0; k];
         self.crt.sign(em, &mut signature);
@@ -258,6 +262,7 @@ impl KeyPair {
     /// CRT signing against the straight `m^d mod n` path).
     pub fn sign_without_crt(&self, message: &[u8]) -> Vec<u8> {
         let k = self.public.modulus_len();
+        #[expect(clippy::expect_used, reason = "generation checked the modulus length")]
         let em = encode_em(message, k).expect("modulus checked at generation");
         let m = BigUint::from_be_bytes(&em);
         m.modpow(&self.d, &self.public.n).to_be_bytes_padded(k)

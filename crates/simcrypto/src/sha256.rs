@@ -7,6 +7,9 @@
 //! the hashing a piece of code does is a deterministic work count that
 //! tests can pin exactly.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::cell::Cell;
 
 thread_local! {
@@ -126,7 +129,7 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         // features its `#[target_feature]` enables, and the
         // `is_x86_feature_detected!` checks just above found every one
         // of them on this CPU.
-        #[allow(unsafe_code)]
+        #[allow(unsafe_code, reason = "SHA-NI, behind the CPU feature checks above")]
         unsafe {
             sha_ni::compress(state, block)
         };

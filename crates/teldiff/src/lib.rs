@@ -22,7 +22,7 @@
 //! contributes `count`/`sum` plus one part per `le` bucket.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -14,8 +14,6 @@
 //! Exit codes: `0` no differences (or all within thresholds), `1`
 //! usage/IO/parse error, `2` threshold breach.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 use teldiff::{diff, Snapshot, Thresholds};

@@ -30,7 +30,11 @@ use crate::Metric;
 macro_rules! catalog {
     ($($(#[doc = $doc:literal])* $ident:ident = $name:literal;)*) => {
         /// Declaration positions, the handles' indices.
-        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        #[allow(
+            non_camel_case_types,
+            clippy::upper_case_acronyms,
+            reason = "the variants reuse the constants' SCREAMING_CASE names"
+        )]
         enum Index {
             $($ident,)*
         }
@@ -314,8 +318,7 @@ mod tests {
         assert!(sections > 0, "teldiff.toml has no metric sections");
     }
 
-    /// Every `.rs` file under `dir`, skipping build output and the lint
-    /// fixtures (which declare their own fake metrics).
+    /// Every `.rs` file under `dir`, skipping build output.
     fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
         let Ok(entries) = fs::read_dir(dir) else {
             return;
@@ -324,7 +327,7 @@ mod tests {
             let path = entry.path();
             let name = entry.file_name();
             if path.is_dir() {
-                if name != "target" && name != "fixtures" {
+                if name != "target" {
                     sources(&path, out);
                 }
             } else if path.extension().is_some_and(|e| e == "rs") {

@@ -484,7 +484,7 @@ impl PromHistogram {
 }
 
 /// Split one sample line into `((name, labels), value)`.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "a private split, read at one call")]
 fn split_sample(line: &str) -> Result<((String, BTreeMap<String, String>), &str), String> {
     let Some(brace) = line.find('{') else {
         // Unlabeled sample: `name value`.

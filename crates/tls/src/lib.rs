@@ -18,7 +18,7 @@
 //! [`handshake::Transcript`].
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod handshake;
 pub mod wire;

@@ -1,5 +1,5 @@
 //! Shared fixtures for the server-model tests.
-#![allow(missing_docs)]
+#![allow(missing_docs, reason = "test fixtures")]
 
 use crate::server::SiteConfig;
 use asn1::Time;

@@ -5,6 +5,6 @@
 //! surface lives in the workspace crates; the most convenient entry point
 //! is the [`mustaple`] crate, which re-exports everything.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub use mustaple as core;
