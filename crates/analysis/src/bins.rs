@@ -2,7 +2,9 @@
 //!
 //! Figures 2 and 11 plot adoption percentages "as a function of website
 //! popularity" in bins of 10 000 ranks. [`RankBins`] accumulates
-//! per-rank booleans and emits per-bin percentages.
+//! per-rank booleans and emits per-bin percentages, and
+//! [`AlexaAdoption`] folds the three curves of both figures one site at
+//! a time.
 
 /// Rank-binned percentage accumulator.
 #[derive(Debug, Clone)]
@@ -77,6 +79,73 @@ impl RankBins {
     }
 }
 
+/// The folded Figure 2 / Figure 11 summary: rank-binned HTTPS, OCSP-
+/// among-HTTPS, and stapling-among-OCSP adoption, recorded one site at
+/// a time so the Alexa list never needs to exist in memory.
+///
+/// The record rules are exactly the figures' batch folds: every site
+/// feeds the HTTPS bins; only HTTPS sites feed the OCSP bins; only OCSP
+/// sites feed the stapling bins.
+#[derive(Debug, Clone)]
+pub struct AlexaAdoption {
+    len: usize,
+    https: RankBins,
+    ocsp_of_https: RankBins,
+    staples_of_ocsp: RankBins,
+}
+
+impl AlexaAdoption {
+    /// An empty summary for a list of `size` sites (the figures bin
+    /// ranks into 100 bins: `bin_width = (size / 100).max(1)`).
+    pub fn new(size: usize) -> AlexaAdoption {
+        let bin_width = (size / 100).max(1);
+        AlexaAdoption {
+            len: 0,
+            https: RankBins::new(bin_width),
+            ocsp_of_https: RankBins::new(bin_width),
+            staples_of_ocsp: RankBins::new(bin_width),
+        }
+    }
+
+    /// Fold one site (1-based `rank`) into the summary.
+    pub fn record(&mut self, rank: usize, https: bool, ocsp: bool, staples: bool) {
+        self.len += 1;
+        self.https.record(rank, https);
+        if https {
+            self.ocsp_of_https.record(rank, ocsp);
+        }
+        if ocsp {
+            self.staples_of_ocsp.record(rank, staples);
+        }
+    }
+
+    /// Number of sites recorded.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no sites were recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// HTTPS adoption by rank bin (Figure 2, first curve).
+    pub fn https(&self) -> &RankBins {
+        &self.https
+    }
+
+    /// OCSP adoption among HTTPS sites by rank bin (Figure 2, second
+    /// curve).
+    pub fn ocsp_of_https(&self) -> &RankBins {
+        &self.ocsp_of_https
+    }
+
+    /// Stapling adoption among OCSP sites by rank bin (Figure 11).
+    pub fn staples_of_ocsp(&self) -> &RankBins {
+        &self.staples_of_ocsp
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,5 +195,48 @@ mod tests {
         assert_eq!(rb.overall_percentage(), 0.0);
         assert_eq!(rb.popularity_gradient(), 0.0);
         assert!(rb.percentages().is_empty());
+    }
+
+    #[test]
+    fn alexa_adoption_matches_figure_folds() {
+        // Replicate the fig2/fig11 batch fold by hand and compare.
+        let sites: Vec<(usize, bool, bool, bool)> = (1..=200)
+            .map(|rank| {
+                let https = rank % 4 != 0;
+                let ocsp = https && rank % 3 != 0;
+                let staples = ocsp && rank % 5 == 0;
+                (rank, https, ocsp, staples)
+            })
+            .collect();
+        let mut fold = AlexaAdoption::new(sites.len());
+        let bin_width = (sites.len() / 100).max(1);
+        let mut https_bins = RankBins::new(bin_width);
+        let mut ocsp_bins = RankBins::new(bin_width);
+        let mut staple_bins = RankBins::new(bin_width);
+        for &(rank, https, ocsp, staples) in &sites {
+            fold.record(rank, https, ocsp, staples);
+            https_bins.record(rank, https);
+            if https {
+                ocsp_bins.record(rank, ocsp);
+            }
+            if ocsp {
+                staple_bins.record(rank, staples);
+            }
+        }
+        assert_eq!(fold.len(), sites.len());
+        assert_eq!(fold.https().percentages(), https_bins.percentages());
+        assert_eq!(fold.ocsp_of_https().percentages(), ocsp_bins.percentages());
+        assert_eq!(
+            fold.staples_of_ocsp().percentages(),
+            staple_bins.percentages()
+        );
+        assert_eq!(
+            fold.https().overall_percentage(),
+            https_bins.overall_percentage()
+        );
+        assert_eq!(
+            fold.staples_of_ocsp().popularity_gradient(),
+            staple_bins.popularity_gradient()
+        );
     }
 }

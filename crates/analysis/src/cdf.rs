@@ -11,14 +11,61 @@
 //! finite maximum is never reported for a quantile an infinite sample
 //! occupies.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+
+/// A finite, non-NaN `f64` ordered by `total_cmp` — the `BTreeMap` key
+/// of [`Cdf`]. Construction folds `-0.0` onto `+0.0`, so the two zeros
+/// are one sample value, as they are under `==`.
+#[derive(Debug, Clone, Copy)]
+struct SampleKey(f64);
+
+impl SampleKey {
+    fn new(sample: f64) -> SampleKey {
+        // -0.0 == 0.0 under f64 equality but not under total_cmp.
+        SampleKey(if sample == 0.0 { 0.0 } else { sample })
+    }
+}
+
+impl PartialEq for SampleKey {
+    fn eq(&self, other: &SampleKey) -> bool {
+        self.0.total_cmp(&other.0) == Ordering::Equal
+    }
+}
+
+impl Eq for SampleKey {}
+
+impl PartialOrd for SampleKey {
+    fn partial_cmp(&self, other: &SampleKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SampleKey {
+    fn cmp(&self, other: &SampleKey) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
 /// A CDF over `f64` samples, with optional +∞ entries (used for blank
 /// `nextUpdate` validity periods in Figure 8). See the module docs for
 /// the infinite-mass contract.
-#[derive(Debug, Clone, Default)]
+///
+/// The samples are held as distinct values with their multiplicities,
+/// so memory is bounded by the number of *distinct* values — the §5.4
+/// time-difference distribution, for example, is thousands of samples
+/// over a handful of values — and [`Cdf::merge`] adds counts, so
+/// partial CDFs fold in any order. Equality is derived over the count
+/// map (which never holds NaN: `add` panics first), so summaries
+/// carrying a `Cdf` keep their `Eq`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cdf {
-    samples: Vec<f64>,
-    infinite: usize,
-    sorted: bool,
+    counts: BTreeMap<SampleKey, u64>,
+    finite: u64,
+    infinite: u64,
 }
 
 impl Cdf {
@@ -37,8 +84,7 @@ impl Cdf {
     }
 
     /// Add one sample. `+∞` is routed to [`Cdf::add_infinite`]; NaN and
-    /// `−∞` panic immediately — in every build profile — rather than
-    /// poisoning the sort inside `ensure_sorted` much later.
+    /// `−∞` panic immediately, in every build profile.
     pub fn add(&mut self, sample: f64) {
         if sample == f64::INFINITY {
             self.add_infinite();
@@ -48,8 +94,8 @@ impl Cdf {
             sample.is_finite(),
             "Cdf::add: non-finite sample {sample} (only +inf is representable, via add_infinite)"
         );
-        self.samples.push(sample);
-        self.sorted = false;
+        *self.counts.entry(SampleKey::new(sample)).or_insert(0) += 1;
+        self.finite += 1;
     }
 
     /// Add a +∞ sample.
@@ -57,9 +103,19 @@ impl Cdf {
         self.infinite += 1;
     }
 
+    /// Fold another CDF in. Count sums are order-insensitive, so any
+    /// merge order yields the same CDF.
+    pub fn merge(&mut self, other: &Cdf) {
+        for (&key, &n) in &other.counts {
+            *self.counts.entry(key).or_insert(0) += n;
+        }
+        self.finite += other.finite;
+        self.infinite += other.infinite;
+    }
+
     /// Total sample count (finite + infinite).
     pub fn len(&self) -> usize {
-        self.samples.len() + self.infinite
+        (self.finite + self.infinite) as usize
     }
 
     /// Whether no samples were added.
@@ -69,25 +125,25 @@ impl Cdf {
 
     /// Number of infinite samples.
     pub fn infinite_count(&self) -> usize {
-        self.infinite
+        self.infinite as usize
     }
 
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-            self.sorted = true;
-        }
+    /// Distinct finite values with multiplicities, ascending.
+    pub fn counts(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        self.counts.iter().map(|(&k, &n)| (k.0, n))
     }
 
     /// Fraction of samples ≤ `x` (infinite samples are never ≤ any
     /// finite `x`).
-    pub fn fraction_at_most(&mut self, x: f64) -> f64 {
+    pub fn fraction_at_most(&self, x: f64) -> f64 {
         if self.is_empty() {
             return 0.0;
         }
-        self.ensure_sorted();
-        let below = self.samples.partition_point(|&s| s <= x);
+        let below: u64 = self
+            .counts()
+            .take_while(|&(value, _)| value <= x)
+            .map(|(_, n)| n)
+            .sum();
         below as f64 / self.len() as f64
     }
 
@@ -99,54 +155,47 @@ impl Cdf {
     /// fraction `f/n`. The old `⌊q·(n−1)⌋` rule clamped into the finite
     /// samples and leaked the finite maximum for quantiles the infinite
     /// mass owns.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
+    pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.is_empty() {
             return None;
         }
-        self.ensure_sorted();
         let idx = if q <= 0.0 {
             0
         } else {
-            (q * self.len() as f64).ceil() as usize - 1
+            (q * self.len() as f64).ceil() as u64 - 1
         };
-        self.samples.get(idx).copied()
+        if idx >= self.finite {
+            return None;
+        }
+        let mut seen = 0u64;
+        self.counts().find_map(|(value, n)| {
+            seen += n;
+            (idx < seen).then_some(value)
+        })
     }
 
     /// Median, if finite.
-    pub fn median(&mut self) -> Option<f64> {
+    pub fn median(&self) -> Option<f64> {
         self.quantile(0.5)
     }
 
     /// The finite maximum.
-    pub fn max(&mut self) -> Option<f64> {
-        self.ensure_sorted();
-        self.samples.last().copied()
-    }
-
-    /// The finite minimum.
-    pub fn min(&mut self) -> Option<f64> {
-        self.ensure_sorted();
-        self.samples.first().copied()
+    pub fn max(&self) -> Option<f64> {
+        self.counts.keys().next_back().map(|k| k.0)
     }
 
     /// The full curve as `(x, F(x))` points, one per distinct sample —
     /// exactly what a plotting tool wants. Infinite mass shows up as the
     /// curve plateauing below 1.0.
-    pub fn curve(&mut self) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
+    pub fn curve(&self) -> Vec<(f64, f64)> {
         let n = self.len() as f64;
-        let mut points = Vec::new();
-        let mut count = 0usize;
-        let mut i = 0;
-        while i < self.samples.len() {
-            let x = self.samples[i];
-            while i < self.samples.len() && self.samples[i] == x {
-                count += 1;
-                i += 1;
-            }
-            points.push((x, count as f64 / n));
-        }
-        points
+        let mut cumulative = 0u64;
+        self.counts()
+            .map(|(value, count)| {
+                cumulative += count;
+                (value, cumulative as f64 / n)
+            })
+            .collect()
     }
 }
 
@@ -156,17 +205,16 @@ mod tests {
 
     #[test]
     fn basic_quantiles() {
-        let mut cdf = Cdf::from_samples((1..=100).map(f64::from));
+        let cdf = Cdf::from_samples((1..=100).map(f64::from));
         assert_eq!(cdf.median(), Some(50.0));
         assert_eq!(cdf.quantile(0.0), Some(1.0));
         assert_eq!(cdf.quantile(1.0), Some(100.0));
-        assert_eq!(cdf.min(), Some(1.0));
         assert_eq!(cdf.max(), Some(100.0));
     }
 
     #[test]
     fn fraction_at_most() {
-        let mut cdf = Cdf::from_samples(vec![1.0, 2.0, 2.0, 10.0]);
+        let cdf = Cdf::from_samples(vec![1.0, 2.0, 2.0, 10.0]);
         assert_eq!(cdf.fraction_at_most(0.5), 0.0);
         assert_eq!(cdf.fraction_at_most(2.0), 0.75);
         assert_eq!(cdf.fraction_at_most(100.0), 1.0);
@@ -208,6 +256,7 @@ mod tests {
         all.add_infinite();
         assert_eq!(all.quantile(0.0), None);
         assert_eq!(all.quantile(0.5), None);
+        assert_eq!(all.max(), None);
     }
 
     #[test]
@@ -223,8 +272,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-finite sample")]
     fn add_nan_panics_in_every_profile() {
-        // A plain assert!, not debug_assert!: a NaN accepted in release
-        // used to blow up much later, inside ensure_sorted's comparator.
+        // A plain assert!, not debug_assert!: NaN has no place in the
+        // total order the count map keeps.
         Cdf::new().add(f64::NAN);
     }
 
@@ -236,15 +285,16 @@ mod tests {
 
     #[test]
     fn empty_is_safe() {
-        let mut cdf = Cdf::new();
+        let cdf = Cdf::new();
         assert!(cdf.is_empty());
         assert_eq!(cdf.fraction_at_most(1.0), 0.0);
         assert_eq!(cdf.median(), None);
+        assert_eq!(cdf.max(), None);
     }
 
     #[test]
     fn curve_is_monotone() {
-        let mut cdf = Cdf::from_samples(vec![5.0, 1.0, 3.0, 3.0, 2.0, 8.0]);
+        let cdf = Cdf::from_samples(vec![5.0, 1.0, 3.0, 3.0, 2.0, 8.0]);
         let curve = cdf.curve();
         for pair in curve.windows(2) {
             assert!(pair[0].0 < pair[1].0);
@@ -261,6 +311,28 @@ mod tests {
         cdf.add(1.0);
         cdf.add(9.0);
         assert_eq!(cdf.median(), Some(5.0));
-        assert_eq!(cdf.min(), Some(1.0));
+        assert_eq!(cdf.quantile(0.0), Some(1.0));
+    }
+
+    #[test]
+    fn merge_equals_single_accumulator_in_any_order() {
+        let a = Cdf::from_samples([1.0, 2.0, 2.0]);
+        let mut b = Cdf::from_samples([2.0, 7.0]);
+        b.add_infinite();
+        let mut whole = Cdf::from_samples([1.0, 2.0, 2.0, 2.0, 7.0]);
+        whole.add_infinite();
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab, whole);
+        assert_eq!(ba, whole);
+    }
+
+    #[test]
+    fn negative_zero_folds_onto_positive_zero() {
+        let cdf = Cdf::from_samples([-0.0, 0.0]);
+        assert_eq!(cdf.curve(), [(0.0, 1.0)]);
+        assert_eq!(cdf.max().map(f64::to_bits), Some(0.0f64.to_bits()));
     }
 }

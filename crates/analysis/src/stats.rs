@@ -109,103 +109,6 @@ pub fn sample_stddev(samples: &[f64]) -> f64 {
     (ss / (samples.len() - 1) as f64).sqrt()
 }
 
-/// One-pass, mergeable mean/variance accumulator (Welford's online
-/// algorithm with Chan's parallel combine step).
-///
-/// The streaming counterpart of [`mean`] + [`sample_stddev`]: it never
-/// retains the samples, so a figure-grade mean/stddev costs three
-/// `f64`s regardless of scale, and per-chunk accumulators merge in the
-/// executor's canonical shard order. Agreement with the two-pass batch
-/// estimators is to floating-point rounding (property-tested to tight
-/// relative tolerance in `tests/streaming.rs`); the committed ensemble
-/// companions keep using [`Summary::from_samples`], whose bytes are
-/// baselined.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// An empty accumulator.
-    pub fn new() -> Welford {
-        Welford::default()
-    }
-
-    /// Build from a batch of samples (for tests and parity checks).
-    pub fn from_samples(samples: impl IntoIterator<Item = f64>) -> Welford {
-        let mut w = Welford::new();
-        for s in samples {
-            w.add(s);
-        }
-        w
-    }
-
-    /// Fold in one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-finite sample — a single NaN would silently
-    /// poison every later estimate.
-    pub fn add(&mut self, sample: f64) {
-        assert!(
-            sample.is_finite(),
-            "Welford::add: non-finite sample {sample}"
-        );
-        self.n += 1;
-        let delta = sample - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (sample - self.mean);
-    }
-
-    /// Fold another accumulator in (Chan et al.'s pairwise combine).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n;
-        self.n += other.n;
-    }
-
-    /// Number of samples folded in.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0.0 when empty, matching [`mean`]).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample standard deviation (`n − 1` denominator; 0.0 for fewer
-    /// than two samples, matching [`sample_stddev`]).
-    pub fn sample_stddev(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        // Rounding can push m2 a hair below zero on constant inputs.
-        (self.m2.max(0.0) / (self.n - 1) as f64).sqrt()
-    }
-}
-
-/// Sum `f64`s in a canonical order regardless of the input order:
-/// collect, sort by IEEE total order, then fold left-to-right. Float
-/// addition is not associative, so folding a `HashMap`'s iteration
-/// order directly would make the result depend on hasher state.
-pub fn sum_sorted(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut sorted: Vec<f64> = values.into_iter().collect();
-    sorted.sort_by(f64::total_cmp);
-    sorted.iter().sum()
-}
-
 /// The per-cell summary an ensemble reports: mean, sample stddev,
 /// t-distribution 95 % confidence interval, and the across-seed
 /// min/max envelope.
@@ -453,22 +356,6 @@ fn fold_aligned(tables: &[Table], out: &mut Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sum_sorted_is_order_insensitive_to_the_bit() {
-        let forward = vec![1e16, 1.0, -1e16, 0.25, 3.5, 1e-9];
-        let mut reversed = forward.clone();
-        reversed.reverse();
-        let mut interleaved = vec![0.25, 1e16, 1e-9, -1e16, 3.5, 1.0];
-        assert_eq!(
-            sum_sorted(forward).to_bits(),
-            sum_sorted(reversed).to_bits()
-        );
-        assert_eq!(
-            sum_sorted(interleaved.drain(..)).to_bits(),
-            sum_sorted(vec![1e16, 1.0, -1e16, 0.25, 3.5, 1e-9]).to_bits()
-        );
-    }
 
     #[test]
     fn mean_and_stddev_match_hand_computation() {

@@ -1,12 +1,13 @@
-//! Dense bins ≡ `TimeSeries`: the same records, fed to round-indexed
-//! `DenseBins` split across partial accumulators and added in any
-//! order, build the series `TimeSeries::record_bool`/`record_hits`
-//! build — bin for bin, zero-weight bins and bins a staggered probe
-//! spills into included.
+//! Round-indexed bins ≡ a per-bin map: the same records, fed to
+//! `TimeSeries` partials split across accumulators and added in any
+//! order, report what a `BTreeMap` from bin index to counts reports —
+//! bin for bin, zero-weight bins and bins a staggered probe spills into
+//! included.
 
 use asn1::Time;
-use mustaple_analysis::{DenseBins, TimeSeries};
+use mustaple_analysis::TimeSeries;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One record: `(round, stagger, weighted, hit, hits, misses, part)`.
 /// A weighted record is `record_hits(t, hits, hits + misses)`, which
@@ -32,32 +33,44 @@ proptest! {
         // the bin after their round's.
         let start = Time::from_civil(2018, 4, 25, 0, 0, 0) + phase % bin_secs;
         let until = start + rounds as i64 * bin_secs;
-        let mut series = TimeSeries::new(bin_secs);
-        let mut partials: Vec<DenseBins> =
-            (0..parts).map(|_| DenseBins::new(bin_secs, start, until)).collect();
+        // The reference: bin index → (hits, total), a bin present once
+        // any record reaches it.
+        let mut oracle: BTreeMap<i64, (u64, u64)> = BTreeMap::new();
+        let mut partials: Vec<TimeSeries> =
+            (0..parts).map(|_| TimeSeries::new(bin_secs, start, until)).collect();
         let in_range = records.iter().filter(|r: &&Record| r.0 < rounds);
         for &(round, stagger, weighted, hit, hits, misses, part) in in_range {
             let t = start + round as i64 * bin_secs + stagger % bin_secs;
-            let dense = &mut partials[part % parts];
+            let (hits, total) = if weighted {
+                (hits, hits + misses)
+            } else {
+                (u64::from(hit), 1)
+            };
+            let bin = oracle.entry(t.unix().div_euclid(bin_secs)).or_default();
+            bin.0 += hits;
+            bin.1 += total;
+            let series = &mut partials[part % parts];
             if weighted {
-                series.record_hits(t, hits, hits + misses);
-                dense.record_hits(t, hits, hits + misses);
+                series.record_hits(t, hits, total);
             } else {
                 series.record_bool(t, hit);
-                dense.record_bool(t, hit);
             }
         }
         if reverse {
             partials.reverse();
         }
-        let mut total = DenseBins::new(bin_secs, start, until);
+        let mut sum = TimeSeries::new(bin_secs, start, until);
         for partial in &partials {
-            total.add(partial);
+            sum.add(partial);
         }
-        let built = total.to_series();
-        prop_assert_eq!(built.bin_count(), series.bin_count());
-        prop_assert_eq!(built.fractions(), series.fractions());
-        prop_assert_eq!(built.counts(), series.counts());
-        prop_assert_eq!(built.overall_fraction(), series.overall_fraction());
+        let at = |k: i64| Time::from_unix(k * bin_secs);
+        let fractions: Vec<(Time, f64)> = oracle
+            .iter()
+            .map(|(&k, &(hits, total))| (at(k), hits as f64 / total.max(1) as f64))
+            .collect();
+        let counts: Vec<(Time, u64)> = oracle.iter().map(|(&k, &(hits, _))| (at(k), hits)).collect();
+        prop_assert_eq!(sum.bin_count(), oracle.len());
+        prop_assert_eq!(sum.fractions(), fractions);
+        prop_assert_eq!(sum.counts(), counts);
     }
 }

@@ -161,11 +161,6 @@ impl Time {
             second: parse_digits(&b[10..12])? as u8,
         })
     }
-
-    /// Saturating subtraction producing a duration in seconds.
-    pub fn seconds_since(self, earlier: Time) -> i64 {
-        self.0 - earlier.0
-    }
 }
 
 fn parse_digits(b: &[u8]) -> Result<u32> {

@@ -45,10 +45,10 @@ pub fn build(name: &str, results: &StudyResults) -> Option<Artifact> {
         "fig3" => fig3(results),
         "fig4" => fig4(results),
         "fig5" => fig5(results),
-        "fig6" => cdf_figure("fig6", "CDF of average certificates per OCSP response (paper: 14.5% of responders send more than one; max 4 full chains)", results.hourly.cdf_cert_counts()),
-        "fig7" => cdf_figure("fig7", "CDF of average serial numbers per OCSP response (paper: 96.2% send one; 3.3% always send 20)", results.hourly.cdf_serial_counts()),
+        "fig6" => cdf_figure("fig6", "CDF of average certificates per OCSP response (paper: 14.5% of responders send more than one; max 4 full chains)", &results.hourly.cdf_cert_counts()),
+        "fig7" => cdf_figure("fig7", "CDF of average serial numbers per OCSP response (paper: 96.2% send one; 3.3% always send 20)", &results.hourly.cdf_serial_counts()),
         "fig8" => fig8(results),
-        "fig9" => cdf_figure("fig9", "CDF of thisUpdate margin at receipt (paper: 17.2% zero margin, 3% future-dated)", results.hourly.cdf_margins()),
+        "fig9" => cdf_figure("fig9", "CDF of thisUpdate margin at receipt (paper: 17.2% zero margin, 3% future-dated)", &results.hourly.cdf_margins()),
         "table1" => table1(results),
         "fig10" => fig10(results),
         "reasons" => reasons(results),
@@ -265,13 +265,13 @@ fn fig5(results: &StudyResults) -> Artifact {
 }
 
 fn fig8(results: &StudyResults) -> Artifact {
-    let mut cdf = results.hourly.cdf_validity();
+    let cdf = results.hourly.cdf_validity();
     let infinite = cdf.infinite_count();
     let total = cdf.len();
     let mut artifact = cdf_figure(
         "fig8",
         "CDF of validity periods (paper: median ~1 week, 9.1% blank nextUpdate plotted as ∞, 2% over a month, max 1,251 days)",
-        cdf.clone(),
+        &cdf,
     );
     artifact.summary = format!(
         "Figure 8 — validity periods. Paper: median ~1 week, 9.1% blank nextUpdate, 2% over \
@@ -286,7 +286,7 @@ fn fig8(results: &StudyResults) -> Artifact {
     artifact
 }
 
-fn cdf_figure(name: &'static str, description: &str, mut cdf: Cdf) -> Artifact {
+fn cdf_figure(name: &'static str, description: &str, cdf: &Cdf) -> Artifact {
     let mut table = Table::new(&["x", "cdf"]);
     for (x, f) in cdf.curve() {
         table.row(&[format!("{x:.2}"), format!("{f:.4}")]);
@@ -340,24 +340,15 @@ fn table1(results: &StudyResults) -> Artifact {
 }
 
 fn fig10(results: &StudyResults) -> Artifact {
-    let mut artifact = cdf_figure(
-        "fig10",
-        "CDF of OCSP-minus-CRL revocation times",
-        results.consistency.time_diff_cdf(),
-    );
-    artifact.name = "fig10";
+    let cdf = results.consistency.time_diff_cdf();
+    let mut artifact = cdf_figure("fig10", "CDF of OCSP-minus-CRL revocation times", &cdf);
     artifact.summary = format!(
         "Figure 10 — revocation-time differences. Paper: 0.15% differ, 14.7% of those \
          negative, msocsp lags 7h–9d, tail past 137M seconds. Measured: {:.2}% differ, \
          {:.1}% negative, max difference {}.",
         results.consistency.time_diff_fraction() * 100.0,
         results.consistency.negative_diff_fraction() * 100.0,
-        results
-            .consistency
-            .time_diff_cdf()
-            .max()
-            .map(secs)
-            .unwrap_or_else(|| "n/a".into()),
+        cdf.max().map(secs).unwrap_or_else(|| "n/a".into()),
     );
     artifact
 }
@@ -569,10 +560,10 @@ fn freshness(results: &StudyResults) -> Artifact {
 /// periods. If most outages are much shorter than most validity windows,
 /// a prefetching server survives them with a cached staple.
 fn recommendations(results: &StudyResults) -> Artifact {
-    let mut outages = results
+    let outages = results
         .hourly
         .cdf_outage_durations(results.config.scan_interval);
-    let mut validity = results.hourly.cdf_validity();
+    let validity = results.hourly.cdf_validity();
     let mut table = Table::new(&["percentile", "outage_duration", "validity_period"]);
     for q in [0.5, 0.75, 0.9, 0.99] {
         table.row(&[

@@ -50,7 +50,7 @@ impl ReadinessReport {
             ),
             format!(
                 "median response validity {} — outages are survivable if servers prefetch",
-                match results.hourly.cdf_validity().clone().median() {
+                match results.hourly.cdf_validity().median() {
                     Some(v) => analysis::table::secs(v),
                     None => "unknown".to_string(),
                 }

@@ -76,12 +76,6 @@ impl EcosystemConfig {
         }
     }
 
-    /// Override the seed.
-    pub fn with_seed(mut self, seed: u64) -> EcosystemConfig {
-        self.seed = seed;
-        self
-    }
-
     /// Override the worker-thread count (`1` forces a serial run).
     pub fn with_parallelism(mut self, workers: usize) -> EcosystemConfig {
         self.parallelism = NonZeroUsize::new(workers);

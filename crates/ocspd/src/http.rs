@@ -101,8 +101,10 @@ const MAX_LINE_BYTES: usize = 8 * 1024;
 /// The most header lines read from one message.
 const MAX_HEADERS: usize = 100;
 
-/// Read one line of at most [`MAX_LINE_BYTES`]; a line that fills the
-/// cap without ending is refused. `what` names the line in errors.
+/// Read one line of at most [`MAX_LINE_BYTES`], ending in `\n`. A line
+/// that fills the cap without ending is refused, and so is one the
+/// stream ends inside: a head cut short is not a complete head. `what`
+/// names the line in errors.
 fn read_line(stream: &mut impl BufRead, what: &str) -> Result<String, String> {
     let mut line = String::new();
     let read = stream
@@ -110,8 +112,12 @@ fn read_line(stream: &mut impl BufRead, what: &str) -> Result<String, String> {
         .take(MAX_LINE_BYTES as u64)
         .read_line(&mut line)
         .map_err(|e| format!("{what}: {e}"))?;
-    if read == MAX_LINE_BYTES && !line.ends_with('\n') {
-        return Err(format!("{what} longer than {MAX_LINE_BYTES} bytes"));
+    if !line.ends_with('\n') {
+        return Err(if read == MAX_LINE_BYTES {
+            format!("{what} longer than {MAX_LINE_BYTES} bytes")
+        } else {
+            format!("{what} cut short by the end of the stream")
+        });
     }
     Ok(line)
 }
@@ -184,8 +190,9 @@ impl HttpResponse {
         }
         let status = parts
             .next()
-            .and_then(|s| s.parse::<u16>().ok())
-            .ok_or("status line without code")?;
+            .filter(|code| code.len() == 3 && code.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|code| code.parse::<u16>().ok())
+            .ok_or("status line without a three-digit code")?;
 
         let mut content_length = None;
         let mut headers = 0;
@@ -351,6 +358,20 @@ mod tests {
     fn garbage_request_lines_are_refused() {
         for wire in [&b"\r\n\r\n"[..], b"GET /\r\n\r\n", b"GET / SPDY/3\r\n\r\n"] {
             assert!(HttpRequest::read_from(&mut BufReader::new(wire)).is_err());
+        }
+    }
+
+    #[test]
+    fn heads_cut_short_and_odd_status_codes_are_refused() {
+        let err = read(b"GET /health HTTP/1.1\r\nHost: x\r\n").unwrap_err();
+        assert_eq!(err, "header line cut short by the end of the stream");
+        let response = |wire: &[u8]| HttpResponse::read_from(&mut BufReader::new(wire));
+        let err = response(b"HTTP/1.1 2").unwrap_err();
+        assert_eq!(err, "status line cut short by the end of the stream");
+        for code in ["2", "20", "2000", "+20", "2a0"] {
+            let wire = format!("HTTP/1.1 {code} OK\r\nContent-Length: 0\r\n\r\n");
+            let err = response(wire.as_bytes()).unwrap_err();
+            assert_eq!(err, "status line without a three-digit code", "{code}");
         }
     }
 }

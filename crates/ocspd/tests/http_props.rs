@@ -1,10 +1,12 @@
 //! Property tests for the daemon's HTTP framing: both readers return a
 //! request or response, or a typed error, on any input, and never
 //! panic. Inputs are arbitrary bytes, single-byte edits of valid
-//! messages and every truncation of them. Valid messages round-trip.
+//! messages and every truncation of them. Valid messages round-trip,
+//! and every proper prefix of one is refused.
 
 use mustaple_ocspd::{HttpRequest, HttpResponse};
 use proptest::prelude::*;
+use std::fmt::Debug;
 use std::io::BufReader;
 
 fn read_request(wire: &[u8]) -> Result<HttpRequest, String> {
@@ -35,8 +37,14 @@ fn read_both(wire: &[u8]) {
 }
 
 /// Both readers on one edit of every byte of `wire`, and on every
-/// proper prefix of it.
-fn edits_and_truncations(wire: &[u8], xor: u8) {
+/// proper prefix of it. `read`, the reader `wire` is framed for, must
+/// refuse every prefix: a message cut short is an error, never a
+/// shorter message.
+fn edits_and_truncations<T: Debug>(
+    wire: &[u8],
+    xor: u8,
+    read: fn(&[u8]) -> Result<T, String>,
+) -> Result<(), TestCaseError> {
     let mut edited = wire.to_vec();
     for i in 0..wire.len() {
         edited[i] ^= xor;
@@ -45,7 +53,10 @@ fn edits_and_truncations(wire: &[u8], xor: u8) {
     }
     for cut in 0..wire.len() {
         read_both(&wire[..cut]);
+        let parsed = read(&wire[..cut]);
+        prop_assert!(parsed.is_err(), "the {cut}-byte prefix parsed: {parsed:?}");
     }
+    Ok(())
 }
 
 proptest! {
@@ -87,7 +98,7 @@ proptest! {
         expected.push(("content-length".into(), body.len().to_string()));
         prop_assert_eq!(&request.headers, &expected);
         prop_assert_eq!(&request.body, &body);
-        edits_and_truncations(&wire, xor);
+        edits_and_truncations(&wire, xor, read_request)?;
     }
 
     #[test]
@@ -106,6 +117,6 @@ proptest! {
         let back = read_response(&wire).map_err(TestCaseError::fail)?;
         prop_assert_eq!(back.status, response.status);
         prop_assert_eq!(&back.body, &response.body);
-        edits_and_truncations(&wire, xor);
+        edits_and_truncations(&wire, xor, read_response)?;
     }
 }

@@ -15,7 +15,8 @@
 //! deterministic order and merged logs render identically no matter
 //! how the work was split. [`EventLog::parse_jsonl`] is strict for
 //! exactly the subset we emit and re-serializes byte-exactly, the same
-//! contract `telemetry::trace` pins for spans.
+//! contract `telemetry::trace` pins for spans; both artifacts escape and
+//! parse strings with [`telemetry::json`].
 //!
 //! Delivery is decoupled from collection: anything that wants to *see*
 //! events implements [`Notifier`]; the offline pipelines use
@@ -27,6 +28,7 @@
 
 use asn1::Time;
 use std::fmt::Write as _;
+use telemetry::json;
 
 /// What an event reports. The set is closed on purpose: the event log
 /// is an artifact, and a free-form kind string would let call sites
@@ -100,13 +102,23 @@ impl Event {
     /// the webhook payload, so the wire format and the artifact format
     /// cannot drift apart.
     pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"t\":{},\"kind\":\"{}\",\"subject\":\"{}\",\"detail\":\"{}\"}}",
+        let mut line = String::new();
+        self.write_json(&mut line);
+        line
+    }
+
+    /// Append [`Event::to_json_line`]'s bytes to `out`.
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"t\":{},\"kind\":\"{}\",\"subject\":\"",
             self.at.unix(),
             self.kind.label(),
-            escape_json(&self.subject),
-            escape_json(&self.detail),
-        )
+        );
+        json::escape_into(out, &self.subject);
+        out.push_str("\",\"detail\":\"");
+        json::escape_into(out, &self.detail);
+        out.push_str("\"}");
     }
 }
 
@@ -175,7 +187,8 @@ impl EventLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for event in self.sorted() {
-            let _ = writeln!(out, "{}", event.to_json_line());
+            event.write_json(&mut out);
+            out.push('\n');
         }
         out
     }
@@ -275,27 +288,6 @@ impl Notifier for NullNotifier {
     fn notify(&mut self, _event: Event) {}
 }
 
-/// Escape a string for a JSON string literal (control characters,
-/// quotes, backslashes) — the same escaping `telemetry::trace` uses,
-/// so the two JSONL artifacts share one convention.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Parse one serialized event line.
 fn parse_jsonl_line(line: &str) -> Result<Event, String> {
     let body = line
@@ -331,17 +323,17 @@ fn parse_jsonl_line(line: &str) -> Result<Event, String> {
                 consumed = &after_colon[end..];
             }
             "kind" => {
-                let (value, tail) = parse_json_string(after_colon)?;
+                let (value, tail) = json::parse_string(after_colon)?;
                 kind = Some(EventKind::parse(&value)?);
                 consumed = tail;
             }
             "subject" => {
-                let (value, tail) = parse_json_string(after_colon)?;
+                let (value, tail) = json::parse_string(after_colon)?;
                 subject = Some(value);
                 consumed = tail;
             }
             "detail" => {
-                let (value, tail) = parse_json_string(after_colon)?;
+                let (value, tail) = json::parse_string(after_colon)?;
                 detail = Some(value);
                 consumed = tail;
             }
@@ -358,45 +350,6 @@ fn parse_jsonl_line(line: &str) -> Result<Event, String> {
         subject: subject.ok_or("missing `subject`")?,
         detail: detail.ok_or("missing `detail`")?,
     })
-}
-
-/// Parse a JSON string literal at the head of `s`; return the decoded
-/// value and the unconsumed tail.
-fn parse_json_string(s: &str) -> Result<(String, &str), String> {
-    let inner = s
-        .strip_prefix('"')
-        .ok_or_else(|| format!("expected a string at `{s}`"))?;
-    let mut out = String::new();
-    let mut chars = inner.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &inner[i + 1..])),
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((j, 'u')) => {
-                    let hex = inner.get(j + 1..j + 5).ok_or("truncated \\u escape")?;
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                    out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                    for _ in 0..4 {
-                        chars.next();
-                    }
-                }
-                other => {
-                    return Err(format!(
-                        "bad escape `\\{}`",
-                        other.map(|(_, c)| c).unwrap_or(' ')
-                    ))
-                }
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
 }
 
 #[cfg(test)]

@@ -415,11 +415,6 @@ impl CertificateAuthority {
         self.issued.contains_key(serial) && !self.ocsp_unknown.contains(serial)
     }
 
-    /// Validity of an issued certificate.
-    pub fn issued_validity(&self, serial: &Serial) -> Option<Validity> {
-        self.issued.get(serial).copied()
-    }
-
     /// Number of certificates issued by this CA.
     pub fn issued_count(&self) -> usize {
         self.issued.len()

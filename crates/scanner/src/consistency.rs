@@ -16,7 +16,7 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::executor::Executor;
-use analysis::{Cdf, StreamingCdf};
+use analysis::Cdf;
 use asn1::Time;
 use ecosystem::LiveEcosystem;
 use netsim::{HttpOutcome, Region, World};
@@ -59,11 +59,11 @@ pub struct ConsistencySummary {
     /// Table 1: responders with status discrepancies.
     pub table1: Vec<DiscrepantResponder>,
     /// All `T_ocsp − T_crl` differences for revoked-on-both-sides
-    /// certificates, seconds (Figure 10's sample set) — held as a
-    /// streaming count-map, so memory is bounded by the number of
+    /// certificates, seconds (Figure 10's sample set). A [`Cdf`] keeps
+    /// counts per distinct value, so memory is bounded by the number of
     /// *distinct* differences (a handful of fault-model lags), not the
     /// pool size (DESIGN.md §13).
-    pub time_diffs: StreamingCdf,
+    pub time_diffs: Cdf,
     /// Revocations whose reason exists in the CRL but not over OCSP.
     pub reason_crl_only: u64,
     /// Revocations whose reasons are present and equal on both sides.
@@ -150,7 +150,7 @@ struct ShardSummary {
     responses_collected: u64,
     requests: u64,
     rows: Vec<DiscrepantResponder>,
-    time_diffs: StreamingCdf,
+    time_diffs: Cdf,
     reason_crl_only: u64,
     reason_match: u64,
     reason_absent: u64,
@@ -242,7 +242,7 @@ impl ConsistencyStudy {
                     responses_collected: 0,
                     requests: 0,
                     rows: Vec::new(),
-                    time_diffs: StreamingCdf::new(),
+                    time_diffs: Cdf::new(),
                     reason_crl_only: 0,
                     reason_match: 0,
                     reason_absent: 0,
@@ -372,7 +372,7 @@ impl ConsistencyStudy {
             responses_collected: 0,
             requests: 0,
             table1: Vec::new(),
-            time_diffs: StreamingCdf::new(),
+            time_diffs: Cdf::new(),
             reason_crl_only: 0,
             reason_match: 0,
             reason_absent: 0,

@@ -231,7 +231,6 @@ impl Executor {
             .collect();
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..units.len()).map(|_| Mutex::new(None)).collect();
-        #[expect(clippy::expect_used, reason = "a slot's lock only guards a store")]
         let worker = || {
             let mut acc = init();
             loop {
@@ -245,9 +244,11 @@ impl Executor {
                     chunk_rng(base_seed, shard as u64, chunk as u64)
                 };
                 let result = job(&mut acc, shard, chunk, &mut rng);
-                *slots[i]
+                #[expect(clippy::expect_used, reason = "a slot's lock only guards a store")]
+                let mut slot = slots[i]
                     .lock()
-                    .expect("a slot's lock is held only to store its result") = Some(result);
+                    .expect("a slot's lock is held only to store its result");
+                *slot = Some(result);
             }
         };
 
@@ -268,11 +269,14 @@ impl Executor {
             })
         };
 
-        #[expect(clippy::expect_used, reason = "every unit stored exactly one result")]
         let mut results = slots.into_iter().map(|slot| {
-            slot.into_inner()
-                .expect("a slot's lock is held only to store its result")
-                .expect("every unit index was claimed exactly once")
+            #[expect(clippy::expect_used, reason = "a slot's lock only guards a store")]
+            let stored = slot
+                .into_inner()
+                .expect("a slot's lock is held only to store its result");
+            #[expect(clippy::expect_used, reason = "every unit stored exactly one result")]
+            let result = stored.expect("every unit index was claimed exactly once");
+            result
         });
         let per_shard = chunks_per_shard
             .iter()

@@ -17,7 +17,7 @@
 
 use crate::executor::Executor;
 use crate::records::{classify_validation_error, ErrorClass, ProbeOutcome};
-use analysis::{Cdf, DenseBins, TimeSeries};
+use analysis::{Cdf, TimeSeries};
 use asn1::Time;
 use ecosystem::LiveEcosystem;
 use netsim::{HttpOutcome, Region, Topology, World};
@@ -496,9 +496,9 @@ fn region_index(region: Region) -> usize {
 struct CampaignSums {
     requests: u64,
     /// Round-indexed Figure 3, 5 and 4 bins.
-    per_region_success: [DenseBins; 6],
-    class_series: [DenseBins; 3],
-    alexa_unreachable: [DenseBins; 6],
+    per_region_success: [TimeSeries; 6],
+    class_series: [TimeSeries; 3],
+    alexa_unreachable: [TimeSeries; 6],
     /// Lent to each unit's [`World`] while the unit runs, so every
     /// counter the unit writes lands here directly.
     telemetry: Registry,
@@ -507,7 +507,7 @@ struct CampaignSums {
 }
 
 impl CampaignSums {
-    fn new(bins: &DenseBins, responders: usize) -> CampaignSums {
+    fn new(bins: &TimeSeries, responders: usize) -> CampaignSums {
         CampaignSums {
             requests: 0,
             per_region_success: std::array::from_fn(|_| bins.clone()),
@@ -519,7 +519,7 @@ impl CampaignSums {
     }
 
     fn add(&mut self, other: &CampaignSums) {
-        fn add_bins(mine: &mut [DenseBins], theirs: &[DenseBins]) {
+        fn add_bins(mine: &mut [TimeSeries], theirs: &[TimeSeries]) {
             for (mine, theirs) in mine.iter_mut().zip(theirs) {
                 mine.add(theirs);
             }
@@ -897,7 +897,7 @@ impl<'a> HourlyCampaign<'a> {
             .collect();
         // Every probe of the campaign falls in these bins: round r's
         // probes are staggered into [start + r·interval, start + (r+1)·interval).
-        let campaign_bins = DenseBins::new(
+        let campaign_bins = TimeSeries::new(
             bin,
             config.campaign_start,
             config.campaign_start + rounds as i64 * bin,
@@ -1015,15 +1015,12 @@ impl<'a> HourlyCampaign<'a> {
             mut telemetry,
             reports,
         } = sums;
-        fn series<K: Copy>(keys: &[K], bins: &[DenseBins]) -> Vec<(K, TimeSeries)> {
-            keys.iter()
-                .copied()
-                .zip(bins.iter().map(DenseBins::to_series))
-                .collect()
+        fn keyed<K: Copy, const N: usize>(
+            keys: [K; N],
+            series: [TimeSeries; N],
+        ) -> Vec<(K, TimeSeries)> {
+            keys.into_iter().zip(series).collect()
         }
-        let per_region = series(&Region::VANTAGE_POINTS, &per_region_success);
-        let class_series = series(&ErrorClass::ALL, &class_series);
-        let alexa_unreachable = series(&Region::VANTAGE_POINTS, &alexa_unreachable);
 
         // Canonical stitch: shard-id order == responder order; within a
         // shard, chunk order == time order, so concatenated logs replay
@@ -1091,10 +1088,10 @@ impl<'a> HourlyCampaign<'a> {
         HourlyDataset {
             rounds,
             requests,
-            per_region_success: per_region,
-            class_series,
+            per_region_success: keyed(Region::VANTAGE_POINTS, per_region_success),
+            class_series: keyed(ErrorClass::ALL, class_series),
             responders,
-            alexa_unreachable,
+            alexa_unreachable: keyed(Region::VANTAGE_POINTS, alexa_unreachable),
             alexa_weights,
             telemetry,
             trace: Span::aggregate("scan.hourly", shard_spans),
@@ -1196,7 +1193,7 @@ mod tests {
         assert!(!d.cdf_cert_counts().is_empty());
         assert!(!d.cdf_serial_counts().is_empty());
         assert!(!d.cdf_margins().is_empty());
-        let mut validity = d.cdf_validity();
+        let validity = d.cdf_validity();
         assert!(!validity.is_empty());
         // Median validity should be in the days range.
         if let Some(median) = validity.median() {
@@ -1328,7 +1325,7 @@ mod tests {
             health: HealthReport::default(),
             events: EventLog::new(),
         };
-        let mut cdf = d.cdf_outage_durations(3_600);
+        let cdf = d.cdf_outage_durations(3_600);
         assert_eq!(
             cdf.len(),
             3,

@@ -41,6 +41,7 @@
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod catalog;
+pub mod json;
 pub mod prom;
 pub mod trace;
 

@@ -20,6 +20,7 @@
 //! freely: responder URLs). [`Span::render_ascii`] draws the same tree
 //! for the `figures --telemetry` self-profile.
 
+use crate::json;
 use std::fmt::Write as _;
 
 /// One node of the span tree: a named range of simulated campaign
@@ -92,13 +93,12 @@ impl Span {
     }
 
     fn write_jsonl(&self, out: &mut String, depth: usize) {
+        let _ = write!(out, "{{\"depth\":{depth},\"name\":\"");
+        json::escape_into(out, &self.name);
         let _ = writeln!(
             out,
-            "{{\"depth\":{depth},\"name\":\"{}\",\"start_hour\":{},\"end_hour\":{},\"units\":{}}}",
-            escape_json(&self.name),
-            self.start_hour,
-            self.end_hour,
-            self.units,
+            "\",\"start_hour\":{},\"end_hour\":{},\"units\":{}}}",
+            self.start_hour, self.end_hour, self.units,
         );
         for child in &self.children {
             child.write_jsonl(out, depth + 1);
@@ -176,26 +176,6 @@ impl Span {
     }
 }
 
-/// Escape a string for a JSON string literal (control characters,
-/// quotes, backslashes).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Parse one serialized span line into `(depth, childless span)`.
 fn parse_jsonl_line(line: &str) -> Result<(usize, Span), String> {
     let body = line
@@ -221,7 +201,7 @@ fn parse_jsonl_line(line: &str) -> Result<(usize, Span), String> {
             .ok_or_else(|| format!("expected `:` after key `{key}`"))?;
         let consumed;
         if key == "name" {
-            let (value, tail) = parse_json_string(after_colon)?;
+            let (value, tail) = json::parse_string(after_colon)?;
             name = Some(value);
             consumed = tail;
         } else {
@@ -252,45 +232,6 @@ fn parse_jsonl_line(line: &str) -> Result<(usize, Span), String> {
         children: Vec::new(),
     };
     Ok((depth.ok_or("missing `depth`")?, span))
-}
-
-/// Parse a JSON string literal at the head of `s`; return the decoded
-/// value and the unconsumed tail.
-fn parse_json_string(s: &str) -> Result<(String, &str), String> {
-    let inner = s
-        .strip_prefix('"')
-        .ok_or_else(|| format!("expected a string at `{s}`"))?;
-    let mut out = String::new();
-    let mut chars = inner.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &inner[i + 1..])),
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((j, 'u')) => {
-                    let hex = inner.get(j + 1..j + 5).ok_or("truncated \\u escape")?;
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                    out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                    for _ in 0..4 {
-                        chars.next();
-                    }
-                }
-                other => {
-                    return Err(format!(
-                        "bad escape `\\{}`",
-                        other.map(|(_, c)| c).unwrap_or(' ')
-                    ))
-                }
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
 }
 
 #[cfg(test)]

@@ -29,25 +29,17 @@ pub const APACHE_CACHE_TIMEOUT: i64 = 3_600;
 pub struct Apache {
     site: SiteConfig,
     cache: Option<CachedStaple>,
-    cache_timeout: i64,
     telemetry: Registry,
 }
 
 impl Apache {
-    /// A server for `site` with the default cache timeout.
+    /// A server for `site`.
     pub fn new(site: SiteConfig) -> Apache {
         Apache {
             site,
             cache: None,
-            cache_timeout: APACHE_CACHE_TIMEOUT,
             telemetry: Registry::new(),
         }
-    }
-
-    /// Override the cache timeout (test hook).
-    pub fn with_cache_timeout(mut self, secs: i64) -> Apache {
-        self.cache_timeout = secs;
-        self
     }
 
     /// Whether the Apache-level cache entry is live at `now`.
@@ -56,7 +48,7 @@ impl Apache {
     fn cache_live(&self, now: Time) -> bool {
         self.cache
             .as_ref()
-            .is_some_and(|c| now < c.fetched_at + self.cache_timeout)
+            .is_some_and(|c| now < c.fetched_at + APACHE_CACHE_TIMEOUT)
     }
 
     fn refresh(&mut self, now: Time, fetcher: &mut dyn OcspFetcher) -> f64 {

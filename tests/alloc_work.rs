@@ -103,7 +103,7 @@ fn campaign_and_serve_allocations_are_pinned() {
     // Per probe and per query: campaign 5.0, hot 4.1, wide 11.0.
     assert_eq!(
         (probes, campaign_allocs, hot_allocs, wide_allocs),
-        (1_344, 6_686, 4_125, 11_037)
+        (1_344, 6_641, 4_125, 11_037)
     );
     assert_eq!(campaign_peak, 79_329);
     assert_eq!(verify_allocs, 0);

@@ -70,7 +70,7 @@ fn quality_shapes_hold() {
 
     // Figure 6: most responders send one certificate; a tail sends more,
     // with the cpc.gov.ae-style responder at 4+.
-    let mut certs = dataset.cdf_cert_counts();
+    let certs = dataset.cdf_cert_counts();
     assert!(
         certs.fraction_at_most(0.51) > 0.6,
         "most responders send <= ~0 extra certs"
@@ -78,13 +78,13 @@ fn quality_shapes_hold() {
     assert!(certs.max().unwrap() >= 4.0, "the 4-chain responder exists");
 
     // Figure 7: overwhelmingly one serial, with a 20-serial tail.
-    let mut serials = dataset.cdf_serial_counts();
+    let serials = dataset.cdf_serial_counts();
     assert!(serials.fraction_at_most(1.01) > 0.85);
     assert!(serials.max().unwrap() >= 19.0);
 
     // Figure 8: validity median in the days; some blank (infinite) mass;
     // a >1-month tail.
-    let mut validity = dataset.cdf_validity();
+    let validity = dataset.cdf_validity();
     let median = validity.median().unwrap();
     assert!(
         (86_400.0..15.0 * 86_400.0).contains(&median),
