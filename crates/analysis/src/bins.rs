@@ -88,7 +88,6 @@ impl RankBins {
 /// sites feed the stapling bins.
 #[derive(Debug, Clone)]
 pub struct AlexaAdoption {
-    len: usize,
     https: RankBins,
     ocsp_of_https: RankBins,
     staples_of_ocsp: RankBins,
@@ -100,7 +99,6 @@ impl AlexaAdoption {
     pub fn new(size: usize) -> AlexaAdoption {
         let bin_width = (size / 100).max(1);
         AlexaAdoption {
-            len: 0,
             https: RankBins::new(bin_width),
             ocsp_of_https: RankBins::new(bin_width),
             staples_of_ocsp: RankBins::new(bin_width),
@@ -109,7 +107,6 @@ impl AlexaAdoption {
 
     /// Fold one site (1-based `rank`) into the summary.
     pub fn record(&mut self, rank: usize, https: bool, ocsp: bool, staples: bool) {
-        self.len += 1;
         self.https.record(rank, https);
         if https {
             self.ocsp_of_https.record(rank, ocsp);
@@ -117,16 +114,6 @@ impl AlexaAdoption {
         if ocsp {
             self.staples_of_ocsp.record(rank, staples);
         }
-    }
-
-    /// Number of sites recorded.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no sites were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// HTTPS adoption by rank bin (Figure 2, first curve).
@@ -223,7 +210,6 @@ mod tests {
                 staple_bins.record(rank, staples);
             }
         }
-        assert_eq!(fold.len(), sites.len());
         assert_eq!(fold.https().percentages(), https_bins.percentages());
         assert_eq!(fold.ocsp_of_https().percentages(), ocsp_bins.percentages());
         assert_eq!(

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! figures [--scale tiny|figures] [--scale-mult K] [--mem-budget BYTES]
-//!         [--out DIR] [--workers N] [--seeds N | --seed-list a,b,c]
-//!         [--telemetry] [ARTIFACT...]
+//!         [--out DIR] [--workers N] [--seeds N] [--telemetry]
+//!         [ARTIFACT...]
 //! ```
 //!
 //! With no artifact arguments, regenerates everything (all figures,
@@ -18,7 +18,7 @@
 //! a wall-clock knob (DESIGN.md §8).
 //!
 //! `--seeds N` reruns the whole study under N independently-derived
-//! seeds (`--seed-list` pins them explicitly) and writes, next to each
+//! seeds and writes, next to each
 //! regenerated artifact, an `<name>.ens.csv` companion carrying
 //! per-cell mean / 95 % confidence interval / stddev / min–max across
 //! the seeds, plus a `seeds.txt` manifest. The primary artifacts come
@@ -48,7 +48,7 @@
 
 use ecosystem::EcosystemConfig;
 use mustaple::{Study, StudyResults};
-use mustaple_bench::ensemble::{parse_seed_list, seeds_for, Ensemble};
+use mustaple_bench::ensemble::{seeds_for, Ensemble};
 use mustaple_bench::{ablations, bench_scan, build, Artifact, ALL_ARTIFACTS};
 use std::fs;
 use std::path::PathBuf;
@@ -79,7 +79,6 @@ fn main() {
     let mut workers: Option<usize> = None;
     let mut telemetry = false;
     let mut seed_count: Option<usize> = None;
-    let mut seed_list: Option<Vec<u64>> = None;
     let mut scale_mult: usize = 1;
     let mut mem_budget: Option<u64> = None;
 
@@ -115,15 +114,6 @@ fn main() {
                 }
                 seed_count = Some(n);
             }
-            "--seed-list" => {
-                let list = args
-                    .next()
-                    .unwrap_or_else(|| usage("--seed-list needs a value"));
-                seed_list = Some(
-                    parse_seed_list(&list)
-                        .unwrap_or_else(|err| usage(&format!("--seed-list: {err}"))),
-                );
-            }
             "--scale-mult" => {
                 let n = args
                     .next()
@@ -147,9 +137,6 @@ fn main() {
             flag if flag.starts_with('-') => usage(&format!("unknown flag `{flag}`")),
             name => wanted.push(name.to_string()),
         }
-    }
-    if seed_count.is_some() && seed_list.is_some() {
-        usage("--seeds and --seed-list are mutually exclusive");
     }
 
     let mut config = match scale.as_str() {
@@ -180,7 +167,7 @@ fn main() {
         wanted.push("telemetry".into());
     }
 
-    let seeds = seed_list.or_else(|| seed_count.map(|n| seeds_for(config.seed, n)));
+    let seeds = seed_count.map(|n| seeds_for(config.seed, n));
 
     // `bench-scan` and `ablations` build their own inputs; every other
     // artifact reads the study's results, so the study (or the
@@ -340,9 +327,9 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: figures [--scale tiny|figures] [--scale-mult K] \
          [--mem-budget BYTES] [--out DIR] [--workers N] \
-         [--seeds N | --seed-list a,b,c] [--telemetry] [ARTIFACT...]\n\
+         [--seeds N] [--telemetry] [ARTIFACT...]\n\
          artifacts: {} freshness recommendations telemetry ablations readiness bench-scan\n\
-         --seeds/--seed-list run a multi-seed ensemble: every CSV artifact gains an \
+         --seeds runs a multi-seed ensemble: every CSV artifact gains an \
          <name>.ens.csv companion (mean, 95% CI, stddev, min/max per cell) plus a \
          seeds.txt manifest",
         ALL_ARTIFACTS.join(" ")

@@ -64,27 +64,6 @@ pub fn seeds_for(base_seed: u64, n: usize) -> Vec<u64> {
     seeds
 }
 
-/// Parse a `--seed-list` argument: comma-separated decimal seeds.
-pub fn parse_seed_list(text: &str) -> Result<Vec<u64>, String> {
-    let mut seeds = Vec::new();
-    for part in text.split(',') {
-        let part = part.trim();
-        seeds.push(
-            part.parse::<u64>()
-                .map_err(|_| format!("bad seed `{part}` (need a decimal u64)"))?,
-        );
-    }
-    if seeds.is_empty() {
-        return Err("empty seed list".to_owned());
-    }
-    for (i, a) in seeds.iter().enumerate() {
-        if seeds[..i].contains(a) {
-            return Err(format!("duplicate seed {a}"));
-        }
-    }
-    Ok(seeds)
-}
-
 fn assert_distinct(seeds: &[u64]) {
     for (i, a) in seeds.iter().enumerate() {
         assert!(!seeds[..i].contains(a), "replica seed collision on {a}");
@@ -219,16 +198,6 @@ mod tests {
         assert_eq!(seeds_for(2018, 3), seeds_for(2018, 3));
         let again = seeds_for(2018, 5);
         assert_eq!(&seeds_for(2018, 3)[..], &again[..3]);
-    }
-
-    #[test]
-    fn seed_lists_parse_and_reject_garbage() {
-        assert_eq!(parse_seed_list("1,2,3").unwrap(), vec![1, 2, 3]);
-        assert_eq!(parse_seed_list(" 7 , 2018 ").unwrap(), vec![7, 2018]);
-        assert!(parse_seed_list("1,one").is_err());
-        assert!(parse_seed_list("1,1").is_err());
-        assert!(parse_seed_list("").is_err());
-        assert!(parse_seed_list("-3").is_err());
     }
 
     #[test]

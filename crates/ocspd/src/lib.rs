@@ -16,8 +16,8 @@
 //!   simulated campaigns;
 //! * `GET /metrics` — [`telemetry::Registry::to_prometheus_with_gauges`]:
 //!   the equality-gated exposition plus the operational gauge tail;
-//! * `GET /health` — the [`opsmon::HealthReport`] table, replayed from
-//!   every `/ocsp` outcome observed so far.
+//! * `GET /health` — the [`opsmon::HealthReport`] table, folded from
+//!   each `/ocsp` outcome as it arrives.
 //!
 //! The daemon is deliberately single-threaded and `Connection: close`
 //! only: the workspace has no async runtime, the host pins one CPU, and
@@ -32,5 +32,5 @@ pub mod server;
 pub mod service;
 
 pub use http::{HttpRequest, HttpResponse};
-pub use server::{client, serve, HttpWebhookSink};
+pub use server::{client, post_events, serve};
 pub use service::{OcspService, RequestPlan, SimClock, CAMPAIGN_EPOCH_UNIX};

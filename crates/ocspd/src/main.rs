@@ -13,8 +13,7 @@
 //! `ocspd serve --help`-style documentation lives in the README's
 //! "Running the live service" section.
 
-use mustaple_ocspd::{client, serve, HttpWebhookSink, OcspService, RequestPlan};
-use opsmon::{Notifier, WebhookNotifier};
+use mustaple_ocspd::{client, post_events, serve, OcspService, RequestPlan};
 use std::net::TcpListener;
 use std::process::ExitCode;
 
@@ -111,15 +110,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         write_file(&path, events.to_jsonl().as_bytes(), "events")?;
     }
     if let Some(addr) = webhook {
-        let mut notifier = WebhookNotifier::new(HttpWebhookSink::new(&addr, "/webhook"));
-        for event in events.sorted() {
-            notifier.notify(event.clone());
-        }
-        eprintln!(
-            "webhook: {} delivered, {} failed",
-            notifier.delivered(),
-            notifier.failed()
-        );
+        let (delivered, failed) = post_events(&addr, events);
+        eprintln!("webhook: {delivered} delivered, {failed} failed");
     }
     Ok(())
 }

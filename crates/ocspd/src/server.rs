@@ -1,10 +1,10 @@
-//! The accept loop and its counterpart probe client, plus the
-//! real-HTTP webhook sink — the only place in the workspace where the
-//! operational event bus leaves the process.
+//! The accept loop and its counterpart probe client, plus the webhook
+//! poster — the only place in the workspace where the operational event
+//! log leaves the process.
 
 use crate::http::{HttpRequest, HttpResponse};
 use crate::service::OcspService;
-use opsmon::EventSink;
+use opsmon::EventLog;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 
@@ -38,40 +38,22 @@ fn handle_connection(stream: TcpStream, service: &mut OcspService) -> std::io::R
     response.write_to(&mut BufWriter::new(&stream))
 }
 
-/// A webhook-style [`EventSink`] that POSTs each payload to a real HTTP
-/// endpoint — the live tier's delivery arm. The deterministic studies
-/// never construct one; they stop at [`opsmon::EventLog`].
-#[derive(Debug, Clone)]
-pub struct HttpWebhookSink {
-    addr: String,
-    path: String,
-}
-
-impl HttpWebhookSink {
-    /// A sink POSTing to `http://{addr}{path}`.
-    pub fn new(addr: &str, path: &str) -> HttpWebhookSink {
-        HttpWebhookSink {
-            addr: addr.to_owned(),
-            path: path.to_owned(),
+/// POST each event's JSON line, in canonical order, to
+/// `http://{addr}/webhook`; returns `(delivered, failed)`. A delivery
+/// fails when the connection does or the status is not 200, and a
+/// failure never stops the rest: an unreachable webhook must not
+/// disturb the daemon. The deterministic studies never post; they stop
+/// at [`EventLog`].
+pub fn post_events(addr: &str, events: &EventLog) -> (u64, u64) {
+    let (mut delivered, mut failed) = (0, 0);
+    for event in events.sorted() {
+        let payload = event.to_json_line();
+        match client::post(addr, "/webhook", "application/json", payload.as_bytes()) {
+            Ok((200, _)) => delivered += 1,
+            _ => failed += 1,
         }
     }
-}
-
-impl EventSink for HttpWebhookSink {
-    fn deliver(&mut self, payload: &str) -> Result<(), String> {
-        let (status, _) = client::post(
-            &self.addr,
-            &self.path,
-            "application/json",
-            payload.as_bytes(),
-        )
-        .map_err(|e| format!("webhook {}: {e}", self.addr))?;
-        if status == 200 {
-            Ok(())
-        } else {
-            Err(format!("webhook {}: status {status}", self.addr))
-        }
-    }
+    (delivered, failed)
 }
 
 /// The probe client: plain blocking HTTP/1.1 over `TcpStream`, used by
@@ -124,7 +106,7 @@ pub mod client {
 mod tests {
     use super::*;
     use crate::service::RequestPlan;
-    use opsmon::{Event, EventKind, Notifier, WebhookNotifier};
+    use opsmon::{Event, EventKind};
     use telemetry::prom::GAUGE_SECTION_MARKER;
 
     /// Boot a real loopback server, drive it with the probe client, and
@@ -174,10 +156,11 @@ mod tests {
         assert_eq!(live_events, offline.events().to_jsonl());
     }
 
-    /// The webhook sink delivers each event payload to a real HTTP
-    /// endpoint and tallies outcomes.
+    /// `post_events` delivers each event's JSON line to a real HTTP
+    /// endpoint in canonical order, and counts every delivery to a
+    /// receiver that has gone as failed.
     #[test]
-    fn webhook_sink_posts_payloads_over_tcp() {
+    fn post_events_delivers_in_canonical_order_and_tallies_failures() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
 
@@ -188,29 +171,34 @@ mod tests {
                 let mut reader = BufReader::new(stream.try_clone()?);
                 let request = HttpRequest::read_from(&mut reader)
                     .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+                assert_eq!(request.path, "/webhook");
                 bodies.push(String::from_utf8(request.body).unwrap());
                 let mut writer = BufWriter::new(stream);
                 HttpResponse::ok("text/plain; charset=utf-8", b"ok".to_vec())
                     .write_to(&mut writer)?;
             }
+            // The listener drops here: the receiver is gone.
             Ok::<_, std::io::Error>(bodies)
         });
 
-        let mut notifier = WebhookNotifier::new(HttpWebhookSink::new(&addr, "/webhook"));
+        // Pushed out of canonical order; posted in it.
         let epoch = asn1::Time::from_unix(crate::service::CAMPAIGN_EPOCH_UNIX);
-        notifier.notify(Event::new(
+        let mut events = EventLog::new();
+        events.push(Event::new(epoch + 60, EventKind::Outage, "r", "open"));
+        events.push(Event::new(
             epoch,
             EventKind::Health,
             "r",
             "healthy -> degraded",
         ));
-        notifier.notify(Event::new(epoch + 60, EventKind::Outage, "r", "open"));
-        assert_eq!(notifier.delivered(), 2);
-        assert_eq!(notifier.failed(), 0);
+        assert_eq!(post_events(&addr, &events), (2, 0));
 
         let bodies = receiver.join().unwrap().unwrap();
-        assert_eq!(bodies.len(), 2);
+        let canonical: Vec<String> = events.sorted().iter().map(|e| e.to_json_line()).collect();
+        assert_eq!(bodies, canonical);
         assert!(bodies[0].contains("\"kind\":\"health\""));
         assert!(bodies[1].contains("\"kind\":\"outage\""));
+
+        assert_eq!(post_events(&addr, &events), (0, 2));
     }
 }

@@ -10,7 +10,7 @@
 use crate::http::{HttpRequest, HttpResponse};
 use asn1::Time;
 use ocsp::{CertId, OcspRequest, Responder, ResponderProfile};
-use opsmon::{EventLog, HealthLog, HealthPolicy, HealthReport};
+use opsmon::{EventLog, HealthMonitor, HealthReport};
 use pki::{CertificateAuthority, IssueParams};
 use rand::{rngs::StdRng, SeedableRng};
 use telemetry::{catalog, Registry};
@@ -19,7 +19,7 @@ use telemetry::{catalog, Registry};
 /// studies so live timestamps land on the same simulated timeline.
 pub const CAMPAIGN_EPOCH_UNIX: i64 = 1_524_614_400;
 
-/// The health-log subject for the single backend the daemon fronts.
+/// The health subject for the single backend the daemon fronts.
 const BACKEND: &str = "ocsp.live.test";
 
 /// A simulated clock: starts at the campaign epoch and advances a fixed
@@ -80,7 +80,9 @@ impl RequestPlan {
 }
 
 /// The service: one CA, one responder, one simulated clock, and the
-/// telemetry/health state every route reads or feeds.
+/// telemetry/health state every route reads or feeds. Health is folded
+/// per request, so the state it keeps does not grow with the requests
+/// served; only the event log grows, by the events requests cause.
 #[derive(Debug, Clone)]
 pub struct OcspService {
     ca: CertificateAuthority,
@@ -88,7 +90,8 @@ pub struct OcspService {
     cert_id: CertId,
     clock: SimClock,
     registry: Registry,
-    health: HealthLog,
+    health: HealthMonitor,
+    events: EventLog,
     scrapes_metrics: u64,
     scrapes_health: u64,
 }
@@ -115,7 +118,8 @@ impl OcspService {
             cert_id,
             clock: SimClock::new(epoch, step_secs),
             registry: Registry::new(),
-            health: HealthLog::new(),
+            health: HealthMonitor::new(),
+            events: EventLog::new(),
             scrapes_metrics: 0,
             scrapes_health: 0,
         }
@@ -152,7 +156,7 @@ impl OcspService {
         }
     }
 
-    /// `POST /ocsp`: classify, count, feed the health log, sign. The
+    /// `POST /ocsp`: classify, count, fold into health, sign. The
     /// body is parsed once; the responder answers the parsed request,
     /// and refuses a malformed body on its own raw-bytes path.
     fn handle_ocsp(&mut self, body: &[u8]) -> HttpResponse {
@@ -160,7 +164,8 @@ impl OcspService {
         let request = OcspRequest::from_der(body).ok();
         let label = if request.is_some() { "ok" } else { "malformed" };
         self.registry.incr(catalog::OCSPD_REQUESTS, label);
-        self.health.record(BACKEND, at, request.is_some());
+        self.health
+            .observe(BACKEND, at, request.is_some(), &mut self.events);
         let der = match &request {
             Some(request) => self
                 .responder
@@ -185,18 +190,15 @@ impl OcspService {
         &self.registry
     }
 
-    /// The current health replay.
+    /// The backend's current health.
     pub fn health_report(&self) -> HealthReport {
-        self.health
-            .replay(&HealthPolicy::default(), &mut opsmon::NullNotifier)
+        self.health.report()
     }
 
-    /// The current event stream (health transitions and outage
+    /// The event stream so far (health transitions and outage
     /// open/close pairs observed on the `/ocsp` path).
-    pub fn events(&self) -> EventLog {
-        let mut events = EventLog::new();
-        self.health.replay(&HealthPolicy::default(), &mut events);
-        events
+    pub fn events(&self) -> &EventLog {
+        &self.events
     }
 
     /// The operational exposition a live `GET /metrics` serves: the

@@ -1,4 +1,4 @@
-//! The deterministic event bus: operational events on the simulated
+//! The deterministic event log: operational events on the simulated
 //! clock, rendered to a depth-free `events.jsonl`.
 //!
 //! Events are flat records (no tree, unlike `trace.jsonl`): one JSON
@@ -13,18 +13,15 @@
 //! count and chunking — [`EventLog::to_jsonl`] sorts
 //! canonically before rendering, so producers may append in any
 //! deterministic order and merged logs render identically no matter
-//! how the work was split. [`EventLog::parse_jsonl`] is strict for
-//! exactly the subset we emit and re-serializes byte-exactly, the same
-//! contract `telemetry::trace` pins for spans; both artifacts escape and
-//! parse strings with [`telemetry::json`].
+//! how the work was split. [`EventLog::parse_jsonl`] accepts exactly
+//! what the writer writes, so re-rendering what it parses reproduces
+//! the input byte for byte, the same contract `telemetry::trace` pins
+//! for spans; both artifacts escape and parse strings with
+//! [`telemetry::json`].
 //!
-//! Delivery is decoupled from collection: anything that wants to *see*
-//! events implements [`Notifier`]; the offline pipelines use
-//! [`EventLog`] (collect, merge, render), while the live tier wraps an
-//! [`EventSink`] in a [`WebhookNotifier`] to push each event's JSON
-//! line to an external receiver. The real-HTTP sink lives in `ocspd`;
-//! this crate only defines the abstraction and an in-memory
-//! [`BufferSink`] for tests.
+//! Producers call [`EventLog::push`]: the health monitor as each
+//! outcome arrives, the pipelines for rollovers and revocations. The
+//! live tier posts each event's [`Event::to_json_line`] to a webhook.
 
 use asn1::Time;
 use std::fmt::Write as _;
@@ -122,27 +119,11 @@ impl Event {
     }
 }
 
-/// A consumer of operational events.
-///
-/// Pipelines emit through this trait so collection (offline
-/// [`EventLog`]) and delivery (live [`WebhookNotifier`]) are
-/// interchangeable at the call site.
-pub trait Notifier {
-    /// Observe one event.
-    fn notify(&mut self, event: Event);
-}
-
-/// The offline event collector: an in-memory log that merges across
+/// The event collector: an in-memory log that merges across
 /// shards/chunks and renders the `events.jsonl` artifact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventLog {
     events: Vec<Event>,
-}
-
-impl Notifier for EventLog {
-    fn notify(&mut self, event: Event) {
-        self.events.push(event);
-    }
 }
 
 impl EventLog {
@@ -151,17 +132,7 @@ impl EventLog {
         EventLog::default()
     }
 
-    /// Number of collected events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the log holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Append one event (equivalent to [`Notifier::notify`]).
+    /// Append one event.
     pub fn push(&mut self, event: Event) {
         self.events.push(event);
     }
@@ -194,162 +165,53 @@ impl EventLog {
     }
 
     /// Parse a JSONL artifact previously produced by
-    /// [`EventLog::to_jsonl`]. Strict for the subset we emit;
-    /// re-serializing the result reproduces the input byte-for-byte
-    /// (pinned by tests).
+    /// [`EventLog::to_jsonl`]. Strict: every line must be one the writer
+    /// writes, newline included, and the lines must come in canonical
+    /// order, so re-rendering the result reproduces the input byte for
+    /// byte; anything else is an `Err`.
     pub fn parse_jsonl(text: &str) -> Result<EventLog, String> {
         let mut log = EventLog::new();
-        for (i, line) in text.lines().enumerate() {
+        for (i, line) in json::lines(text)?.enumerate() {
             let lineno = i + 1;
             let event = parse_jsonl_line(line).map_err(|e| format!("line {lineno}: {e}"))?;
+            if log
+                .events
+                .last()
+                .is_some_and(|last| last.key() > event.key())
+            {
+                return Err(format!("line {lineno}: out of canonical order"));
+            }
             log.events.push(event);
         }
         Ok(log)
     }
 }
 
-/// Where a webhook-style notifier pushes rendered events. The offline
-/// tier never constructs a real sink; the live service implements this
-/// over an actual TCP connection.
-pub trait EventSink {
-    /// Deliver one JSON-line payload; `Err` counts as a failed
-    /// delivery and is absorbed by the notifier (events must never
-    /// disturb the pipeline that emitted them).
-    fn deliver(&mut self, payload: &str) -> Result<(), String>;
-}
-
-/// An in-memory [`EventSink`] collecting payloads, for tests and dry
-/// runs.
-#[derive(Debug, Clone, Default)]
-pub struct BufferSink {
-    /// Every payload delivered, in order.
-    pub payloads: Vec<String>,
-}
-
-impl EventSink for BufferSink {
-    fn deliver(&mut self, payload: &str) -> Result<(), String> {
-        self.payloads.push(payload.to_owned());
-        Ok(())
-    }
-}
-
-/// A [`Notifier`] that forwards each event's JSON line to an
-/// [`EventSink`], tallying outcomes. Delivery failures are counted,
-/// never propagated — an unreachable webhook must not perturb the
-/// emitting pipeline.
-#[derive(Debug, Clone)]
-pub struct WebhookNotifier<S: EventSink> {
-    sink: S,
-    delivered: u64,
-    failed: u64,
-}
-
-impl<S: EventSink> WebhookNotifier<S> {
-    /// Wrap a sink.
-    pub fn new(sink: S) -> WebhookNotifier<S> {
-        WebhookNotifier {
-            sink,
-            delivered: 0,
-            failed: 0,
-        }
-    }
-
-    /// Successful deliveries so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Failed deliveries so far.
-    pub fn failed(&self) -> u64 {
-        self.failed
-    }
-
-    /// Recover the sink (e.g. to inspect a [`BufferSink`]).
-    pub fn into_sink(self) -> S {
-        self.sink
-    }
-}
-
-impl<S: EventSink> Notifier for WebhookNotifier<S> {
-    fn notify(&mut self, event: Event) {
-        match self.sink.deliver(&event.to_json_line()) {
-            Ok(()) => self.delivered += 1,
-            Err(_) => self.failed += 1,
-        }
-    }
-}
-
-/// A [`Notifier`] that discards everything, for call sites that only
-/// want the health report.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullNotifier;
-
-impl Notifier for NullNotifier {
-    fn notify(&mut self, _event: Event) {}
-}
-
-/// Parse one serialized event line.
+/// Parse one serialized event line, field by field in the writer's
+/// order; a line whose re-rendering differs (`"t":+1`, `"t":01`, an
+/// escape the writer never writes) is refused.
 fn parse_jsonl_line(line: &str) -> Result<Event, String> {
-    let body = line
-        .strip_prefix('{')
-        .and_then(|r| r.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: `{line}`"))?;
-    let mut t: Option<i64> = None;
-    let mut kind: Option<EventKind> = None;
-    let mut subject: Option<String> = None;
-    let mut detail: Option<String> = None;
-    let mut rest = body;
-    while !rest.is_empty() {
-        let after_key = rest
-            .strip_prefix('"')
-            .ok_or_else(|| format!("expected a key at `{rest}`"))?;
-        let quote = after_key
-            .find('"')
-            .ok_or_else(|| format!("unterminated key at `{rest}`"))?;
-        let key = &after_key[..quote];
-        let after_colon = after_key[quote + 1..]
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected `:` after key `{key}`"))?;
-        let consumed;
-        match key {
-            "t" => {
-                let end = after_colon.find([',', '}']).unwrap_or(after_colon.len());
-                let digits = &after_colon[..end];
-                t = Some(
-                    digits
-                        .parse()
-                        .map_err(|_| format!("bad integer `{digits}` for key `t`"))?,
-                );
-                consumed = &after_colon[end..];
-            }
-            "kind" => {
-                let (value, tail) = json::parse_string(after_colon)?;
-                kind = Some(EventKind::parse(&value)?);
-                consumed = tail;
-            }
-            "subject" => {
-                let (value, tail) = json::parse_string(after_colon)?;
-                subject = Some(value);
-                consumed = tail;
-            }
-            "detail" => {
-                let (value, tail) = json::parse_string(after_colon)?;
-                detail = Some(value);
-                consumed = tail;
-            }
-            other => return Err(format!("unknown key `{other}`")),
-        }
-        rest = consumed.strip_prefix(',').unwrap_or(consumed);
-        if consumed.is_empty() || consumed == rest {
-            break;
-        }
+    let rest = json::expect(line, "{\"t\":")?;
+    let (t, rest) = json::parse_int(rest)?;
+    let rest = json::expect(rest, ",\"kind\":")?;
+    let (kind, rest) = json::parse_string(rest)?;
+    let rest = json::expect(rest, ",\"subject\":")?;
+    let (subject, rest) = json::parse_string(rest)?;
+    let rest = json::expect(rest, ",\"detail\":")?;
+    let (detail, rest) = json::parse_string(rest)?;
+    if rest != "}" {
+        return Err(format!("expected `}}` at `{rest}`"));
     }
-    Ok(Event {
-        at: Time::from_unix(t.ok_or("missing `t`")?),
-        kind: kind.ok_or("missing `kind`")?,
-        subject: subject.ok_or("missing `subject`")?,
-        detail: detail.ok_or("missing `detail`")?,
-    })
+    let event = Event {
+        at: Time::from_unix(t),
+        kind: EventKind::parse(&kind)?,
+        subject,
+        detail,
+    };
+    if event.to_json_line() != line {
+        return Err(format!("not in the writer's form: `{line}`"));
+    }
+    Ok(event)
 }
 
 #[cfg(test)]
@@ -447,6 +309,31 @@ mod tests {
             "{\"t\":1,\"kind\":\"health\",\"subject\":\"s\",\"detail\":\"d\",\"extra\":1}\n"
         )
         .is_err());
+        // Lines the writer never writes, each of which an earlier
+        // parser accepted and re-rendered differently.
+        for line in [
+            "{\"t\":1,\"kind\":\"health\",\"subject\":\"s\",\"detail\":\"a\"c\"}",
+            "{\"t\":+1,\"kind\":\"health\",\"subject\":\"s\",\"detail\":\"d\"}",
+            "{\"t\":01,\"kind\":\"health\",\"subject\":\"s\",\"detail\":\"d\"}",
+            "{\"t\":-0,\"kind\":\"health\",\"subject\":\"s\",\"detail\":\"d\"}",
+            "{\"t\":1,\"kind\":\"health\",\"subject\":\"s\",\"detail\":\"\\u+001\"}",
+            "{\"t\":1,\"kind\":\"health\",\"subject\":\"s\",\"detail\":\"\\u0041\"}",
+            "{\"t\":1,\"t\":2,\"kind\":\"health\",\"subject\":\"s\",\"detail\":\"d\"}",
+            "{\"kind\":\"health\",\"t\":1,\"subject\":\"s\",\"detail\":\"d\"}",
+        ] {
+            assert!(
+                EventLog::parse_jsonl(&format!("{line}\n")).is_err(),
+                "accepted {line}"
+            );
+        }
+        // A missing final newline, a CRLF ending and an out-of-order
+        // pair would each re-render differently too.
+        let line = "{\"t\":1,\"kind\":\"health\",\"subject\":\"s\",\"detail\":\"d\"}";
+        let later = "{\"t\":2,\"kind\":\"health\",\"subject\":\"s\",\"detail\":\"d\"}";
+        assert!(EventLog::parse_jsonl(line).is_err());
+        assert!(EventLog::parse_jsonl(&format!("{line}\r\n")).is_err());
+        assert!(EventLog::parse_jsonl(&format!("{later}\n{line}\n")).is_err());
+        assert!(EventLog::parse_jsonl(&format!("{line}\n{later}\n")).is_ok());
     }
 
     #[test]
@@ -463,32 +350,5 @@ mod tests {
         assert!(text.contains("\"t\":-61"));
         let parsed = EventLog::parse_jsonl(&text).expect("parse");
         assert_eq!(parsed.to_jsonl(), text);
-    }
-
-    #[test]
-    fn webhook_notifier_tallies_and_buffers() {
-        let mut notifier = WebhookNotifier::new(BufferSink::default());
-        notifier.notify(Event::new(Time::from_unix(1), EventKind::Health, "s", "d"));
-        assert_eq!(notifier.delivered(), 1);
-        assert_eq!(notifier.failed(), 0);
-        let sink = notifier.into_sink();
-        assert_eq!(
-            sink.payloads,
-            vec!["{\"t\":1,\"kind\":\"health\",\"subject\":\"s\",\"detail\":\"d\"}".to_string()]
-        );
-    }
-
-    #[test]
-    fn failing_sink_is_absorbed() {
-        struct Broken;
-        impl EventSink for Broken {
-            fn deliver(&mut self, _payload: &str) -> Result<(), String> {
-                Err("unreachable".into())
-            }
-        }
-        let mut notifier = WebhookNotifier::new(Broken);
-        notifier.notify(Event::new(Time::from_unix(1), EventKind::Health, "s", "d"));
-        assert_eq!(notifier.delivered(), 0);
-        assert_eq!(notifier.failed(), 1);
     }
 }

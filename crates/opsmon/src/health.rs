@@ -4,38 +4,47 @@
 //! States follow the operator's intuition:
 //!
 //! ```text
-//!            failure × degraded_after          failure × failed_after
-//! Healthy ─────────────────────────▶ Degraded ─────────────────────▶ Failed
-//!    ▲                                   │                              │
-//!    └────────── success × recover_after ┴──────────────────────────────┘
+//!            first failure                 third failure in a row
+//! Healthy ─────────────────────▶ Degraded ─────────────────────▶ Failed
+//!    ▲                               │                              │
+//!    └───── two successes in a row ──┴──────────────────────────────┘
 //! ```
 //!
 //! While **Failed**, every further failure reschedules the retry with
-//! exponential backoff (`backoff_base_secs · 2ⁿ`, clamped to
-//! `backoff_max_secs`); any `recover_after` consecutive successes
-//! return the responder to **Healthy** and reset the backoff.
+//! exponential backoff (60 s · 2ⁿ, clamped to an hour); two consecutive
+//! successes return the responder to **Healthy** and reset the backoff.
 //!
-//! Determinism: the tracker consumes `(Time, bool)` observations in
-//! simulated-time order, so its transition timeline is a pure function
-//! of the probe outcomes — byte-stable across worker counts and
-//! chunkings. [`HealthLog`] makes it *mergeable* the way the
-//! telemetry registry is: shards/chunks record their slice of the
-//! outcome sequence independently, [`HealthLog::merge`] concatenates
-//! per-subject slices in time order (an associative operation), and
-//! [`HealthLog::replay`] runs the state machine once over the stitched
-//! sequence — so the health report cannot depend on how the scan was
-//! split.
+//! Determinism: [`HealthMonitor`] folds each subject's `(Time, bool)`
+//! outcomes as they arrive, in simulated-time order, and pushes the
+//! outage and transition events they cause at once. Its report and
+//! events are a pure function of each subject's outcome sequence, so
+//! they are byte-stable across worker counts as long as every subject's
+//! outcomes reach one monitor whole and in order: the hourly merge feeds
+//! one monitor from the stitched rounds, and each consistency unit owns
+//! its operator's responders outright.
 
-use crate::event::{Event, EventKind, Notifier};
+use crate::event::{Event, EventKind, EventLog};
 use asn1::Time;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use telemetry::{catalog, Registry};
 
+/// Consecutive failures that demote Healthy → Degraded.
+const DEGRADED_AFTER: u32 = 1;
+/// Consecutive failures that demote Degraded → Failed.
+const FAILED_AFTER: u32 = 3;
+/// Consecutive successes that restore any state → Healthy.
+const RECOVER_AFTER: u32 = 2;
+/// First retry delay once Failed, in seconds.
+const BACKOFF_BASE_SECS: i64 = 60;
+/// Retry-delay ceiling, in seconds.
+const BACKOFF_MAX_SECS: i64 = 3_600;
+
 /// Where a responder sits in the health lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HealthState {
     /// Probes are succeeding.
+    #[default]
     Healthy,
     /// A failure run has started but has not yet crossed the outage
     /// threshold.
@@ -56,59 +65,9 @@ impl HealthState {
     }
 }
 
-/// Thresholds and backoff shape for the state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthPolicy {
-    /// Consecutive failures that demote Healthy → Degraded.
-    pub degraded_after: u32,
-    /// Consecutive failures that demote Degraded → Failed. Must be
-    /// at least `degraded_after`.
-    pub failed_after: u32,
-    /// Consecutive successes (K) that restore any state → Healthy.
-    pub recover_after: u32,
-    /// First retry delay once Failed, in seconds.
-    pub backoff_base_secs: i64,
-    /// Retry-delay ceiling, in seconds.
-    pub backoff_max_secs: i64,
-}
-
-impl Default for HealthPolicy {
-    /// ct-scout's shape: first failure degrades, the third fails,
-    /// two clean probes recover; retries back off 60 s → 2 × … → 1 h.
-    fn default() -> HealthPolicy {
-        HealthPolicy {
-            degraded_after: 1,
-            failed_after: 3,
-            recover_after: 2,
-            backoff_base_secs: 60,
-            backoff_max_secs: 3_600,
-        }
-    }
-}
-
-impl HealthPolicy {
-    fn validate(&self) {
-        assert!(self.degraded_after >= 1, "degraded_after must be >= 1");
-        assert!(
-            self.failed_after >= self.degraded_after,
-            "failed_after must be >= degraded_after"
-        );
-        assert!(self.recover_after >= 1, "recover_after must be >= 1");
-        assert!(
-            self.backoff_base_secs >= 1,
-            "backoff_base_secs must be >= 1"
-        );
-        assert!(
-            self.backoff_max_secs >= self.backoff_base_secs,
-            "backoff_max_secs must be >= backoff_base_secs"
-        );
-    }
-}
-
 /// The deterministic state machine for one subject (responder).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthTracker {
-    policy: HealthPolicy,
     state: HealthState,
     consecutive_failures: u32,
     consecutive_successes: u32,
@@ -119,22 +78,8 @@ pub struct HealthTracker {
 
 impl HealthTracker {
     /// A fresh tracker starting Healthy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is internally inconsistent (thresholds of
-    /// zero, ceiling below base) — policies are code-authored.
-    pub fn new(policy: HealthPolicy) -> HealthTracker {
-        policy.validate();
-        HealthTracker {
-            policy,
-            state: HealthState::Healthy,
-            consecutive_failures: 0,
-            consecutive_successes: 0,
-            backoff_exponent: 0,
-            next_retry: None,
-            transitions: 0,
-        }
+    pub fn new() -> HealthTracker {
+        HealthTracker::default()
     }
 
     /// Current state.
@@ -153,16 +98,12 @@ impl HealthTracker {
     }
 
     /// The retry delay the *next* failure while Failed would schedule:
-    /// `backoff_base_secs · 2^exponent`, clamped to `backoff_max_secs`.
-    /// Non-decreasing over a failure run (pinned by a property test).
+    /// 60 s · 2^exponent, clamped to an hour. Non-decreasing over a
+    /// failure run (pinned by a property test).
     pub fn backoff_secs(&self) -> i64 {
         let exp = self.backoff_exponent.min(40);
-        let raw = self
-            .policy
-            .backoff_base_secs
-            .checked_shl(exp)
-            .unwrap_or(i64::MAX);
-        raw.min(self.policy.backoff_max_secs)
+        let raw = BACKOFF_BASE_SECS.checked_shl(exp).unwrap_or(i64::MAX);
+        raw.min(BACKOFF_MAX_SECS)
     }
 
     /// When the scheduler should retry a Failed subject (None unless
@@ -184,9 +125,7 @@ impl HealthTracker {
         if ok {
             self.consecutive_failures = 0;
             self.consecutive_successes += 1;
-            if from != HealthState::Healthy
-                && self.consecutive_successes >= self.policy.recover_after
-            {
+            if from != HealthState::Healthy && self.consecutive_successes >= RECOVER_AFTER {
                 self.state = HealthState::Healthy;
                 self.backoff_exponent = 0;
                 self.next_retry = None;
@@ -197,9 +136,9 @@ impl HealthTracker {
         }
         self.consecutive_successes = 0;
         self.consecutive_failures += 1;
-        let to = if self.consecutive_failures >= self.policy.failed_after {
+        let to = if self.consecutive_failures >= FAILED_AFTER {
             HealthState::Failed
-        } else if self.consecutive_failures >= self.policy.degraded_after {
+        } else if self.consecutive_failures >= DEGRADED_AFTER {
             HealthState::Degraded
         } else {
             from
@@ -208,7 +147,7 @@ impl HealthTracker {
             // Every failure while Failed pushes the retry further out,
             // up to the ceiling.
             self.next_retry = Some(at + self.backoff_secs());
-            if self.backoff_secs() < self.policy.backoff_max_secs {
+            if self.backoff_secs() < BACKOFF_MAX_SECS {
                 self.backoff_exponent += 1;
             }
         }
@@ -221,124 +160,102 @@ impl HealthTracker {
     }
 }
 
-/// The mergeable accumulator: per-subject outcome slices recorded by
-/// shards/chunks, stitched in time order and replayed once.
-///
-/// Merging is plain per-subject concatenation — associative, so any
-/// split of the probe sequence into chunks merges back to the same
-/// log, and [`HealthLog::replay`] therefore yields the same report and
-/// event stream for every chunking (pinned by a property test and by
-/// `tests/determinism.rs`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HealthLog {
-    logs: BTreeMap<String, Vec<(Time, bool)>>,
+/// One subject in a [`HealthMonitor`]: its tracker, and its open
+/// failure run as `(opened at, failed probes so far)`.
+#[derive(Debug, Clone, Default)]
+struct MonitoredSubject {
+    tracker: HealthTracker,
+    open_run: Option<(Time, u64)>,
 }
 
-impl HealthLog {
-    /// An empty log.
-    pub fn new() -> HealthLog {
-        HealthLog::default()
+/// The online fold: one [`HealthTracker`] and one open failure run per
+/// subject, plus the transition totals. Each outcome updates its
+/// subject and pushes the events it causes at once, so the monitor
+/// keeps nothing per outcome and [`HealthMonitor::report`] costs one
+/// row per subject.
+#[derive(Debug, Clone, Default)]
+pub struct HealthMonitor {
+    subjects: BTreeMap<String, MonitoredSubject>,
+    transitions: BTreeMap<(HealthState, HealthState), u64>,
+}
+
+impl HealthMonitor {
+    /// A monitor that has seen nothing.
+    pub fn new() -> HealthMonitor {
+        HealthMonitor::default()
     }
 
-    /// Record one probe classification for `subject` at simulated time
-    /// `at`. Within a subject, calls must arrive in non-decreasing
-    /// time order (chunks already iterate rounds in order). The subject
-    /// is copied only the first time it is seen.
-    pub fn record(&mut self, subject: &str, at: Time, ok: bool) {
-        match self.logs.get_mut(subject) {
-            Some(log) => log.push((at, ok)),
-            None => self
-                .logs
-                .entry(subject.to_owned())
-                .or_default()
-                .push((at, ok)),
-        }
-    }
-
-    /// Absorb `later`, whose per-subject observations all happen at or
-    /// after this log's — the same contract as the freshness
-    /// accumulator's chunk-boundary stitch.
-    pub fn merge(&mut self, later: HealthLog) {
-        for (subject, mut slice) in later.logs {
-            self.logs.entry(subject).or_default().append(&mut slice);
-        }
-    }
-
-    /// Number of distinct subjects.
-    pub fn subjects(&self) -> usize {
-        self.logs.len()
-    }
-
-    /// Total observations across subjects.
-    pub fn observations(&self) -> usize {
-        self.logs.values().map(Vec::len).sum()
-    }
-
-    /// Run the state machine over every subject's stitched sequence,
-    /// emitting health-transition and outage open/close events through
-    /// `notifier` and returning the final [`HealthReport`].
-    ///
-    /// Subjects replay in lexicographic order; an [`crate::EventLog`]
-    /// notifier re-sorts canonically at render time, so the emission
-    /// order never shows in the artifact.
-    pub fn replay(&self, policy: &HealthPolicy, notifier: &mut dyn Notifier) -> HealthReport {
-        let mut subjects = Vec::with_capacity(self.logs.len());
-        let mut transition_counts: BTreeMap<String, u64> = BTreeMap::new();
-        for (subject, log) in &self.logs {
-            let mut tracker = HealthTracker::new(*policy);
-            let mut open_run: Option<(Time, u64)> = None;
-            for &(at, ok) in log {
-                if ok {
-                    if let Some((opened, fails)) = open_run.take() {
-                        notifier.notify(Event::new(
-                            at,
-                            EventKind::Outage,
-                            subject,
-                            &format!("close after {fails} failed probes (open since {opened})"),
-                        ));
-                    }
-                } else {
-                    match &mut open_run {
-                        Some((_, fails)) => *fails += 1,
-                        None => {
-                            notifier.notify(Event::new(at, EventKind::Outage, subject, "open"));
-                            open_run = Some((at, 1));
-                        }
-                    }
-                }
-                if let Some((from, to)) = tracker.observe(at, ok) {
-                    *transition_counts
-                        .entry(format!("{}_{}", from.label(), to.label()))
-                        .or_default() += 1;
-                    notifier.notify(Event::new(
-                        at,
-                        EventKind::Health,
-                        subject,
-                        &format!("{} -> {}", from.label(), to.label()),
-                    ));
+    /// Fold one probe classification for `subject` at simulated time
+    /// `at`, pushing the outage open/close and health-transition events
+    /// it causes into `events`. Within a subject, calls must arrive in
+    /// non-decreasing time order. The subject is copied only the first
+    /// time it is seen.
+    pub fn observe(&mut self, subject: &str, at: Time, ok: bool, events: &mut EventLog) {
+        let monitored = match self.subjects.get_mut(subject) {
+            Some(monitored) => monitored,
+            None => self.subjects.entry(subject.to_owned()).or_default(),
+        };
+        if ok {
+            if let Some((opened, fails)) = monitored.open_run.take() {
+                events.push(Event::new(
+                    at,
+                    EventKind::Outage,
+                    subject,
+                    &format!("close after {fails} failed probes (open since {opened})"),
+                ));
+            }
+        } else {
+            match &mut monitored.open_run {
+                Some((_, fails)) => *fails += 1,
+                None => {
+                    events.push(Event::new(at, EventKind::Outage, subject, "open"));
+                    monitored.open_run = Some((at, 1));
                 }
             }
-            // A trailing failure run stays open, like the hourly scan's
-            // trailing outage streaks: it is reported in the final
-            // state, not closed retroactively.
-            subjects.push(SubjectHealth {
-                subject: subject.clone(),
-                state: tracker.state(),
-                consecutive_failures: tracker.consecutive_failures(),
-                consecutive_successes: tracker.consecutive_successes(),
-                backoff_secs: tracker.backoff_secs(),
-                next_retry: tracker.next_retry(),
-                transitions: tracker.transitions(),
-            });
         }
+        if let Some((from, to)) = monitored.tracker.observe(at, ok) {
+            *self.transitions.entry((from, to)).or_default() += 1;
+            events.push(Event::new(
+                at,
+                EventKind::Health,
+                subject,
+                &format!("{} -> {}", from.label(), to.label()),
+            ));
+        }
+    }
+
+    /// Every subject's current position, in subject order, and the
+    /// transition totals. A failure run still open stays open, like the
+    /// hourly scan's trailing outage streaks: it shows in the state,
+    /// never as a close event.
+    pub fn report(&self) -> HealthReport {
         HealthReport {
-            subjects,
-            transition_counts,
+            subjects: self
+                .subjects
+                .iter()
+                .map(|(subject, monitored)| {
+                    let tracker = &monitored.tracker;
+                    SubjectHealth {
+                        subject: subject.clone(),
+                        state: tracker.state(),
+                        consecutive_failures: tracker.consecutive_failures(),
+                        consecutive_successes: tracker.consecutive_successes(),
+                        backoff_secs: tracker.backoff_secs(),
+                        next_retry: tracker.next_retry(),
+                        transitions: tracker.transitions(),
+                    }
+                })
+                .collect(),
+            transition_counts: self
+                .transitions
+                .iter()
+                .map(|(&(from, to), &n)| (format!("{}_{}", from.label(), to.label()), n))
+                .collect(),
         }
     }
 }
 
-/// One subject's final position after a replay.
+/// One subject's position in a [`HealthReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubjectHealth {
     /// The responder (or other monitored endpoint).
@@ -358,7 +275,7 @@ pub struct SubjectHealth {
     pub transitions: u64,
 }
 
-/// The replayed health table: final states plus transition totals.
+/// The health table: each subject's state plus transition totals.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealthReport {
     /// Per-subject rows, sorted by subject.
@@ -368,11 +285,11 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// Absorb the report of a replay over other subjects: the result is
-    /// the report one replay over both logs would give. Rows stay
-    /// sorted by subject and transition totals add. Each subject's
-    /// timeline must replay whole in one of the two, so the subjects
-    /// must be disjoint.
+    /// Absorb the report of a monitor that saw other subjects: the
+    /// result is the report of one monitor fed both outcome streams.
+    /// Rows stay sorted by subject and transition totals add. Each
+    /// subject's outcomes must reach one of the two monitors whole, so
+    /// the subjects must be disjoint.
     ///
     /// # Panics
     ///
@@ -387,7 +304,7 @@ impl HealthReport {
                 self.subjects
                     .get(at)
                     .is_none_or(|s| s.subject != row.subject),
-                "subject {} replayed twice",
+                "subject {} monitored twice",
                 row.subject
             );
             self.subjects.insert(at, row);
@@ -460,7 +377,6 @@ impl HealthReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventLog;
 
     fn t(offset: i64) -> Time {
         Time::from_civil(2018, 4, 25, 0, 0, 0) + offset
@@ -468,7 +384,7 @@ mod tests {
 
     #[test]
     fn lifecycle_walks_healthy_degraded_failed_and_back() {
-        let mut tracker = HealthTracker::new(HealthPolicy::default());
+        let mut tracker = HealthTracker::new();
         assert_eq!(tracker.state(), HealthState::Healthy);
         assert_eq!(
             tracker.observe(t(0), false),
@@ -479,7 +395,7 @@ mod tests {
             tracker.observe(t(7_200), false),
             Some((HealthState::Degraded, HealthState::Failed))
         );
-        // First retry is one backoff_base past the failing probe.
+        // First retry is one backoff base past the failing probe.
         assert_eq!(tracker.next_retry(), Some(t(7_200) + 60));
         // One success is not yet recovery (K = 2)…
         assert_eq!(tracker.observe(t(10_800), true), None);
@@ -496,7 +412,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_clamps() {
-        let mut tracker = HealthTracker::new(HealthPolicy::default());
+        let mut tracker = HealthTracker::new();
         let mut previous = 0;
         for i in 0..12 {
             tracker.observe(t(i * 3_600), false);
@@ -515,7 +431,7 @@ mod tests {
 
     #[test]
     fn degraded_recovers_without_visiting_failed() {
-        let mut tracker = HealthTracker::new(HealthPolicy::default());
+        let mut tracker = HealthTracker::new();
         tracker.observe(t(0), false);
         assert_eq!(tracker.state(), HealthState::Degraded);
         tracker.observe(t(1), true);
@@ -526,13 +442,26 @@ mod tests {
     }
 
     #[test]
-    fn replay_emits_transitions_and_outage_runs() {
-        let mut log = HealthLog::new();
-        for (i, ok) in [true, false, false, false, true, true].iter().enumerate() {
-            log.record("ocsp.example.com", t(i as i64 * 3_600), *ok);
-        }
+    fn monitor_emits_transitions_and_outage_runs_as_they_happen() {
+        let mut monitor = HealthMonitor::new();
         let mut events = EventLog::new();
-        let report = log.replay(&HealthPolicy::default(), &mut events);
+        let observe = |monitor: &mut HealthMonitor, events: &mut EventLog, i: i64, ok: bool| {
+            monitor.observe("ocsp.example.com", t(i * 3_600), ok, events);
+            events.to_jsonl()
+        };
+        assert_eq!(observe(&mut monitor, &mut events, 0, true), "");
+        // The first failure opens the outage and degrades at once.
+        let text = observe(&mut monitor, &mut events, 1, false);
+        assert!(text
+            .contains("\"kind\":\"outage\",\"subject\":\"ocsp.example.com\",\"detail\":\"open\""));
+        assert!(text.contains("healthy -> degraded"));
+        observe(&mut monitor, &mut events, 2, false);
+        assert!(observe(&mut monitor, &mut events, 3, false).contains("degraded -> failed"));
+        assert_eq!(monitor.report().state_counts(), (0, 0, 1));
+        assert!(observe(&mut monitor, &mut events, 4, true).contains("close after 3 failed probes"));
+        assert!(observe(&mut monitor, &mut events, 5, true).contains("failed -> healthy"));
+
+        let report = monitor.report();
         assert_eq!(report.subjects.len(), 1);
         assert_eq!(report.subjects[0].state, HealthState::Healthy);
         assert_eq!(report.subjects[0].transitions, 3);
@@ -544,50 +473,17 @@ mod tests {
                 ("failed_healthy".to_string(), 1),
             ])
         );
-        let text = events.to_jsonl();
-        assert!(text
-            .contains("\"kind\":\"outage\",\"subject\":\"ocsp.example.com\",\"detail\":\"open\""));
-        assert!(text.contains("close after 3 failed probes"));
-        assert!(text.contains("healthy -> degraded"));
-        assert!(text.contains("degraded -> failed"));
-        assert!(text.contains("failed -> healthy"));
-    }
-
-    #[test]
-    fn merge_stitches_chunk_boundaries_exactly() {
-        // The same sequence replayed whole vs split mid-failure-run.
-        let outcomes = [true, false, false, false, true, true, false];
-        let mut whole = HealthLog::new();
-        let mut first = HealthLog::new();
-        let mut second = HealthLog::new();
-        for (i, ok) in outcomes.iter().enumerate() {
-            whole.record("r", t(i as i64), *ok);
-            if i < 3 {
-                first.record("r", t(i as i64), *ok);
-            } else {
-                second.record("r", t(i as i64), *ok);
-            }
-        }
-        let mut merged = first;
-        merged.merge(second);
-        assert_eq!(merged, whole);
-        let mut ev_whole = EventLog::new();
-        let mut ev_merged = EventLog::new();
-        let report_whole = whole.replay(&HealthPolicy::default(), &mut ev_whole);
-        let report_merged = merged.replay(&HealthPolicy::default(), &mut ev_merged);
-        assert_eq!(report_whole, report_merged);
-        assert_eq!(ev_whole.to_jsonl(), ev_merged.to_jsonl());
     }
 
     #[test]
     fn export_registers_counters_and_gauges() {
-        let mut log = HealthLog::new();
-        for (i, ok) in [false, false, false, false].iter().enumerate() {
-            log.record("down.example.com", t(i as i64 * 3_600), *ok);
-        }
-        log.record("up.example.com", t(0), true);
+        let mut monitor = HealthMonitor::new();
         let mut events = EventLog::new();
-        let report = log.replay(&HealthPolicy::default(), &mut events);
+        for i in 0..4 {
+            monitor.observe("down.example.com", t(i * 3_600), false, &mut events);
+        }
+        monitor.observe("up.example.com", t(0), true, &mut events);
+        let report = monitor.report();
         let mut registry = Registry::new();
         report.export(&mut registry);
         assert_eq!(

@@ -9,18 +9,15 @@
 //! study's determinism contract:
 //!
 //! * [`health`] — a per-responder health-state machine (Healthy →
-//!   Degraded → Failed, exponential retry backoff, recovery after K
+//!   Degraded → Failed, exponential retry backoff, recovery after two
 //!   consecutive successes) driven by probe classifications in
-//!   *simulated* time, plus [`HealthLog`], a mergeable accumulator in
-//!   the mold of the telemetry registry: shards and chunks record
-//!   outcomes independently and the merged replay is byte-stable for
-//!   every worker count and chunking;
-//! * [`event`] — a deterministic event bus: health transitions, outage
-//!   open/close, revocation, and window-rollover events flow through
-//!   the [`Notifier`] trait into a depth-free `events.jsonl` with the
-//!   same byte-stability contract as `trace.jsonl`, plus a
-//!   webhook-style [`EventSink`] abstraction whose real-HTTP
-//!   implementation lives in the live service tier (`ocspd`).
+//!   *simulated* time, plus [`HealthMonitor`], which folds every
+//!   subject's outcomes as they arrive and keeps nothing per outcome;
+//! * [`event`] — a deterministic event log: health transitions, outage
+//!   open/close, revocation, and window-rollover events, pushed into
+//!   an [`EventLog`] and rendered to a depth-free `events.jsonl` with
+//!   the same byte-stability contract as `trace.jsonl`. The live tier
+//!   (`ocspd`) posts the same JSON lines to a webhook.
 //!
 //! Everything here runs on the simulated clock ([`asn1::Time`]); only
 //! the live tier ever attaches these types to a wall clock.
@@ -31,9 +28,5 @@
 pub mod event;
 pub mod health;
 
-pub use event::{
-    BufferSink, Event, EventKind, EventLog, EventSink, Notifier, NullNotifier, WebhookNotifier,
-};
-pub use health::{
-    HealthLog, HealthPolicy, HealthReport, HealthState, HealthTracker, SubjectHealth,
-};
+pub use event::{Event, EventKind, EventLog};
+pub use health::{HealthMonitor, HealthReport, HealthState, HealthTracker, SubjectHealth};

@@ -1,25 +1,18 @@
-//! Property tests for the health-state machine: backoff monotonicity,
-//! recovery after K consecutive successes, merge associativity across
-//! arbitrary shard/chunk splits, and per-subject replays merging to one
-//! replay.
+//! Property tests for the health-state machine and its monitor: backoff
+//! monotonicity, recovery after two consecutive successes, per-subject
+//! monitors merging to one monitor, and the strictness of the two JSONL
+//! parsers.
 
 use asn1::Time;
 use mustaple_opsmon::{
-    EventLog, HealthLog, HealthPolicy, HealthReport, HealthState, HealthTracker,
+    Event, EventKind, EventLog, HealthMonitor, HealthReport, HealthState, HealthTracker,
 };
 use proptest::prelude::*;
+use telemetry::trace::Span;
 
-fn policy_strategy() -> impl Strategy<Value = HealthPolicy> {
-    (1u32..4, 0u32..4, 1u32..5, 1i64..120, 0i64..7_200).prop_map(
-        |(degraded_after, failed_extra, recover_after, base, max_extra)| HealthPolicy {
-            degraded_after,
-            failed_after: degraded_after + failed_extra,
-            recover_after,
-            backoff_base_secs: base,
-            backoff_max_secs: base + max_extra,
-        },
-    )
-}
+/// The backoff the tracker starts from and its ceiling, in seconds.
+const BACKOFF_BASE_SECS: i64 = 60;
+const BACKOFF_MAX_SECS: i64 = 3_600;
 
 proptest! {
     /// Over any outcome sequence, the scheduled backoff delay never
@@ -27,152 +20,152 @@ proptest! {
     /// resets to the base once the subject recovers.
     #[test]
     fn backoff_is_monotone_within_a_failure_run(
-        policy in policy_strategy(),
         outcomes in proptest::collection::vec(any::<bool>(), 0..64),
     ) {
-        let mut tracker = HealthTracker::new(policy);
+        let mut tracker = HealthTracker::new();
         let mut in_run = false;
         let mut previous = 0i64;
         for (i, &ok) in outcomes.iter().enumerate() {
             tracker.observe(Time::from_unix(i as i64 * 60), ok);
             let backoff = tracker.backoff_secs();
-            prop_assert!(backoff <= policy.backoff_max_secs);
-            prop_assert!(backoff >= policy.backoff_base_secs.min(policy.backoff_max_secs));
+            prop_assert!(backoff <= BACKOFF_MAX_SECS);
+            prop_assert!(backoff >= BACKOFF_BASE_SECS);
             if !ok && in_run {
                 prop_assert!(backoff >= previous, "backoff shrank mid-run at {i}");
             }
             if tracker.state() == HealthState::Healthy {
-                prop_assert_eq!(
-                    backoff,
-                    policy.backoff_base_secs.min(policy.backoff_max_secs)
-                );
+                prop_assert_eq!(backoff, BACKOFF_BASE_SECS);
             }
             in_run = !ok;
             previous = backoff;
         }
     }
 
-    /// After any history, K consecutive successes always land the
+    /// After any history, two consecutive successes always land the
     /// subject in Healthy with no pending retry.
     #[test]
     fn k_consecutive_successes_always_recover(
-        policy in policy_strategy(),
         history in proptest::collection::vec(any::<bool>(), 0..64),
     ) {
-        let mut tracker = HealthTracker::new(policy);
+        let mut tracker = HealthTracker::new();
         for (i, &ok) in history.iter().enumerate() {
             tracker.observe(Time::from_unix(i as i64 * 60), ok);
         }
         let after = history.len() as i64;
-        for k in 0..policy.recover_after {
-            tracker.observe(Time::from_unix((after + k as i64) * 60), true);
+        for k in 0..2 {
+            tracker.observe(Time::from_unix((after + k) * 60), true);
         }
         prop_assert_eq!(tracker.state(), HealthState::Healthy);
         prop_assert_eq!(tracker.next_retry(), None);
-        prop_assert_eq!(
-            tracker.backoff_secs(),
-            policy.backoff_base_secs.min(policy.backoff_max_secs)
-        );
+        prop_assert_eq!(tracker.backoff_secs(), BACKOFF_BASE_SECS);
     }
 
-    /// Splitting a subject's probe timeline at any two cut points and
-    /// merging the pieces back — in either association — replays to
-    /// the same report and the same event bytes as the unsplit log.
-    #[test]
-    fn merge_is_associative_across_arbitrary_splits(
-        policy in policy_strategy(),
-        outcomes in proptest::collection::vec(any::<bool>(), 0..48),
-        cuts in (0usize..49, 0usize..49),
-    ) {
-        let cut_a = cuts.0.min(outcomes.len());
-        let cut_b = cuts.1.min(outcomes.len()).max(cut_a);
-        let mut whole = HealthLog::new();
-        let mut parts = [HealthLog::new(), HealthLog::new(), HealthLog::new()];
-        for (i, &ok) in outcomes.iter().enumerate() {
-            let at = Time::from_unix(i as i64 * 60);
-            whole.record("r", at, ok);
-            let part = if i < cut_a {
-                0
-            } else if i < cut_b {
-                1
-            } else {
-                2
-            };
-            parts[part].record("r", at, ok);
-        }
-        let [a, b, c] = parts;
-
-        // (a ⊕ b) ⊕ c
-        let mut left = a.clone();
-        left.merge(b.clone());
-        left.merge(c.clone());
-        // a ⊕ (b ⊕ c)
-        let mut right_tail = b;
-        right_tail.merge(c);
-        let mut right = a;
-        right.merge(right_tail);
-
-        prop_assert_eq!(&left, &whole);
-        prop_assert_eq!(&right, &whole);
-        let mut ev_whole = EventLog::new();
-        let mut ev_left = EventLog::new();
-        let mut ev_right = EventLog::new();
-        let report_whole = whole.replay(&policy, &mut ev_whole);
-        let report_left = left.replay(&policy, &mut ev_left);
-        let report_right = right.replay(&policy, &mut ev_right);
-        prop_assert_eq!(&report_left, &report_whole);
-        prop_assert_eq!(&report_right, &report_whole);
-        prop_assert_eq!(ev_left.to_jsonl(), ev_whole.to_jsonl());
-        prop_assert_eq!(ev_right.to_jsonl(), ev_whole.to_jsonl());
-    }
-
-    /// Replaying each subject's log on its own, in any order, and
+    /// Feeding each subject to a monitor of its own, in any order, and
     /// merging the reports gives the report and the event bytes of one
-    /// replay over every subject.
+    /// monitor fed every subject interleaved.
     #[test]
-    fn per_subject_replays_merge_to_one_replay(
-        policy in policy_strategy(),
+    fn per_subject_monitors_merge_to_one_monitor(
         outcomes in proptest::collection::vec((0usize..4, any::<bool>()), 0..64),
         reverse in any::<bool>(),
     ) {
         let subjects = ["r2", "r0", "r3", "r1"];
-        let mut whole = HealthLog::new();
-        let mut logs: Vec<HealthLog> = subjects.iter().map(|_| HealthLog::new()).collect();
+        let mut whole = HealthMonitor::new();
+        let mut ev_whole = EventLog::new();
+        let mut monitors: Vec<HealthMonitor> =
+            subjects.iter().map(|_| HealthMonitor::new()).collect();
+        let mut ev_parts = EventLog::new();
         for (i, &(subject, ok)) in outcomes.iter().enumerate() {
             let at = Time::from_unix(i as i64 * 60);
-            whole.record(subjects[subject], at, ok);
-            logs[subject].record(subjects[subject], at, ok);
+            whole.observe(subjects[subject], at, ok, &mut ev_whole);
+            monitors[subject].observe(subjects[subject], at, ok, &mut ev_parts);
         }
         if reverse {
-            logs.reverse();
+            monitors.reverse();
         }
-        let mut ev_whole = EventLog::new();
-        let report_whole = whole.replay(&policy, &mut ev_whole);
-        let mut ev_parts = EventLog::new();
         let mut report_parts = HealthReport::default();
-        for log in &logs {
-            report_parts.merge(log.replay(&policy, &mut ev_parts));
+        for monitor in &monitors {
+            report_parts.merge(monitor.report());
         }
-        prop_assert_eq!(&report_parts, &report_whole);
+        prop_assert_eq!(&report_parts, &whole.report());
         prop_assert_eq!(ev_parts.to_jsonl(), ev_whole.to_jsonl());
     }
 
     /// The events artifact round-trips byte-exactly through its strict
-    /// parser for any replayed timeline.
+    /// parser for any monitored timeline.
     #[test]
     fn events_jsonl_round_trips_byte_exactly(
-        policy in policy_strategy(),
         outcomes in proptest::collection::vec(any::<bool>(), 0..48),
     ) {
-        let mut log = HealthLog::new();
-        for (i, &ok) in outcomes.iter().enumerate() {
-            log.record("ocsp.example.com", Time::from_unix(i as i64 * 60), ok);
-        }
+        let mut monitor = HealthMonitor::new();
         let mut events = EventLog::new();
-        log.replay(&policy, &mut events);
+        for (i, &ok) in outcomes.iter().enumerate() {
+            monitor.observe("ocsp.example.com", Time::from_unix(i as i64 * 60), ok, &mut events);
+        }
         let text = events.to_jsonl();
         let parsed = EventLog::parse_jsonl(&text);
         prop_assert!(parsed.is_ok());
         prop_assert_eq!(parsed.unwrap().to_jsonl(), text);
     }
+}
+
+/// Every single-byte substitution (from a set of bytes that matter to
+/// the grammar) and every truncation of `text` either fails to parse or
+/// re-renders to exactly the edited bytes.
+fn assert_edits_parse_strictly(text: &str, reparse: impl Fn(&str) -> Result<String, String>) {
+    assert_eq!(reparse(text).as_deref(), Ok(text));
+    let bytes = text.as_bytes();
+    let mut edits: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+    for i in 0..bytes.len() {
+        for b in *b"\"+0,}\\x" {
+            if bytes[i] != b {
+                let mut edit = bytes.to_vec();
+                edit[i] = b;
+                edits.push(edit);
+            }
+        }
+    }
+    for edit in edits {
+        let edited = std::str::from_utf8(&edit).expect("ASCII artifacts stay UTF-8");
+        if let Ok(rendered) = reparse(edited) {
+            assert_eq!(rendered, edited, "accepted an edit it renders differently");
+        }
+    }
+}
+
+#[test]
+fn jsonl_parsers_accept_only_what_they_re_render() {
+    // A quote, a backslash and a control character in subject and
+    // detail, so every escape the writer knows appears.
+    let subject = "ocsp \"a\\b\"\u{1}";
+    let mut monitor = HealthMonitor::new();
+    let mut events = EventLog::new();
+    for (i, ok) in [false, false, true, true].into_iter().enumerate() {
+        monitor.observe(subject, Time::from_unix(60 * i as i64), ok, &mut events);
+    }
+    events.push(Event::new(
+        Time::from_unix(120),
+        EventKind::Revocation,
+        subject,
+        "serial \"7\"\\\t\u{1f}",
+    ));
+    assert_edits_parse_strictly(&events.to_jsonl(), |text| {
+        EventLog::parse_jsonl(text).map(|log| log.to_jsonl())
+    });
+
+    let trace = Span::aggregate(
+        "campaign",
+        vec![
+            Span::aggregate(
+                subject,
+                vec![
+                    Span::leaf("chunk 0", 0, 11, 120),
+                    Span::leaf("chunk 1", 12, 23, 96),
+                ],
+            ),
+            Span::leaf("scan.alexa1m", 0, 0, 30),
+        ],
+    );
+    assert_edits_parse_strictly(&trace.to_jsonl(), |text| {
+        Span::parse_jsonl(text).map(|span| span.to_jsonl())
+    });
 }

@@ -24,7 +24,7 @@ use ocsp::{
     validate_response_cached, CertStatus, OcspRequest, SigVerifyCache, ValidatedResponse,
     ValidationConfig,
 };
-use opsmon::{Event, EventKind, EventLog, HealthLog, HealthPolicy, HealthReport};
+use opsmon::{Event, EventKind, EventLog, HealthMonitor, HealthReport};
 use pki::Crl;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
@@ -82,8 +82,8 @@ pub struct ConsistencySummary {
     /// shard's request count as its work units.
     pub trace: Span,
     /// Per-responder health snapshots: every probe outcome (collected
-    /// or not) at the study instant, replayed through the [`opsmon`]
-    /// state machine in pool order.
+    /// or not) at the study instant, folded by its operator's
+    /// [`opsmon::HealthMonitor`] in pool order.
     pub health: HealthReport,
     /// The study's event stream: health transitions, outage open/close
     /// pairs, and one revocation event per serial confirmed revoked
@@ -156,7 +156,8 @@ struct ShardSummary {
     reason_absent: u64,
     reason_other_mismatch: u64,
     telemetry: Registry,
-    health: HealthLog,
+    /// Folds this operator's responders, which no other shard probes.
+    health: HealthMonitor,
     events: EventLog,
 }
 
@@ -248,7 +249,7 @@ impl ConsistencyStudy {
                     reason_absent: 0,
                     reason_other_mismatch: 0,
                     telemetry: Registry::new(),
-                    health: HealthLog::new(),
+                    health: HealthMonitor::new(),
                     events: EventLog::new(),
                 };
                 // BTreeMap, not HashMap: `into_values` feeds `partial.rows`,
@@ -329,9 +330,12 @@ impl ConsistencyStudy {
                         .incr(catalog::SCAN_CONSISTENCY_PROBES, &target.url);
                     let req = OcspRequest::single(target.cert_id.clone()).to_der();
                     let outcome = world.http_post(vantage, &target.url, &req, at).outcome;
-                    partial
-                        .health
-                        .record(&target.url, at, matches!(outcome, HttpOutcome::Ok(_)));
+                    partial.health.observe(
+                        &target.url,
+                        at,
+                        matches!(outcome, HttpOutcome::Ok(_)),
+                        &mut partial.events,
+                    );
                     let HttpOutcome::Ok(body) = outcome else {
                         continue;
                     };
@@ -384,7 +388,6 @@ impl ConsistencyStudy {
         };
         #[expect(clippy::disallowed_methods, reason = "a wall span, not an artifact")]
         let merge_started = Instant::now();
-        let mut health_log = HealthLog::new();
         for partial in shards.into_iter().flatten() {
             summary.crls_fetched += partial.crls_fetched;
             summary.responses_collected += partial.responses_collected;
@@ -396,10 +399,9 @@ impl ConsistencyStudy {
             summary.reason_absent += partial.reason_absent;
             summary.reason_other_mismatch += partial.reason_other_mismatch;
             summary.telemetry.merge(&partial.telemetry);
-            health_log.merge(partial.health);
+            summary.health.merge(partial.health.report());
             summary.events.merge(partial.events);
         }
-        summary.health = health_log.replay(&HealthPolicy::default(), &mut summary.events);
         summary.health.export(&mut summary.telemetry);
         summary.telemetry.record_wall(
             catalog::SCAN_CONSISTENCY_MERGE,

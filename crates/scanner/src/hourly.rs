@@ -23,7 +23,7 @@ use ecosystem::LiveEcosystem;
 use netsim::{HttpOutcome, Region, Topology, World};
 use ocsp::profile::GenerationMode;
 use ocsp::{validate_response_cached, OcspRequest, SigVerifyCache, ValidationConfig};
-use opsmon::{Event, EventKind, EventLog, HealthLog, HealthPolicy, HealthReport, Notifier};
+use opsmon::{Event, EventKind, EventLog, HealthMonitor, HealthReport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -192,8 +192,8 @@ pub struct HourlyDataset {
     /// responder span per shard over one span per time chunk, stamped
     /// with simulated campaign hours (see [`telemetry::trace`]).
     pub trace: Span,
-    /// Per-responder health-state timelines, replayed from the stitched
-    /// first-target probe logs through the [`opsmon`] state machine in
+    /// Per-responder health states, folded from the stitched
+    /// first-target probe logs by an [`opsmon::HealthMonitor`] in
     /// canonical (responder, round, region) order — byte-stable across
     /// worker counts and chunk plans like every other field.
     pub health: HealthReport,
@@ -1026,13 +1026,11 @@ impl<'a> HourlyCampaign<'a> {
         // shard, chunk order == time order, so concatenated logs replay
         // the serial probe sequence exactly.
         let mut responders = Vec::with_capacity(unit_logs.len());
-        // Each responder's stitched rounds replay through the
-        // health-state machine on their own — it keeps one tracker per
-        // subject, and responder URLs are distinct — so no campaign-wide
-        // log is ever held. Window rollovers for pre-generated responders
-        // ride the same event bus.
-        let policy = HealthPolicy::default();
-        let mut health = HealthReport::default();
+        // One monitor folds each responder's stitched rounds, round by
+        // round and region by region, so every subject sees its probes
+        // in time order. Window rollovers for pre-generated responders
+        // ride the same event log.
+        let mut monitor = HealthMonitor::new();
         let mut events = EventLog::new();
         for ((shard_idx, chunks), report_sums) in unit_logs.into_iter().enumerate().zip(reports) {
             let host = &eco.responders[shard_idx];
@@ -1044,16 +1042,14 @@ impl<'a> HourlyCampaign<'a> {
                 }
                 freshness.merge(&chunk.freshness);
             }
-            let mut health_log = HealthLog::new();
             for round in 0..first_target_ok[0].len() {
                 let t = config.campaign_start
                     + round as i64 * config.scan_interval
                     + offsets[shard_idx];
                 for region_log in &first_target_ok {
-                    health_log.record(&host.url, t, region_log[round]);
+                    monitor.observe(&host.url, t, region_log[round], &mut events);
                 }
             }
-            health.merge(health_log.replay(&policy, &mut events));
             responders.push(report_sums.into_report(
                 &host.url,
                 &eco.operators[host.operator].name,
@@ -1061,6 +1057,7 @@ impl<'a> HourlyCampaign<'a> {
                 &first_target_ok,
             ));
         }
+        let health = monitor.report();
         health.export(&mut telemetry);
         if rounds > 0 {
             for (shard_idx, host) in eco.responders.iter().enumerate() {
@@ -1070,7 +1067,7 @@ impl<'a> HourlyCampaign<'a> {
                 let first = config.campaign_start.unix() + offsets[shard_idx];
                 let last = first + (rounds - 1) as i64 * config.scan_interval;
                 for window in (first.div_euclid(interval) + 1)..=(last.div_euclid(interval)) {
-                    events.notify(Event::new(
+                    events.push(Event::new(
                         Time::from_unix(window * interval),
                         EventKind::Rollover,
                         &host.url,

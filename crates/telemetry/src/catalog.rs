@@ -78,18 +78,15 @@ catalog! {
     /// Worst scheduled retry backoff across Failed subjects, in seconds
     /// (gauge, excluded from artifacts).
     HEALTH_BACKOFF_SECS = "health.backoff_secs";
-    /// Subjects currently Degraded after the replay (gauge, excluded
-    /// from artifacts).
+    /// Subjects currently Degraded (gauge, excluded from artifacts).
     HEALTH_STATE_DEGRADED = "health.state.degraded";
-    /// Subjects currently Failed after the replay (gauge, excluded from
-    /// artifacts).
+    /// Subjects currently Failed (gauge, excluded from artifacts).
     HEALTH_STATE_FAILED = "health.state.failed";
-    /// Subjects currently Healthy after the replay (gauge, excluded
-    /// from artifacts).
+    /// Subjects currently Healthy (gauge, excluded from artifacts).
     HEALTH_STATE_HEALTHY = "health.state.healthy";
     /// Health-state transitions observed by the per-responder tracker,
     /// by edge label (`healthy_degraded`, `degraded_failed`,
-    /// `degraded_healthy`, `failed_healthy`). Deterministic (replayed
+    /// `degraded_healthy`, `failed_healthy`). Deterministic (folded
     /// from probe classifications in simulated time), so
     /// artifact-grade.
     HEALTH_TRANSITIONS = "health.transitions";

@@ -1,6 +1,8 @@
-//! The JSON string codec of the two JSONL artifacts, `trace.jsonl`
+//! The JSON codec of the two JSONL artifacts, `trace.jsonl`
 //! ([`crate::trace`]) and `events.jsonl` (`opsmon`'s event log): one
-//! escaping convention, and a strict decoder for exactly what it writes.
+//! escaping convention, and the pieces of a strict decoder. Each
+//! artifact's line parser reads the fields in its writer's order with
+//! these and refuses a line its writer would render differently.
 
 use std::fmt::Write as _;
 
@@ -22,6 +24,35 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
+/// Split a JSONL artifact into its lines. Every line, the last one
+/// included, must end in `\n`, the writers' only line ending.
+pub fn lines(text: &str) -> Result<std::str::SplitTerminator<'_, char>, String> {
+    if text.is_empty() || text.ends_with('\n') {
+        Ok(text.split_terminator('\n'))
+    } else {
+        Err("the last line has no newline".into())
+    }
+}
+
+/// Strip the literal `prefix` from the head of `s`.
+pub fn expect<'a>(s: &'a str, prefix: &str) -> Result<&'a str, String> {
+    s.strip_prefix(prefix)
+        .ok_or_else(|| format!("expected `{prefix}` at `{s}`"))
+}
+
+/// Parse the integer at the head of `s` (an optional `-`, then ASCII
+/// digits); return it and the unconsumed tail. A leading zero or `-0`
+/// parses; the callers' re-render check refuses it.
+pub fn parse_int<T: std::str::FromStr>(s: &str) -> Result<(T, &str), String> {
+    let unsigned = s.strip_prefix('-').unwrap_or(s);
+    let digits = unsigned.bytes().take_while(u8::is_ascii_digit).count();
+    let end = s.len() - unsigned.len() + digits;
+    let value = s[..end]
+        .parse()
+        .map_err(|_| format!("bad integer at `{s}`"))?;
+    Ok((value, &s[end..]))
+}
+
 /// Parse a JSON string literal at the head of `s`; return the decoded
 /// value and the unconsumed tail.
 pub fn parse_string(s: &str) -> Result<(String, &str), String> {
@@ -41,8 +72,12 @@ pub fn parse_string(s: &str) -> Result<(String, &str), String> {
                 Some((_, 't')) => out.push('\t'),
                 Some((j, 'u')) => {
                     let hex = inner.get(j + 1..j + 5).ok_or("truncated \\u escape")?;
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| format!("bad \\u escape `{hex}`"))?;
+                    // Four hex digits: `from_str_radix` alone also
+                    // takes a sign (`\u+001`).
+                    let code = Some(hex)
+                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| format!("bad \\u escape `{hex}`"))?;
                     out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
                     for _ in 0..4 {
                         chars.next();
@@ -78,5 +113,6 @@ mod tests {
         assert_eq!(parse_string(&literal), Ok((raw.to_owned(), ",tail")));
         assert!(parse_string("\"open").is_err());
         assert!(parse_string("\"\\x\"").is_err());
+        assert!(parse_string("\"\\u+001\"").is_err());
     }
 }

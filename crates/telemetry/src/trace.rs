@@ -93,6 +93,14 @@ impl Span {
     }
 
     fn write_jsonl(&self, out: &mut String, depth: usize) {
+        self.write_line(out, depth);
+        for child in &self.children {
+            child.write_jsonl(out, depth + 1);
+        }
+    }
+
+    /// Append this span's own line (children excluded) at `depth`.
+    fn write_line(&self, out: &mut String, depth: usize) {
         let _ = write!(out, "{{\"depth\":{depth},\"name\":\"");
         json::escape_into(out, &self.name);
         let _ = writeln!(
@@ -100,18 +108,17 @@ impl Span {
             "\",\"start_hour\":{},\"end_hour\":{},\"units\":{}}}",
             self.start_hour, self.end_hour, self.units,
         );
-        for child in &self.children {
-            child.write_jsonl(out, depth + 1);
-        }
     }
 
-    /// Parse a tree previously produced by [`Span::to_jsonl`]. Strict
-    /// for the subset we emit: the first line must be the depth-0 root,
-    /// each subsequent line's depth must be between 1 and one more than
-    /// its predecessor's, and re-serializing the result is byte-exact.
+    /// Parse a tree previously produced by [`Span::to_jsonl`]. Strict:
+    /// every line must be one the writer writes, newline included, the
+    /// first line must be the depth-0 root, and each subsequent line's
+    /// depth must be between 1 and one more than its predecessor's, so
+    /// re-serializing the result reproduces the input byte for byte;
+    /// anything else is an `Err`.
     pub fn parse_jsonl(text: &str) -> Result<Span, String> {
         let mut stack: Vec<Span> = Vec::new();
-        for (i, line) in text.lines().enumerate() {
+        for (i, line) in json::lines(text)?.enumerate() {
             let lineno = i + 1;
             let (depth, span) =
                 parse_jsonl_line(line).map_err(|e| format!("line {lineno}: {e}"))?;
@@ -176,62 +183,31 @@ impl Span {
     }
 }
 
-/// Parse one serialized span line into `(depth, childless span)`.
+/// Parse one serialized span line into `(depth, childless span)`,
+/// field by field in the writer's order; a line whose re-rendering
+/// differs (`"units":02`, an escape the writer never writes) is
+/// refused.
 fn parse_jsonl_line(line: &str) -> Result<(usize, Span), String> {
-    let body = line
-        .strip_prefix('{')
-        .and_then(|r| r.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: `{line}`"))?;
-    let mut depth: Option<usize> = None;
-    let mut name: Option<String> = None;
-    let mut start_hour: Option<u64> = None;
-    let mut end_hour: Option<u64> = None;
-    let mut units: Option<u64> = None;
-    let mut rest = body;
-    while !rest.is_empty() {
-        let after_key = rest
-            .strip_prefix('"')
-            .ok_or_else(|| format!("expected a key at `{rest}`"))?;
-        let quote = after_key
-            .find('"')
-            .ok_or_else(|| format!("unterminated key at `{rest}`"))?;
-        let key = &after_key[..quote];
-        let after_colon = after_key[quote + 1..]
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected `:` after key `{key}`"))?;
-        let consumed;
-        if key == "name" {
-            let (value, tail) = json::parse_string(after_colon)?;
-            name = Some(value);
-            consumed = tail;
-        } else {
-            let end = after_colon.find([',', '}']).unwrap_or(after_colon.len());
-            let digits = &after_colon[..end];
-            let value: u64 = digits
-                .parse()
-                .map_err(|_| format!("bad integer `{digits}` for key `{key}`"))?;
-            match key {
-                "depth" => depth = Some(value as usize),
-                "start_hour" => start_hour = Some(value),
-                "end_hour" => end_hour = Some(value),
-                "units" => units = Some(value),
-                other => return Err(format!("unknown key `{other}`")),
-            }
-            consumed = &after_colon[end..];
-        }
-        rest = consumed.strip_prefix(',').unwrap_or(consumed);
-        if consumed.is_empty() || consumed == rest {
-            break;
-        }
+    let rest = json::expect(line, "{\"depth\":")?;
+    let (depth, rest) = json::parse_int(rest)?;
+    let rest = json::expect(rest, ",\"name\":")?;
+    let (name, rest) = json::parse_string(rest)?;
+    let rest = json::expect(rest, ",\"start_hour\":")?;
+    let (start_hour, rest) = json::parse_int(rest)?;
+    let rest = json::expect(rest, ",\"end_hour\":")?;
+    let (end_hour, rest) = json::parse_int(rest)?;
+    let rest = json::expect(rest, ",\"units\":")?;
+    let (units, rest) = json::parse_int(rest)?;
+    if rest != "}" {
+        return Err(format!("expected `}}` at `{rest}`"));
     }
-    let span = Span {
-        name: name.ok_or("missing `name`")?,
-        start_hour: start_hour.ok_or("missing `start_hour`")?,
-        end_hour: end_hour.ok_or("missing `end_hour`")?,
-        units: units.ok_or("missing `units`")?,
-        children: Vec::new(),
-    };
-    Ok((depth.ok_or("missing `depth`")?, span))
+    let span = Span::leaf(name, start_hour, end_hour, units);
+    let mut rendered = String::new();
+    span.write_line(&mut rendered, depth);
+    if rendered.strip_suffix('\n') != Some(line) {
+        return Err(format!("not in the writer's form: `{line}`"));
+    }
+    Ok((depth, span))
 }
 
 #[cfg(test)]
@@ -328,6 +304,19 @@ mod tests {
             Span::parse_jsonl("{\"depth\":0,\"name\":\"a\",\"start_hour\":0,\"units\":0}\n")
                 .is_err()
         );
+        // Lines the writer never writes: tail bytes after the name, a
+        // signed or zero-padded integer, a repeated or reordered key,
+        // and a missing final newline.
+        for text in [
+            "{\"depth\":0,\"name\":\"a\"c\",\"start_hour\":0,\"end_hour\":0,\"units\":0}\n",
+            "{\"depth\":0,\"name\":\"a\",\"start_hour\":+1,\"end_hour\":1,\"units\":0}\n",
+            "{\"depth\":0,\"name\":\"a\",\"start_hour\":0,\"end_hour\":0,\"units\":02}\n",
+            "{\"depth\":0,\"depth\":0,\"name\":\"a\",\"start_hour\":0,\"end_hour\":0,\"units\":0}\n",
+            "{\"name\":\"a\",\"depth\":0,\"start_hour\":0,\"end_hour\":0,\"units\":0}\n",
+            "{\"depth\":0,\"name\":\"a\",\"start_hour\":0,\"end_hour\":0,\"units\":0}",
+        ] {
+            assert!(Span::parse_jsonl(text).is_err(), "accepted {text}");
+        }
     }
 
     #[test]

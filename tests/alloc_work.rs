@@ -1,5 +1,6 @@
 //! Heap allocations per campaign probe, per `ocspd` query and per
-//! signature verification, and the campaign's peak live bytes, pinned
+//! signature verification, the campaign's peak live bytes, and
+//! `ocspd`'s live bytes over a steady stream of queries, pinned
 //! exactly.
 //!
 //! This binary installs `memprof::CountingAlloc` as its global
@@ -83,6 +84,22 @@ fn campaign_and_serve_allocations_are_pinned() {
         }
     });
 
+    // `ocspd`'s live state over a steady stream: with a one-second
+    // clock step, every query below falls in the first 3,600 s response
+    // window, so the signed-response cache adds no entry, and nothing
+    // else the service keeps may grow with the queries it serves.
+    let mut steady = OcspService::with_step(7, 1);
+    let query = HttpRequest::new("POST", "/ocsp", &steady.canonical_request());
+    for _ in 0..100 {
+        steady.handle(&query);
+    }
+    let live_before = memprof::stats().current_bytes as i64;
+    for _ in 0..QUERIES {
+        steady.handle(&query);
+    }
+    let steady_growth = memprof::stats().current_bytes as i64 - live_before;
+    assert_eq!(steady.requests_served(), 100 + QUERIES);
+
     // One RSA verification, valid or not, once the key has made its
     // Montgomery constants (its first verification makes them): the
     // signature's limbs and both encodings live on the stack.
@@ -100,11 +117,12 @@ fn campaign_and_serve_allocations_are_pinned() {
     });
     assert_eq!(outcomes, [Ok(()), Err(SignatureError::Invalid)]);
 
-    // Per probe and per query: campaign 5.0, hot 4.1, wide 11.0.
+    // Per probe and per query: campaign 4.8, hot 4.1, wide 11.0.
     assert_eq!(
         (probes, campaign_allocs, hot_allocs, wide_allocs),
-        (1_344, 6_641, 4_125, 11_037)
+        (1_344, 6_496, 4_116, 11_028)
     );
     assert_eq!(campaign_peak, 79_329);
+    assert_eq!(steady_growth, 0);
     assert_eq!(verify_allocs, 0);
 }

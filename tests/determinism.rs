@@ -89,6 +89,13 @@ fn event_bus_is_byte_identical_across_the_whole_split_matrix() {
     let reference = run_study(1);
     let baseline = reference.events.to_jsonl();
     assert!(!baseline.is_empty(), "tiny scale must produce events");
+    // The bytes are the committed tiny-scale baseline, which CI also
+    // diffs `figures --telemetry` against: a change to how health is
+    // folded or events are emitted must regenerate it on purpose.
+    assert!(
+        baseline == include_str!("../results/events.tiny.jsonl"),
+        "events.jsonl differs from results/events.tiny.jsonl"
+    );
 
     // The artifact honours the same strict-parse round-trip contract
     // as trace.jsonl.
