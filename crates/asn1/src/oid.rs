@@ -4,7 +4,8 @@ use crate::{Error, Result};
 use core::fmt;
 
 /// Arc storage: well-known OIDs borrow a static slice (so they can be
-/// `const`), decoded OIDs own their arcs.
+/// `const`, and a decoded catalog OID shares its constant's arcs);
+/// every other OID owns its arcs.
 #[derive(Clone)]
 enum Arcs {
     Static(&'static [u64]),
@@ -89,6 +90,31 @@ impl Oid {
     /// `2.16.840.1.101.3.4.2.1` — SHA-256 (used inside OCSP CertID).
     pub const SHA256: Oid = Oid::from_static(&[2, 16, 840, 1, 101, 3, 4, 2, 1]);
 
+    /// Every well-known OID above. The decoder returns these constants'
+    /// static arcs instead of allocating, so a constant missing here
+    /// still decodes, only to an allocated copy.
+    pub const CATALOG: &'static [Oid] = &[
+        Oid::TLS_FEATURE,
+        Oid::AUTHORITY_INFO_ACCESS,
+        Oid::AD_OCSP,
+        Oid::AD_CA_ISSUERS,
+        Oid::CRL_DISTRIBUTION_POINTS,
+        Oid::BASIC_CONSTRAINTS,
+        Oid::KEY_USAGE,
+        Oid::EXT_KEY_USAGE,
+        Oid::KP_OCSP_SIGNING,
+        Oid::SUBJECT_ALT_NAME,
+        Oid::CRL_REASON,
+        Oid::INVALIDITY_DATE,
+        Oid::COMMON_NAME,
+        Oid::ORGANIZATION,
+        Oid::COUNTRY,
+        Oid::OCSP_BASIC,
+        Oid::OCSP_NONCE,
+        Oid::SIM_RSA_SHA256,
+        Oid::SHA256,
+    ];
+
     /// Create an OID borrowing a static arc slice (usable in `const`).
     pub const fn from_static(arcs: &'static [u64]) -> Oid {
         Oid {
@@ -145,52 +171,82 @@ impl Oid {
             + arcs[2..].iter().map(|&arc| base128_len(arc)).sum::<usize>()
     }
 
-    /// Decode an OID from content octets (without tag/length).
+    /// Decode an OID from content octets (without tag/length). A
+    /// [`Oid::CATALOG`] OID comes back as its constant, without
+    /// allocating; any other owns its arcs, allocated once at their
+    /// exact count.
     pub fn from_der_content(bytes: &[u8]) -> Result<Oid> {
-        if bytes.is_empty() {
-            return Err(Error::InvalidOid);
-        }
-        // Each content byte ends at most one arc and the first yields
-        // two, so one allocation always suffices.
-        let mut arcs = Vec::with_capacity(bytes.len() + 1);
-        let mut iter = bytes.iter().copied().peekable();
-        let mut first = true;
-        while iter.peek().is_some() {
-            let mut value: u64 = 0;
-            loop {
-                let byte = iter.next().ok_or(Error::InvalidOid)?;
-                if value == 0 && byte == 0x80 {
-                    // Leading 0x80 pad bytes are forbidden in DER.
-                    return Err(Error::InvalidOid);
-                }
-                value = value.checked_mul(128).ok_or(Error::InvalidOid)?;
-                value += u64::from(byte & 0x7f);
-                if byte & 0x80 == 0 {
-                    break;
-                }
-                if iter.peek().is_none() {
-                    return Err(Error::InvalidOid);
-                }
+        let mut head = [0u64; MAX_CATALOG_ARCS];
+        let count = decode_arcs(bytes, |i, arc| {
+            if let Some(slot) = head.get_mut(i) {
+                *slot = arc;
             }
-            if first {
-                let (a, b) = if value < 40 {
-                    (0, value)
-                } else if value < 80 {
-                    (1, value - 40)
-                } else {
-                    (2, value - 80)
-                };
-                arcs.push(a);
-                arcs.push(b);
-                first = false;
-            } else {
-                arcs.push(value);
+        })?;
+        let arcs = match head.get(..count) {
+            Some(arcs) => {
+                if let Some(known) = Oid::CATALOG.iter().find(|oid| oid.arcs() == arcs) {
+                    return Ok(known.clone());
+                }
+                arcs.to_vec()
             }
-        }
+            None => {
+                let mut arcs = Vec::with_capacity(count);
+                decode_arcs(bytes, |_, arc| arcs.push(arc))?;
+                arcs
+            }
+        };
         Ok(Oid {
             arcs: Arcs::Owned(arcs),
         })
     }
+}
+
+/// The most arcs a [`Oid::CATALOG`] entry has (`OCSP_BASIC` and
+/// `OCSP_NONCE`); a longer OID is not in the catalog.
+const MAX_CATALOG_ARCS: usize = 10;
+
+/// Decode the arcs of OID content octets, handing each to
+/// `arc(index, value)` in order; returns how many there are.
+fn decode_arcs(bytes: &[u8], mut arc: impl FnMut(usize, u64)) -> Result<usize> {
+    if bytes.is_empty() {
+        return Err(Error::InvalidOid);
+    }
+    let mut count = 0;
+    let mut iter = bytes.iter().copied().peekable();
+    while iter.peek().is_some() {
+        let mut value: u64 = 0;
+        loop {
+            let byte = iter.next().ok_or(Error::InvalidOid)?;
+            if value == 0 && byte == 0x80 {
+                // Leading 0x80 pad bytes are forbidden in DER.
+                return Err(Error::InvalidOid);
+            }
+            value = value.checked_mul(128).ok_or(Error::InvalidOid)?;
+            value += u64::from(byte & 0x7f);
+            if byte & 0x80 == 0 {
+                break;
+            }
+            if iter.peek().is_none() {
+                return Err(Error::InvalidOid);
+            }
+        }
+        if count == 0 {
+            let (a, b) = if value < 40 {
+                (0, value)
+            } else if value < 80 {
+                (1, value - 40)
+            } else {
+                (2, value - 80)
+            };
+            arc(0, a);
+            arc(1, b);
+            count = 2;
+        } else {
+            arc(count, value);
+            count += 1;
+        }
+    }
+    Ok(count)
 }
 
 fn push_base128(out: &mut Vec<u8>, mut value: u64) {
@@ -240,17 +296,9 @@ mod tests {
 
     #[test]
     fn round_trip_well_known() {
-        for oid in [
-            Oid::TLS_FEATURE,
-            Oid::AUTHORITY_INFO_ACCESS,
-            Oid::AD_OCSP,
-            Oid::SHA256,
-            Oid::OCSP_BASIC,
-            Oid::COMMON_NAME,
-            Oid::SIM_RSA_SHA256,
-        ] {
+        for oid in Oid::CATALOG {
             let der = oid.to_der_content();
-            assert_eq!(Oid::from_der_content(&der).unwrap(), oid);
+            assert_eq!(&Oid::from_der_content(&der).unwrap(), oid);
         }
     }
 
@@ -289,17 +337,35 @@ mod tests {
     }
 
     #[test]
-    fn decoding_allocates_the_arcs_once() {
-        // OCSP_BASIC's arcs are one byte each, so they fill the reserved
-        // capacity exactly; SHA256's 840 takes two bytes and leaves
-        // slack. Either way the vector never regrows.
-        for (oid, arcs) in [(Oid::OCSP_BASIC, 10), (Oid::SHA256, 9)] {
-            let der = oid.to_der_content();
+    fn every_catalog_oid_decodes_to_its_static_arcs() {
+        for oid in Oid::CATALOG {
+            let decoded = Oid::from_der_content(&oid.to_der_content()).unwrap();
+            let Arcs::Static(arcs) = decoded.arcs else {
+                panic!("{oid} decoded to owned arcs");
+            };
+            assert_eq!(arcs, oid.arcs());
+        }
+    }
+
+    #[test]
+    fn other_oids_own_their_arcs_at_the_exact_size() {
+        // A catalog OID's prefix, one with an extra arc, and OIDs past
+        // the catalog's longest, whose arcs are decoded a second time.
+        let long: Vec<u64> = (1..=24).collect();
+        for arcs in [
+            &[1, 3, 6, 1, 5, 5, 7, 48][..],
+            &[1, 3, 6, 1, 5, 5, 7, 48, 1, 1, 1],
+            &[2, 999, 1],
+            &long[..MAX_CATALOG_ARCS + 1],
+            &long,
+        ] {
+            let der = Oid::new(arcs).to_der_content();
             let decoded = Oid::from_der_content(&der).unwrap();
             let Arcs::Owned(owned) = &decoded.arcs else {
-                panic!("decoded OIDs own their arcs");
+                panic!("{decoded} decoded to static arcs");
             };
-            assert_eq!((owned.len(), owned.capacity()), (arcs, der.len() + 1));
+            assert_eq!(owned, arcs);
+            assert_eq!(owned.capacity(), arcs.len(), "{decoded}");
         }
     }
 

@@ -1,5 +1,6 @@
 //! Property tests for the OCSP wire formats and the responder/validator
-//! pair: round-trips over randomized contents, the invariant that a
+//! pair: round-trips over randomized contents, the request parser's
+//! typed refusal of any bytes that are not a request, the invariant that a
 //! healthy responder's answer always validates while a mutated answer
 //! never validates as authentic, and the equivalence of the memoized
 //! validator with the uncached one.
@@ -315,6 +316,41 @@ proptest! {
             }
             Ok(())
         })?;
+    }
+
+    /// `OcspRequest::from_der` parses every `/ocsp` body `ocspd` is
+    /// sent: on arbitrary bytes, and on every single-byte edit and every
+    /// truncation of a valid request, it returns a request or a typed
+    /// error and never panics, and it refuses every proper prefix.
+    #[test]
+    fn request_parser_refuses_what_is_not_a_request(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        serials in proptest::collection::vec(arb_serial(), 1..6),
+        nonce in proptest::option::of(proptest::collection::vec(any::<u8>(), 8..32)),
+        xor in 1u8..=255,
+    ) {
+        let _ = OcspRequest::from_der(&bytes);
+        let cert_ids = serials
+            .into_iter()
+            .map(|serial| CertId {
+                issuer_name_hash: [1; 32],
+                issuer_key_hash: [2; 32],
+                serial,
+            })
+            .collect();
+        let request = OcspRequest { cert_ids, nonce };
+        let der = request.to_der();
+        prop_assert_eq!(OcspRequest::from_der(&der), Ok(request));
+        let mut edited = der.clone();
+        for i in 0..der.len() {
+            edited[i] ^= xor;
+            let _ = OcspRequest::from_der(&edited);
+            edited[i] ^= xor;
+        }
+        for cut in 0..der.len() {
+            let parsed = OcspRequest::from_der(&der[..cut]);
+            prop_assert!(parsed.is_err(), "the {cut}-byte prefix parsed: {parsed:?}");
+        }
     }
 
     /// Truncation at any point is never accepted.

@@ -5,8 +5,14 @@
 use crate::http::{HttpRequest, HttpResponse};
 use crate::service::OcspService;
 use opsmon::EventLog;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufWriter, Write};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::time::Duration;
+
+/// How long the probe client and the webhook poster wait for a
+/// connection, and then for each read or write, before they give up on
+/// the peer.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Serve connections until `max_conns` have been handled (`None` =
 /// forever). One request per connection, `Connection: close`. Returns
@@ -29,20 +35,23 @@ pub fn serve(
 }
 
 /// Read one request off `stream` and answer it. `&TcpStream` reads and
-/// writes, so the reader and the writer borrow the one socket.
+/// writes, so the reader and the writer borrow the one socket, and
+/// neither buffers: the request is read into its own buffer, and the
+/// response goes out in one vectored write.
 fn handle_connection(stream: TcpStream, service: &mut OcspService) -> std::io::Result<()> {
-    let response = match HttpRequest::read_from(&mut BufReader::new(&stream)) {
+    let response = match HttpRequest::read_from(&mut &stream) {
         Ok(request) => service.handle(&request),
         Err(reason) => HttpResponse::error(400, &reason),
     };
-    response.write_to(&mut BufWriter::new(&stream))
+    response.write_to(&mut &stream)
 }
 
 /// POST each event's JSON line, in canonical order, to
 /// `http://{addr}/webhook`; returns `(delivered, failed)`. A delivery
-/// fails when the connection does or the status is not 200, and a
-/// failure never stops the rest: an unreachable webhook must not
-/// disturb the daemon. The deterministic studies never post; they stop
+/// fails when the connection does, when the receiver stays silent for
+/// [`CLIENT_TIMEOUT`], or when the status is not 200, and a failure
+/// never stops the rest: an unreachable webhook must not disturb the
+/// daemon. The deterministic studies never post; they stop
 /// at [`EventLog`].
 pub fn post_events(addr: &str, events: &EventLog) -> (u64, u64) {
     let (mut delivered, mut failed) = (0, 0);
@@ -57,7 +66,8 @@ pub fn post_events(addr: &str, events: &EventLog) -> (u64, u64) {
 }
 
 /// The probe client: plain blocking HTTP/1.1 over `TcpStream`, used by
-/// the `ocspd probe` subcommand and the live-smoke CI job.
+/// the `ocspd probe` subcommand and the live-smoke CI job. Connecting,
+/// and each read and write after it, give up after [`CLIENT_TIMEOUT`].
 pub mod client {
     use super::*;
 
@@ -68,7 +78,7 @@ pub mod client {
         content_type: &str,
         body: &[u8],
     ) -> std::io::Result<(u16, Vec<u8>)> {
-        let stream = TcpStream::connect(addr)?;
+        let stream = connect(addr)?;
         let mut writer = BufWriter::new(&stream);
         write!(
             writer,
@@ -83,7 +93,7 @@ pub mod client {
 
     /// GET `http://{addr}{path}`; returns `(status, body)`.
     pub fn get(addr: &str, path: &str) -> std::io::Result<(u16, Vec<u8>)> {
-        let stream = TcpStream::connect(addr)?;
+        let stream = connect(addr)?;
         let mut writer = BufWriter::new(&stream);
         write!(
             writer,
@@ -94,9 +104,30 @@ pub mod client {
         read_response(stream)
     }
 
+    /// Connect to `addr` as `TcpStream::connect` does, trying each
+    /// address it resolves to in turn, under [`CLIENT_TIMEOUT`].
+    fn connect(addr: &str) -> std::io::Result<TcpStream> {
+        let mut last_error = None;
+        for addr in addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&addr, CLIENT_TIMEOUT) {
+                Ok(stream) => {
+                    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
+                    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
+                    return Ok(stream);
+                }
+                Err(e) => last_error = Some(e),
+            }
+        }
+        Err(last_error.unwrap_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "could not resolve to any addresses",
+            )
+        }))
+    }
+
     fn read_response(stream: TcpStream) -> std::io::Result<(u16, Vec<u8>)> {
-        let mut reader = BufReader::new(stream);
-        let response = HttpResponse::read_from(&mut reader)
+        let response = HttpResponse::read_from(&mut &stream)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         Ok((response.status, response.body))
     }
@@ -168,14 +199,12 @@ mod tests {
             let mut bodies = Vec::new();
             for _ in 0..2 {
                 let (stream, _) = listener.accept().unwrap();
-                let mut reader = BufReader::new(stream.try_clone()?);
-                let request = HttpRequest::read_from(&mut reader)
+                let request = HttpRequest::read_from(&mut &stream)
                     .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-                assert_eq!(request.path, "/webhook");
-                bodies.push(String::from_utf8(request.body).unwrap());
-                let mut writer = BufWriter::new(stream);
+                assert_eq!(request.path(), "/webhook");
+                bodies.push(String::from_utf8(request.body().to_vec()).unwrap());
                 HttpResponse::ok("text/plain; charset=utf-8", b"ok".to_vec())
-                    .write_to(&mut writer)?;
+                    .write_to(&mut &stream)?;
             }
             // The listener drops here: the receiver is gone.
             Ok::<_, std::io::Error>(bodies)
@@ -200,5 +229,26 @@ mod tests {
         assert!(bodies[1].contains("\"kind\":\"outage\""));
 
         assert_eq!(post_events(&addr, &events), (0, 2));
+    }
+
+    /// A receiver that accepts and never answers costs `post_events`
+    /// one timeout per event, not the daemon's exit.
+    #[test]
+    fn post_events_gives_up_on_a_receiver_that_never_answers() {
+        // The listener never accepts; the kernel completes the
+        // handshake and buffers the POST all the same.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let epoch = asn1::Time::from_unix(crate::service::CAMPAIGN_EPOCH_UNIX);
+        let mut events = EventLog::new();
+        events.push(Event::new(epoch, EventKind::Outage, "r", "open"));
+
+        // Without a timeout the poster never returns, so the test waits
+        // on a channel and joins the poster only once it has answered.
+        let (done, outcome) = std::sync::mpsc::channel();
+        let poster = std::thread::spawn(move || done.send(post_events(&addr, &events)));
+        assert_eq!(outcome.recv_timeout(4 * CLIENT_TIMEOUT), Ok((0, 1)));
+        poster.join().unwrap().unwrap();
+        drop(listener);
     }
 }

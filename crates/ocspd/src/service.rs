@@ -133,8 +133,8 @@ impl OcspService {
 
     /// Dispatch one request to its route.
     pub fn handle(&mut self, request: &HttpRequest) -> HttpResponse {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/ocsp") => self.handle_ocsp(&request.body),
+        match (request.method(), request.path()) {
+            ("POST", "/ocsp") => self.handle_ocsp(request.body()),
             ("GET", "/metrics") => {
                 self.scrapes_metrics += 1;
                 HttpResponse::ok(

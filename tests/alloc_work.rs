@@ -1,7 +1,7 @@
-//! Heap allocations per campaign probe, per `ocspd` query and per
-//! signature verification, the campaign's peak live bytes, and
-//! `ocspd`'s live bytes over a steady stream of queries, pinned
-//! exactly.
+//! Heap allocations per campaign probe, per `ocspd` query (with and
+//! without its HTTP framing) and per signature verification, the
+//! campaign's peak live bytes, and `ocspd`'s live bytes over a steady
+//! stream of queries, pinned exactly.
 //!
 //! This binary installs `memprof::CountingAlloc` as its global
 //! allocator, and it holds a single test, so while that test measures
@@ -15,7 +15,7 @@
 use ecosystem::{EcosystemConfig, LiveEcosystem};
 use netsim::Region;
 use ocsp::{CertId, OcspRequest};
-use ocspd::{HttpRequest, OcspService};
+use ocspd::{HttpRequest, HttpResponse, OcspService};
 use pki::Serial;
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 use scanner::{Executor, HourlyCampaign};
@@ -62,6 +62,38 @@ fn campaign_and_serve_allocations_are_pinned() {
             hot.handle(&canonical);
         }
     });
+
+    // One hot query end to end in memory, framing included: the request
+    // perfbench's client writes is read as `ocspd::serve` reads it,
+    // handled, written into a buffer reserved outside the count, and
+    // read back as the client reads it.
+    let mut framed = OcspService::new(7);
+    let der = framed.canonical_request();
+    let mut wire = format!(
+        "POST /ocsp HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nContent-Type: application/ocsp-request\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
+        der.len()
+    )
+    .into_bytes();
+    wire.extend_from_slice(&der);
+    let mut out = Vec::with_capacity(4_096);
+    let mut round_trip = || {
+        out.clear();
+        let request = HttpRequest::read_from(&mut &wire[..]).expect("the request parses");
+        let response = framed.handle(&request);
+        response
+            .write_to(&mut out)
+            .expect("a Vec takes every write");
+        HttpResponse::read_from(&mut &out[..]).expect("the response parses")
+    };
+    // The first query signs; the counted ones are answered from cache.
+    assert_eq!(round_trip().status, 200);
+    let (statuses, framed_allocs) = allocations(|| {
+        (0..QUERIES)
+            .map(|_| u64::from(round_trip().status))
+            .sum::<u64>()
+    });
+    assert_eq!(statuses, 200 * QUERIES);
 
     let mut wide = OcspService::new(7);
     let leaf = OcspRequest::from_der(&wide.canonical_request())
@@ -117,11 +149,13 @@ fn campaign_and_serve_allocations_are_pinned() {
     });
     assert_eq!(outcomes, [Ok(()), Err(SignatureError::Invalid)]);
 
-    // Per probe and per query: campaign 4.8, hot 4.1, wide 11.0.
+    // Per probe and per query: campaign 4.1, hot 3.1, wide 10.0. The
+    // framed hot query adds one buffer per message read: 5.1.
     assert_eq!(
         (probes, campaign_allocs, hot_allocs, wide_allocs),
-        (1_344, 6_496, 4_116, 11_028)
+        (1_344, 5_470, 3_116, 10_028)
     );
+    assert_eq!(framed_allocs, 5_099);
     assert_eq!(campaign_peak, 79_329);
     assert_eq!(steady_growth, 0);
     assert_eq!(verify_allocs, 0);
