@@ -43,8 +43,8 @@
 //! operational event bus (health transitions, outages, window
 //! rollovers, revocations) to `events.jsonl` (all byte-identical for
 //! every worker count), with histogram quantiles, the span tree, and
-//! wall timings summarized on stdout. Diff two runs' expositions with
-//! `cargo run -p teldiff`.
+//! wall timings summarized on stdout. Each exposition line is one
+//! series, so `diff` compares two runs' expositions.
 
 use ecosystem::EcosystemConfig;
 use mustaple::{Study, StudyResults};
@@ -71,6 +71,17 @@ fn mem_stats() -> Option<(u64, u64)> {
 fn mem_stats() -> Option<(u64, u64)> {
     None
 }
+
+/// The artifacts this binary makes itself, beyond [`ALL_ARTIFACTS`].
+/// Any other name is refused before the study runs.
+const EXTRA_ARTIFACTS: [&str; 6] = [
+    "freshness",
+    "recommendations",
+    "telemetry",
+    "ablations",
+    "readiness",
+    "bench-scan",
+];
 
 fn main() {
     let mut scale = "figures".to_string();
@@ -135,7 +146,10 @@ fn main() {
             }
             "--help" | "-h" => usage(""),
             flag if flag.starts_with('-') => usage(&format!("unknown flag `{flag}`")),
-            name => wanted.push(name.to_string()),
+            name if ALL_ARTIFACTS.contains(&name) || EXTRA_ARTIFACTS.contains(&name) => {
+                wanted.push(name.to_string())
+            }
+            name => usage(&format!("unknown artifact `{name}`")),
         }
     }
 
@@ -156,12 +170,13 @@ fn main() {
     }
 
     if wanted.is_empty() {
-        wanted = ALL_ARTIFACTS.iter().map(|s| s.to_string()).collect();
-        wanted.push("freshness".into());
-        wanted.push("recommendations".into());
-        wanted.push("ablations".into());
-        wanted.push("readiness".into());
-        wanted.push("bench-scan".into());
+        // Everything but `telemetry`, which `--telemetry` asks for.
+        wanted = ALL_ARTIFACTS
+            .iter()
+            .chain(&EXTRA_ARTIFACTS)
+            .filter(|&&name| name != "telemetry")
+            .map(|name| name.to_string())
+            .collect();
     }
     if telemetry && !wanted.iter().any(|w| w == "telemetry") {
         wanted.push("telemetry".into());
@@ -255,13 +270,11 @@ fn main() {
                     .expect("write operational events");
                 println!("{}", mustaple_bench::telemetry_report(results));
             }
-            name => match build(name, study()) {
-                Some(artifact) => {
-                    emit(&out_dir, &artifact);
-                    emit_companion(&out_dir, ensemble.as_ref(), name);
-                }
-                None => eprintln!("warning: unknown artifact `{name}` (skipped)"),
-            },
+            name => {
+                let artifact = build(name, study()).expect("artifact names are checked up front");
+                emit(&out_dir, &artifact);
+                emit_companion(&out_dir, ensemble.as_ref(), name);
+            }
         }
     }
     eprintln!("\nartifacts written to {}", out_dir.display());
@@ -328,11 +341,12 @@ fn usage(err: &str) -> ! {
         "usage: figures [--scale tiny|figures] [--scale-mult K] \
          [--mem-budget BYTES] [--out DIR] [--workers N] \
          [--seeds N] [--telemetry] [ARTIFACT...]\n\
-         artifacts: {} freshness recommendations telemetry ablations readiness bench-scan\n\
+         artifacts: {} {}\n\
          --seeds runs a multi-seed ensemble: every CSV artifact gains an \
          <name>.ens.csv companion (mean, 95% CI, stddev, min/max per cell) plus a \
          seeds.txt manifest",
-        ALL_ARTIFACTS.join(" ")
+        ALL_ARTIFACTS.join(" "),
+        EXTRA_ARTIFACTS.join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -14,6 +14,7 @@
 //! "Running the live service" section.
 
 use mustaple_ocspd::{client, post_events, serve, OcspService, RequestPlan};
+use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::process::ExitCode;
 
@@ -39,18 +40,25 @@ fn main() -> ExitCode {
     }
 }
 
-/// Fetch the value following `--name`, if present.
-fn flag(args: &[String], name: &str) -> Result<Option<String>, String> {
+/// A subcommand's arguments, flag → value.
+type Flags<'a> = BTreeMap<&'a str, &'a str>;
+
+/// Read `args` as `--flag value` pairs, each flag one of `known`. An
+/// unknown flag, a flag without its value and a repeated flag are
+/// errors, so a mistyped flag fails instead of being ignored.
+fn flags<'a>(args: &'a [String], known: &[&str]) -> Result<Flags<'a>, String> {
+    let mut flags = Flags::new();
     let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == name {
-            return match iter.next() {
-                Some(value) => Ok(Some(value.clone())),
-                None => Err(format!("{name} needs a value")),
-            };
+    while let Some(name) = iter.next() {
+        if !known.contains(&name.as_str()) {
+            return Err(format!("unknown flag {name:?} (takes {})", known.join(" ")));
+        }
+        let value = iter.next().ok_or_else(|| format!("{name} needs a value"))?;
+        if flags.insert(name, value).is_some() {
+            return Err(format!("{name} given twice"));
         }
     }
-    Ok(None)
+    Ok(flags)
 }
 
 fn parse<T: std::str::FromStr>(value: &str, name: &str) -> Result<T, String> {
@@ -59,25 +67,19 @@ fn parse<T: std::str::FromStr>(value: &str, name: &str) -> Result<T, String> {
         .map_err(|_| format!("{name}: cannot parse {value:?}"))
 }
 
-fn seed_of(args: &[String]) -> Result<u64, String> {
-    match flag(args, "--seed")? {
-        Some(v) => parse(&v, "--seed"),
-        None => Ok(42),
-    }
+/// The value of `name` parsed, or `default` when the flag is absent.
+fn parse_or<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
+    flags.get(name).map_or(Ok(default), |v| parse(v, name))
 }
 
-fn plan_of(args: &[String]) -> Result<RequestPlan, String> {
-    let total = match flag(args, "--requests")? {
-        Some(v) => parse(&v, "--requests")?,
-        None => 20,
-    };
-    let malformed_every = match flag(args, "--malformed-every")? {
-        Some(v) => parse(&v, "--malformed-every")?,
-        None => 0,
-    };
+fn seed_of(flags: &Flags) -> Result<u64, String> {
+    parse_or(flags, "--seed", 42)
+}
+
+fn plan_of(flags: &Flags) -> Result<RequestPlan, String> {
     Ok(RequestPlan {
-        total,
-        malformed_every,
+        total: parse_or(flags, "--requests", 20)?,
+        malformed_every: parse_or(flags, "--malformed-every", 0)?,
     })
 }
 
@@ -86,16 +88,18 @@ fn write_file(path: &str, bytes: &[u8], what: &str) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let addr = flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".to_owned());
-    let seed = seed_of(args)?;
-    let max_conns = match flag(args, "--max-conns")? {
-        Some(v) => Some(parse::<u64>(&v, "--max-conns")?),
+    let flags = flags(
+        args,
+        &["--addr", "--seed", "--max-conns", "--events", "--webhook"],
+    )?;
+    let addr = flags.get("--addr").copied().unwrap_or("127.0.0.1:0");
+    let seed = seed_of(&flags)?;
+    let max_conns = match flags.get("--max-conns") {
+        Some(v) => Some(parse::<u64>(v, "--max-conns")?),
         None => None,
     };
-    let events_path = flag(args, "--events")?;
-    let webhook = flag(args, "--webhook")?;
 
-    let listener = TcpListener::bind(&addr).map_err(|e| format!("binding {addr}: {e}"))?;
+    let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
     let bound = listener.local_addr().map_err(|e| e.to_string())?;
     // The probe side parses this line to find the ephemeral port.
     println!("listening on {bound}");
@@ -106,41 +110,50 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     serve(&listener, &mut service, max_conns).map_err(|e| format!("serving: {e}"))?;
 
     let events = service.events();
-    if let Some(path) = events_path {
-        write_file(&path, events.to_jsonl().as_bytes(), "events")?;
+    if let Some(path) = flags.get("--events") {
+        write_file(path, events.to_jsonl().as_bytes(), "events")?;
     }
-    if let Some(addr) = webhook {
-        let (delivered, failed) = post_events(&addr, events);
+    if let Some(addr) = flags.get("--webhook") {
+        let (delivered, failed) = post_events(addr, events);
         eprintln!("webhook: {delivered} delivered, {failed} failed");
     }
     Ok(())
 }
 
 fn cmd_probe(args: &[String]) -> Result<(), String> {
-    let addr = flag(args, "--addr")?.ok_or("probe needs --addr host:port")?;
-    let seed = seed_of(args)?;
-    let plan = plan_of(args)?;
-    let metrics_path = flag(args, "--metrics")?;
+    let flags = flags(
+        args,
+        &[
+            "--addr",
+            "--seed",
+            "--requests",
+            "--malformed-every",
+            "--metrics",
+        ],
+    )?;
+    let addr = *flags.get("--addr").ok_or("probe needs --addr host:port")?;
+    let seed = seed_of(&flags)?;
+    let plan = plan_of(&flags)?;
 
     let canonical = OcspService::new(seed).canonical_request();
     for i in 0..plan.total {
         let body = plan.body(i, &canonical);
-        let (status, response) = client::post(&addr, "/ocsp", "application/ocsp-request", &body)
+        let (status, response) = client::post(addr, "/ocsp", "application/ocsp-request", &body)
             .map_err(|e| format!("POST /ocsp: {e}"))?;
         if status != 200 || response.is_empty() {
             return Err(format!("POST /ocsp #{i}: status {status}"));
         }
     }
     let (status, scrape) =
-        client::get(&addr, "/metrics").map_err(|e| format!("GET /metrics: {e}"))?;
+        client::get(addr, "/metrics").map_err(|e| format!("GET /metrics: {e}"))?;
     if status != 200 {
         return Err(format!("GET /metrics: status {status}"));
     }
-    match metrics_path {
-        Some(path) => write_file(&path, &scrape, "the scrape")?,
+    match flags.get("--metrics") {
+        Some(path) => write_file(path, &scrape, "the scrape")?,
         None => print!("{}", String::from_utf8_lossy(&scrape)),
     }
-    let (status, table) = client::get(&addr, "/health").map_err(|e| format!("GET /health: {e}"))?;
+    let (status, table) = client::get(addr, "/health").map_err(|e| format!("GET /health: {e}"))?;
     if status != 200 {
         return Err(format!("GET /health: status {status}"));
     }
@@ -149,26 +162,33 @@ fn cmd_probe(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_offline(args: &[String]) -> Result<(), String> {
-    let seed = seed_of(args)?;
-    let plan = plan_of(args)?;
-    let mut service = OcspService::new(seed);
-    service.run_offline(&plan);
-    match flag(args, "--metrics")? {
-        Some(path) => write_file(&path, service.gated_metrics().as_bytes(), "the exposition")?,
+    let flags = flags(
+        args,
+        &[
+            "--seed",
+            "--requests",
+            "--malformed-every",
+            "--metrics",
+            "--events",
+        ],
+    )?;
+    let mut service = OcspService::new(seed_of(&flags)?);
+    service.run_offline(&plan_of(&flags)?);
+    match flags.get("--metrics") {
+        Some(path) => write_file(path, service.gated_metrics().as_bytes(), "the exposition")?,
         None => print!("{}", service.gated_metrics()),
     }
-    if let Some(path) = flag(args, "--events")? {
-        write_file(&path, service.events().to_jsonl().as_bytes(), "events")?;
+    if let Some(path) = flags.get("--events") {
+        write_file(path, service.events().to_jsonl().as_bytes(), "events")?;
     }
     Ok(())
 }
 
 fn cmd_request(args: &[String]) -> Result<(), String> {
-    let seed = seed_of(args)?;
-    let der = OcspService::new(seed).canonical_request();
-    match flag(args, "--out")? {
-        Some(path) => write_file(&path, &der, "the request")?,
-        None => return Err("request needs --out PATH (the body is binary DER)".to_owned()),
+    let flags = flags(args, &["--seed", "--out"])?;
+    let der = OcspService::new(seed_of(&flags)?).canonical_request();
+    match flags.get("--out") {
+        Some(path) => write_file(path, &der, "the request"),
+        None => Err("request needs --out PATH (the body is binary DER)".to_owned()),
     }
-    Ok(())
 }

@@ -124,6 +124,41 @@ proptest! {
     }
 
     #[test]
+    fn crl_decoder_survives_mutation(
+        entries in proptest::collection::vec((arb_serial(), arb_time(), any::<bool>()), 0..6),
+        this_update in arb_time(),
+        xor in 1u8..=255,
+    ) {
+        let kp = keypair();
+        let mut seen = std::collections::HashSet::new();
+        let entries: Vec<RevokedEntry> = entries
+            .into_iter()
+            .filter(|(s, _, _)| seen.insert(s.clone()))
+            .map(|(serial, revocation_time, has_reason)| RevokedEntry {
+                serial,
+                revocation_time,
+                reason: has_reason.then_some(RevocationReason::KeyCompromise),
+            })
+            .collect();
+        let next_update = Some(this_update + 7 * 86_400);
+        let crl = Crl::build(Name::ca("Mut CA", "Mut Root"), this_update, next_update, entries, &kp);
+        let der = crl.to_der();
+        // Edited or cut CRLs either fail to parse or fail to verify;
+        // they never panic and never verify as authentic.
+        let forged = |bytes: &[u8]| {
+            Crl::from_der(bytes).is_ok_and(|parsed| parsed.verify_signature(kp.public()) && parsed != crl)
+        };
+        for idx in 0..der.len() {
+            let mut edited = der.clone();
+            edited[idx] ^= xor;
+            prop_assert!(!forged(&edited), "edit at {idx} xor {xor:#x} forged a CRL");
+        }
+        for len in 0..der.len() {
+            prop_assert!(!forged(&der[..len]), "truncation to {len} bytes forged a CRL");
+        }
+    }
+
+    #[test]
     fn crl_round_trips(
         entries in proptest::collection::vec(
             (arb_serial(), arb_time(), proptest::option::of(0usize..10)),

@@ -29,7 +29,6 @@ const CRATES: &[(&str, u32, &[&str])] = &[
     ("opsmon", 1, &["asn1", "telemetry", "proptest"]),
     ("criterion", 1, &["telemetry"]),
     ("analysis", 1, &["asn1", "proptest"]),
-    ("teldiff", 1, &["telemetry"]),
     // Layers 2 and 3: the PKI and protocol stack.
     ("pki", 2, &["asn1", "simcrypto", "rand", "proptest"]),
     ("ocsp", 3, &["asn1", "simcrypto", "pki", "rand", "telemetry", "proptest"]),
